@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .fire_model import RegionGrid
@@ -67,7 +66,6 @@ class GridFrame:
         )
         self.side_km = math.sqrt(grid.cell_area_km2)
         self.biomass = np.array([r.biomass for r in grid.regions])
-        self._center_tree = cKDTree(self.centers_xy)
 
     def project(self, p: GeoPoint) -> tuple[float, float]:
         return (
@@ -78,12 +76,14 @@ class GridFrame:
     def locate(self, p: GeoPoint) -> int:
         """Index of the cell containing p; ValidationError when outside the grid."""
         x, y = self.project(p)
-        _, idx = self._center_tree.query([x, y])
+        dx = self.centers_xy[:, 0] - x
+        dy = self.centers_xy[:, 1] - y
+        idx = int(np.argmin(dx * dx + dy * dy))
         cx, cy = self.centers_xy[idx]
         half = self.side_km / 2.0 + 1e-9
         if abs(x - cx) > half or abs(y - cy) > half:
             raise ValidationError(f"point ({p.lat}, {p.lon}) lies outside the region grid")
-        return int(idx)
+        return idx
 
     def rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
         """Row/column indices of each cell, ranked south-to-north / west-to-east."""
@@ -93,18 +93,28 @@ class GridFrame:
         _, cols = np.unique(x, return_inverse=True)
         return rows, cols
 
-    def intersecting_mask(self, cx: float, cy: float, radius: float) -> np.ndarray:
-        """Boolean mask of cells whose square intersects the disk."""
+    def intersecting_mask(self, cx: float, cy: float, radius: float, cells=None) -> np.ndarray:
+        """Boolean mask of cells whose square intersects the disk.
+
+        With `cells` (ascending cell indices) the mask covers those cells only.
+        """
+        centers = self.centers_xy if cells is None else self.centers_xy[cells]
         half = self.side_km / 2.0
-        ddx = np.maximum(np.abs(self.centers_xy[:, 0] - cx) - half, 0.0)
-        ddy = np.maximum(np.abs(self.centers_xy[:, 1] - cy) - half, 0.0)
+        ddx = np.maximum(np.abs(centers[:, 0] - cx) - half, 0.0)
+        ddy = np.maximum(np.abs(centers[:, 1] - cy) - half, 0.0)
         return ddx * ddx + ddy * ddy <= radius * radius
 
-    def biomass_avg(self, cx: float, cy: float, radius: float) -> float:
-        mask = self.intersecting_mask(cx, cy, radius)
+    def biomass_avg(self, cx: float, cy: float, radius: float, cells=None) -> float:
+        """Mean biomass of the cells whose square intersects the disk.
+
+        `cells` (ascending cell indices) restricts the search to cells known
+        to hold every intersecting one; the result is then unchanged.
+        """
+        mask = self.intersecting_mask(cx, cy, radius, cells)
         if not mask.any():
             return 0.0
-        return float(self.biomass[mask].mean())
+        biomass = self.biomass if cells is None else self.biomass[cells]
+        return float(biomass[mask].mean())
 
 
 @dataclass(frozen=True)
@@ -184,27 +194,30 @@ def _scatter(placement: Placement, frame: GridFrame, rng: np.random.Generator) -
 
 
 def _resolve_fire(
-    event: FireEvent,
     nearest_km: float,
     u_p: float,
     r_max: float,
     frame: GridFrame,
     fire_xy: tuple[float, float],
+    escaped: FireRecord,
+    cells: np.ndarray | None = None,
 ) -> FireRecord:
+    """Outcome of one fire whose nearest sensor lies nearest_km away.
+
+    `escaped` is the fire's no-detection record (see baseline_outcomes);
+    `cells` is passed through to GridFrame.biomass_avg.
+    """
     fx, fy = fire_xy
     detected = nearest_km <= r_max and (u_p > 0.0 or nearest_km == 0.0)
     if detected:
         time_h = 0.0 if nearest_km == 0.0 else nearest_km / u_p
         burned = math.pi * nearest_km**2
-        carbon = carbon_emission_ton(burned, frame.biomass_avg(fx, fy, nearest_km))
+        carbon = carbon_emission_ton(burned, frame.biomass_avg(fx, fy, nearest_km, cells))
         return FireRecord(True, False, time_h, burned, carbon)
     if u_p == 0.0:
         # The fire cannot spread, so nothing burns, but no sensor ever sees it.
         return FireRecord(False, True, None, 0.0, 0.0)
-    burned = event.recorded_area_km2
-    radius = math.sqrt(burned / math.pi)
-    carbon = carbon_emission_ton(burned, frame.biomass_avg(fx, fy, radius))
-    return FireRecord(False, False, None, burned, carbon)
+    return escaped
 
 
 def simulate_fire(
@@ -229,7 +242,8 @@ def simulate_fire(
         nearest = math.inf
     u_p = grid.regions[event.region_id].spread_rate
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
-    return _resolve_fire(event, nearest, u_p, r_max, frame, (fx, fy))
+    escaped = baseline_outcomes([event], grid, frame)[0]
+    return _resolve_fire(nearest, u_p, r_max, frame, (fx, fy), escaped)
 
 
 def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid, frame: GridFrame | None = None) -> list[FireRecord]:
@@ -261,6 +275,14 @@ def run_campaign(
     do not depend on execution order. Savings follow
     carbon reduction x carbon price - device cost - bandwidth cost, with the
     device cost charged on deployed sensors.
+
+    A scattered sensor never leaves its cell's square, so a fire can only be
+    detected by a sensor of a cell whose square reaches within r_max of it.
+    Those candidate cells are found once; each trial draws the same stream as
+    scatter_sensors and scans only their sensors, which sit in one contiguous
+    slice per cell. Positions and squared distances use the same arithmetic as
+    a KD-tree over all scattered sensors, so the nearest distance matches it
+    bit for bit whenever it is at most r_max; farther sensors never detect.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -276,6 +298,19 @@ def run_campaign(
     u_p = np.array([grid.regions[e.region_id].spread_rate for e in catalog])
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
 
+    counts = np.asarray(placement.counts, dtype=np.int64)
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    # Per fire: its candidate cells, and (start, end, center) of each
+    # candidate cell that holds sensors.
+    candidates = [
+        np.flatnonzero(frame.intersecting_mask(x, y, r_max * (1.0 + 1e-9))) for x, y in fire_xy
+    ]
+    slices = [
+        [(int(ends[j] - counts[j]), int(ends[j]), frame.centers_xy[j]) for j in cells if counts[j]]
+        for cells in candidates
+    ]
+
     burned_sum = np.zeros(n_fires)
     carbon_sum = np.zeros(n_fires)
     time_sum = np.zeros(n_fires)
@@ -283,16 +318,21 @@ def run_campaign(
     degenerate = np.zeros(n_fires, dtype=bool)
 
     for trial in range(trials):
-        positions = _scatter(placement, frame, np.random.default_rng([seed, trial]))
-        if len(positions):
-            tree = cKDTree(positions)
-            dists, _ = tree.query(fire_xy, k=1, distance_upper_bound=r_max * (1.0 + 1e-9))
-        else:
-            dists = np.full(n_fires, np.inf)
-        for i, event in enumerate(catalog):
+        # The draws _scatter turns into positions, row j of cell k at ends[k-1] + j.
+        unit = np.random.default_rng([seed, trial]).random((total, 2))
+        for i in range(n_fires):
+            xy = fire_xy[i]
+            nearest_sq = math.inf
+            for start, end, center in slices[i]:
+                d = unit[start:end] - 0.5
+                d *= frame.side_km
+                d += center
+                d -= xy
+                d *= d
+                nearest_sq = min(nearest_sq, float((d[:, 0] + d[:, 1]).min()))
             record = _resolve_fire(
-                event, float(dists[i]), float(u_p[i]), r_max, frame,
-                (float(fire_xy[i, 0]), float(fire_xy[i, 1])),
+                math.sqrt(nearest_sq), float(u_p[i]), r_max, frame,
+                (float(xy[0]), float(xy[1])), baseline[i], candidates[i],
             )
             burned_sum[i] += record.burned_km2
             carbon_sum[i] += record.carbon_ton

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -173,14 +174,14 @@ def _run_scheme_campaign(cfg: RunConfig, grid, catalog, scheme: str, budget: int
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, _overrides(args))
+    budgets = _parse_sweep(args.sweep) if args.sweep else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid = _load_grid(cfg)
     catalog = ingest_fires(cfg.fires_csv, grid)
     schemes = SCHEMES if args.scheme == "both" else (args.scheme,)
 
-    if args.sweep:
-        budgets = [int(float(s)) for s in args.sweep.split(",") if s.strip()]
+    if budgets is not None:
         _run_sweep(cfg, grid, catalog, schemes, budgets, out)
         return EXIT_OK
 
@@ -197,6 +198,29 @@ def cmd_simulate(args) -> int:
         )
     print(f"wrote campaign outputs to {out}")
     return EXIT_OK
+
+
+def _parse_sweep(text: str) -> list[int]:
+    """Budgets of a comma-separated --sweep value, each a distinct count >= 0."""
+    budgets: list[int] = []
+    for token in (t.strip() for t in text.split(",")):
+        if not token:
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not value.is_integer():
+            raise ValidationError(f"--sweep: {token!r} is not a whole sensor budget")
+        budget = int(value)
+        if budget < 0:
+            raise ValidationError(f"--sweep: budget {token!r} must be >= 0")
+        if budget in budgets:
+            raise ValidationError(f"--sweep: budget {token!r} repeats an earlier budget")
+        budgets.append(budget)
+    if not budgets:
+        raise ValidationError(f"--sweep: {text!r} names no budget")
+    return budgets
 
 
 def _run_sweep(cfg: RunConfig, grid, catalog, schemes, budgets, out: Path) -> None:
@@ -254,7 +278,13 @@ def cmd_report(args) -> int:
         path = out / name
         if path.is_file():
             with open(path) as f:
-                report["sources"][name] = json.load(f)
+                try:
+                    payload = json.load(f)
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+            if not isinstance(payload, dict):
+                raise ValidationError(f"{path}: top-level JSON value is not an object")
+            report["sources"][name] = payload
     if not report["sources"]:
         raise ValidationError(f"no prior command outputs found in {out}")
     _write_json(out / "report.json", report)

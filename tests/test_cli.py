@@ -162,6 +162,27 @@ class TestSimulate:
                 float(row.split(",")[-1])
 
 
+    @pytest.mark.parametrize(
+        "sweep,token",
+        [
+            ("1e5,abc", "'abc'"),
+            ("1000,1000", "'1000'"),
+            ("1e3,1000", "'1000'"),
+            ("1000,-5", "'-5'"),
+            ("1000,2.5", "'2.5'"),
+            ("nan", "'nan'"),
+            ("inf", "'inf'"),
+            (" , ", "' , '"),
+        ],
+    )
+    def test_bad_sweep_exits_2_naming_token(self, tmp_path, capsys, sweep, token):
+        out = tmp_path / "out"
+        code = run("simulate", "--config", CONFIG, "--out", str(out), "--sweep", sweep)
+        assert code == 2
+        assert token in capsys.readouterr().err
+        assert not list(out.glob("fig*.csv"))
+
+
 class TestReport:
     def test_aggregates_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -169,6 +190,15 @@ class TestReport:
         assert run("report", "--out", str(out)) == 0
         payload = json.loads((out / "report.json").read_text())
         assert "capacity.json" in payload["sources"]
+
+    @pytest.mark.parametrize("body", ["{bad", "[1, 2]", "\"text\"", ""])
+    def test_corrupt_source_exits_2_naming_file(self, tmp_path, capsys, body):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "campaign_optimized.json").write_text(body)
+        assert run("report", "--out", str(out)) == 2
+        assert "campaign_optimized.json" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_empty_dir_fails_validation(self, tmp_path):
         out = tmp_path / "nothing"
