@@ -2,9 +2,8 @@
 
 Sensors are scattered uniformly inside their assigned cells, each cataloged
 fire grows as a circle from its ignition point until the circle first touches
-a sensor, and burned area converts to carbon and money. Cells are treated as
-squares in a planar equirectangular frame anchored at the grid's midpoint,
-consistent with 10 km cells over a state-sized area.
+a sensor, and burned area converts to carbon and money. Distances are taken
+in the grid's planar frame (RegionGrid.frame).
 """
 
 from __future__ import annotations
@@ -18,26 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fire_model import RegionGrid
-from .geo import EARTH_RADIUS_KM, GeoPoint
+from .grid import FireEvent, GridFrame, RegionGrid
 from .placement import Placement
-
-KM_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS_KM
-
-
-@dataclass(frozen=True)
-class FireEvent:
-    """One cataloged ignition with its historically recorded burned area."""
-
-    id: int
-    ignition: GeoPoint
-    region_id: int
-    recorded_area_km2: float
-
-    def __post_init__(self):
-        if self.recorded_area_km2 < 0:
-            raise ValidationError(f"fire {self.id}: recorded area must be >= 0")
-
 
 @dataclass(frozen=True)
 class EconomicsParams:
@@ -50,71 +31,6 @@ class EconomicsParams:
     def __post_init__(self):
         if min(self.carbon_price_usd_per_ton, self.device_cost_usd, self.bandwidth_cost_usd) < 0:
             raise ValidationError("economic parameters must be >= 0")
-
-
-class GridFrame:
-    """Planar view of a RegionGrid: cell centers in km, square cells."""
-
-    def __init__(self, grid: RegionGrid):
-        lats = np.array([r.center.lat for r in grid.regions])
-        lons = np.array([r.center.lon for r in grid.regions])
-        self.ref_lat = 0.5 * (lats.min() + lats.max())
-        self.ref_lon = 0.5 * (lons.min() + lons.max())
-        self._kx = KM_PER_DEG_LAT * math.cos(math.radians(self.ref_lat))
-        self.centers_xy = np.column_stack(
-            [(lons - self.ref_lon) * self._kx, (lats - self.ref_lat) * KM_PER_DEG_LAT]
-        )
-        self.side_km = math.sqrt(grid.cell_area_km2)
-        self.biomass = np.array([r.biomass for r in grid.regions])
-
-    def project(self, p: GeoPoint) -> tuple[float, float]:
-        return (
-            (p.lon - self.ref_lon) * self._kx,
-            (p.lat - self.ref_lat) * KM_PER_DEG_LAT,
-        )
-
-    def locate(self, p: GeoPoint) -> int:
-        """Index of the cell containing p; ValidationError when outside the grid."""
-        x, y = self.project(p)
-        dx = self.centers_xy[:, 0] - x
-        dy = self.centers_xy[:, 1] - y
-        idx = int(np.argmin(dx * dx + dy * dy))
-        cx, cy = self.centers_xy[idx]
-        half = self.side_km / 2.0 + 1e-9
-        if abs(x - cx) > half or abs(y - cy) > half:
-            raise ValidationError(f"point ({p.lat}, {p.lon}) lies outside the region grid")
-        return idx
-
-    def rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row/column indices of each cell, ranked south-to-north / west-to-east."""
-        y = np.round(self.centers_xy[:, 1] / self.side_km * 1e6) / 1e6
-        x = np.round(self.centers_xy[:, 0] / self.side_km * 1e6) / 1e6
-        _, rows = np.unique(y, return_inverse=True)
-        _, cols = np.unique(x, return_inverse=True)
-        return rows, cols
-
-    def intersecting_mask(self, cx: float, cy: float, radius: float, cells=None) -> np.ndarray:
-        """Boolean mask of cells whose square intersects the disk.
-
-        With `cells` (ascending cell indices) the mask covers those cells only.
-        """
-        centers = self.centers_xy if cells is None else self.centers_xy[cells]
-        half = self.side_km / 2.0
-        ddx = np.maximum(np.abs(centers[:, 0] - cx) - half, 0.0)
-        ddy = np.maximum(np.abs(centers[:, 1] - cy) - half, 0.0)
-        return ddx * ddx + ddy * ddy <= radius * radius
-
-    def biomass_avg(self, cx: float, cy: float, radius: float, cells=None) -> float:
-        """Mean biomass of the cells whose square intersects the disk.
-
-        `cells` (ascending cell indices) restricts the search to cells known
-        to hold every intersecting one; the result is then unchanged.
-        """
-        mask = self.intersecting_mask(cx, cy, radius, cells)
-        if not mask.any():
-            return 0.0
-        biomass = self.biomass if cells is None else self.biomass[cells]
-        return float(biomass[mask].mean())
 
 
 @dataclass(frozen=True)
@@ -179,8 +95,7 @@ def scatter_sensors(placement: Placement, grid: RegionGrid, seed) -> np.ndarray:
     """
     if len(placement.counts) != len(grid):
         raise ValidationError("placement length does not match grid size")
-    frame = GridFrame(grid)
-    return _scatter(placement, frame, np.random.default_rng(seed))
+    return _scatter(placement, grid.frame, np.random.default_rng(seed))
 
 
 def _scatter(placement: Placement, frame: GridFrame, rng: np.random.Generator) -> np.ndarray:
@@ -220,36 +135,29 @@ def _resolve_fire(
     return escaped
 
 
-def simulate_fire(
-    event: FireEvent,
-    sensors: np.ndarray,
-    grid: RegionGrid,
-    frame: GridFrame | None = None,
-) -> FireRecord:
+def simulate_fire(event: FireEvent, sensors: np.ndarray, grid: RegionGrid) -> FireRecord:
     """Outcome of a single fire against fixed sensor positions.
 
     The burned circle grows at the ignition region's spread rate until it
     touches the nearest sensor; a fire whose nearest sensor sits farther than
     sqrt(A/pi) escapes detection and burns its cataloged area.
     """
-    if frame is None:
-        frame = GridFrame(grid)
+    frame = grid.frame
     fx, fy = frame.project(event.ignition)
     sensors = np.asarray(sensors, dtype=float).reshape(-1, 2)
     if len(sensors):
         nearest = float(np.min(np.hypot(sensors[:, 0] - fx, sensors[:, 1] - fy)))
     else:
         nearest = math.inf
-    u_p = grid.regions[event.region_id].spread_rate
+    u_p = float(grid.spread_rate[event.region_id])
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
-    escaped = baseline_outcomes([event], grid, frame)[0]
+    escaped = baseline_outcomes([event], grid)[0]
     return _resolve_fire(nearest, u_p, r_max, frame, (fx, fy), escaped)
 
 
-def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid, frame: GridFrame | None = None) -> list[FireRecord]:
+def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid) -> list[FireRecord]:
     """No-detection outcomes: every fire burns its cataloged area."""
-    if frame is None:
-        frame = GridFrame(grid)
+    frame = grid.frame
     records = []
     for event in catalog:
         fx, fy = frame.project(event.ignition)
@@ -288,14 +196,14 @@ def run_campaign(
         raise ValidationError("trials must be >= 1")
     if len(placement.counts) != len(grid):
         raise ValidationError("placement length does not match grid size")
-    frame = GridFrame(grid)
+    frame = grid.frame
     if not catalog:
         warnings.warn("empty fire catalog; campaign totals are zero")
-    baseline = baseline_outcomes(catalog, grid, frame)
+    baseline = baseline_outcomes(catalog, grid)
 
     n_fires = len(catalog)
     fire_xy = np.array([frame.project(e.ignition) for e in catalog]).reshape(n_fires, 2)
-    u_p = np.array([grid.regions[e.region_id].spread_rate for e in catalog])
+    u_p = grid.spread_rate[[e.region_id for e in catalog]]
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
 
     counts = np.asarray(placement.counts, dtype=np.int64)

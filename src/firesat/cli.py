@@ -41,6 +41,16 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
+def _out_dir(args) -> Path:
+    """The --out directory, created if missing."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValidationError(f"--out {out}: cannot create directory: {exc.strerror}") from None
+    return out
+
+
 def _load_grid(cfg: RunConfig):
     return ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
 
@@ -60,11 +70,9 @@ def _bandwidth_cost(cfg: RunConfig, n_sensors: int) -> float:
 
 def cmd_plan(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     grid = _load_grid(cfg)
-    frame = camp.GridFrame(grid)
-    rows, cols = frame.rows_cols()
+    rows, cols = grid.frame.rows_cols()
     schemes = SCHEMES if args.scheme == "both" else (args.scheme,)
     summary: dict = {"budget": cfg.budget, "t_hours": cfg.t_hours, "schemes": {}}
     for scheme in schemes:
@@ -91,8 +99,7 @@ def cmd_plan(args) -> int:
 
 def cmd_linkbudget(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     location = GeoPoint(args.lat, args.lon)
     table = cfg.mcs_table()
     modes = ("linear", "db-scaled") if args.mode == "both" else (args.mode,)
@@ -116,8 +123,7 @@ def cmd_linkbudget(args) -> int:
 
 def cmd_capacity(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     table = cfg.mcs_table()
     exception = cfg.traffic("exception")
     periodic = cfg.traffic("periodic")
@@ -175,8 +181,7 @@ def _run_scheme_campaign(cfg: RunConfig, grid, catalog, scheme: str, budget: int
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     budgets = _parse_sweep(args.sweep) if args.sweep else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     grid = _load_grid(cfg)
     catalog = ingest_fires(cfg.fires_csv, grid)
     schemes = SCHEMES if args.scheme == "both" else (args.scheme,)

@@ -6,7 +6,8 @@ ignored. Relative paths resolve against the config file's directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .capacity import RadioTiming, TrafficModel
@@ -34,95 +35,58 @@ def parse_kv_file(path) -> dict[str, str]:
     return result
 
 
-# key -> (converter, default); _REQUIRED marks keys without defaults
 _REQUIRED = object()
 
-_SCHEMA: dict[str, tuple] = {
-    "paths.regions": (str, _REQUIRED),
-    "paths.fires": (str, _REQUIRED),
-    "paths.mcs_table": (str, ""),
-    "grid.cell_area_km2": (float, 100.0),
-    "fire.theta_wilt": (float, _REQUIRED),
-    "fire.theta_field": (float, _REQUIRED),
-    "fire.b_low": (float, 0.2),
-    "fire.b_up": (float, 1.0),
-    "fire.beta_e": (float, 0.35),
-    "fire.l_low": (float, 0.02),
-    "fire.l_up": (float, 0.85),
-    "plan.t_hours": (float, 4.0),
-    "plan.budget": (int, _REQUIRED),
-    "satellite.sub_satellite_lon": (float, -125.0),
-    "satellite.altitude_km": (float, 35786.0),
-    "satellite.beam_center_lat": (float, 37.0),
-    "satellite.beam_center_lon": (float, -122.0),
-    "satellite.beam_radius_km": (float, 1000.0),
-    "satellite.g_s_max_dbi": (float, 25.0),
-    "device.tx_power_dbm": (float, 23.0),
-    "device.g_t_max_dbi": (float, 7.38),
-    "device.off_boresight_deg": (float, 50.0),
-    "device.carrier_hz": (float, 2e9),
-    "device.noise_power_dbm": (float, -167.42),
-    "device.other_losses_db": (float, -10.0),
-    "radio.rtt_ms": (float, 500.0),
-    "radio.ru_time_ms": (float, 32.0),
-    "radio.ru_bw_khz": (float, 3.75),
-    "radio.carrier_bw_khz": (float, 180.0),
-    "radio.rus_per_report": (int, 3),
-    "radio.tx_attempts": (int, 1),
-    "traffic.payload_bytes": (int, 20),
-    "traffic.reference_period_s": (float, 10.0),
-    "traffic.sessions_per_day": (float, 11.2),
-    "econ.carbon_price_usd_per_ton": (float, 200.0),
-    "econ.device_cost_case_a_usd": (float, 10.0),
-    "econ.device_cost_case_b_usd": (float, 100.0),
-    "econ.usd_per_hz": (float, 0.6),
-    "campaign.trials": (int, 20),
-    "seed": (int, 1234),
-}
+
+def _key(name: str, default=_REQUIRED):
+    """A RunConfig field read from config key `name`, parsed by the field's type."""
+    return field(metadata={"key": name, "default": default})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    regions_csv: Path
-    fires_csv: Path
-    mcs_table_csv: Path | None
-    cell_area_km2: float
-    theta_wilt: float
-    theta_field: float
-    b_low: float
-    b_up: float
-    beta_e: float
-    l_low: float
-    l_up: float
-    t_hours: float
-    budget: int
-    sub_satellite_lon: float
-    altitude_km: float
-    beam_center_lat: float
-    beam_center_lon: float
-    beam_radius_km: float
-    g_s_max_dbi: float
-    tx_power_dbm: float
-    g_t_max_dbi: float
-    off_boresight_deg: float
-    carrier_hz: float
-    noise_power_dbm: float
-    other_losses_db: float
-    rtt_ms: float
-    ru_time_ms: float
-    ru_bw_khz: float
-    carrier_bw_khz: float
-    rus_per_report: int
-    tx_attempts: int
-    payload_bytes: int
-    reference_period_s: float
-    sessions_per_day: float
-    carbon_price_usd_per_ton: float
-    device_cost_case_a_usd: float
-    device_cost_case_b_usd: float
-    usd_per_hz: float
-    trials: int
-    seed: int
+    """Resolved run configuration; each field names the config key it is read from."""
+
+    regions_csv: Path = _key("paths.regions")
+    fires_csv: Path = _key("paths.fires")
+    mcs_table_csv: Path | None = _key("paths.mcs_table", "")
+    cell_area_km2: float = _key("grid.cell_area_km2", 100.0)
+    theta_wilt: float = _key("fire.theta_wilt")
+    theta_field: float = _key("fire.theta_field")
+    b_low: float = _key("fire.b_low", 0.2)
+    b_up: float = _key("fire.b_up", 1.0)
+    beta_e: float = _key("fire.beta_e", 0.35)
+    l_low: float = _key("fire.l_low", 0.02)
+    l_up: float = _key("fire.l_up", 0.85)
+    t_hours: float = _key("plan.t_hours", 4.0)
+    budget: int = _key("plan.budget")
+    sub_satellite_lon: float = _key("satellite.sub_satellite_lon", -125.0)
+    altitude_km: float = _key("satellite.altitude_km", 35786.0)
+    beam_center_lat: float = _key("satellite.beam_center_lat", 37.0)
+    beam_center_lon: float = _key("satellite.beam_center_lon", -122.0)
+    beam_radius_km: float = _key("satellite.beam_radius_km", 1000.0)
+    g_s_max_dbi: float = _key("satellite.g_s_max_dbi", 25.0)
+    tx_power_dbm: float = _key("device.tx_power_dbm", 23.0)
+    g_t_max_dbi: float = _key("device.g_t_max_dbi", 7.38)
+    off_boresight_deg: float = _key("device.off_boresight_deg", 50.0)
+    carrier_hz: float = _key("device.carrier_hz", 2e9)
+    noise_power_dbm: float = _key("device.noise_power_dbm", -167.42)
+    other_losses_db: float = _key("device.other_losses_db", -10.0)
+    rtt_ms: float = _key("radio.rtt_ms", 500.0)
+    ru_time_ms: float = _key("radio.ru_time_ms", 32.0)
+    ru_bw_khz: float = _key("radio.ru_bw_khz", 3.75)
+    carrier_bw_khz: float = _key("radio.carrier_bw_khz", 180.0)
+    rus_per_report: int = _key("radio.rus_per_report", 3)
+    tx_attempts: int = _key("radio.tx_attempts", 1)
+    payload_bytes: int = _key("traffic.payload_bytes", 20)
+    reference_period_s: float = _key("traffic.reference_period_s", 10.0)
+    sessions_per_day: float = _key("traffic.sessions_per_day", 11.2)
+    carbon_price_usd_per_ton: float = _key("econ.carbon_price_usd_per_ton", 200.0)
+    device_cost_case_a_usd: float = _key("econ.device_cost_case_a_usd", 10.0)
+    device_cost_case_b_usd: float = _key("econ.device_cost_case_b_usd", 100.0)
+    usd_per_hz: float = _key("econ.usd_per_hz", 0.6)
+    trials: int = _key("campaign.trials", 20)
+    seed: int = _key("seed", 1234)
 
     def __post_init__(self):
         if self.t_hours <= 0:
@@ -131,6 +95,8 @@ class RunConfig:
             raise ValidationError("plan.budget must be >= 0")
         if self.trials < 1:
             raise ValidationError("campaign.trials must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         for p in (self.regions_csv, self.fires_csv, self.mcs_table_csv):
             if p is not None and not Path(p).is_file():
                 raise ValidationError(f"configured file does not exist: {p}")
@@ -189,77 +155,39 @@ class RunConfig:
         return load_mcs_table(self.mcs_table_csv)
 
 
+# Parser of a config value by the annotation of its RunConfig field.
+_PARSE = {"float": float, "int": int, "Path": str, "Path | None": str}
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a config file; overrides replace parsed values."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
     raw = parse_kv_file(path)
-    unknown = sorted(set(raw) - set(_SCHEMA))
-    if unknown:
-        raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    values: dict[str, object] = {}
-    for key, (conv, default) in _SCHEMA.items():
+    overrides = overrides or {}
+    keys = {f.metadata["key"] for f in fields(RunConfig)}
+    for source, given in ((str(path), raw), ("overrides", overrides)):
+        unknown = sorted(set(given) - keys)
+        if unknown:
+            raise ValidationError(f"{source}: unknown config keys: {', '.join(unknown)}")
+    kwargs: dict[str, object] = {}
+    for f in fields(RunConfig):
+        key, default = f.metadata["key"], f.metadata["default"]
         if key in raw:
             try:
-                values[key] = conv(raw[key])
+                value = _PARSE[f.type](raw[key])
             except ValueError as exc:
                 raise ValidationError(f"{path}: bad value for {key}: {exc}") from exc
         elif default is _REQUIRED:
             raise ValidationError(f"{path}: missing required key {key}")
         else:
-            values[key] = default
-    if overrides:
-        values.update(overrides)
-
-    base = path.parent
-
-    def respath(v: str) -> Path:
-        p = Path(v)
-        return p if p.is_absolute() else base / p
-
-    mcs = values["paths.mcs_table"]
-    kwargs = {
-        "regions_csv": respath(values["paths.regions"]),
-        "fires_csv": respath(values["paths.fires"]),
-        "mcs_table_csv": respath(mcs) if mcs else None,
-        "cell_area_km2": values["grid.cell_area_km2"],
-        "theta_wilt": values["fire.theta_wilt"],
-        "theta_field": values["fire.theta_field"],
-        "b_low": values["fire.b_low"],
-        "b_up": values["fire.b_up"],
-        "beta_e": values["fire.beta_e"],
-        "l_low": values["fire.l_low"],
-        "l_up": values["fire.l_up"],
-        "t_hours": values["plan.t_hours"],
-        "budget": values["plan.budget"],
-        "sub_satellite_lon": values["satellite.sub_satellite_lon"],
-        "altitude_km": values["satellite.altitude_km"],
-        "beam_center_lat": values["satellite.beam_center_lat"],
-        "beam_center_lon": values["satellite.beam_center_lon"],
-        "beam_radius_km": values["satellite.beam_radius_km"],
-        "g_s_max_dbi": values["satellite.g_s_max_dbi"],
-        "tx_power_dbm": values["device.tx_power_dbm"],
-        "g_t_max_dbi": values["device.g_t_max_dbi"],
-        "off_boresight_deg": values["device.off_boresight_deg"],
-        "carrier_hz": values["device.carrier_hz"],
-        "noise_power_dbm": values["device.noise_power_dbm"],
-        "other_losses_db": values["device.other_losses_db"],
-        "rtt_ms": values["radio.rtt_ms"],
-        "ru_time_ms": values["radio.ru_time_ms"],
-        "ru_bw_khz": values["radio.ru_bw_khz"],
-        "carrier_bw_khz": values["radio.carrier_bw_khz"],
-        "rus_per_report": values["radio.rus_per_report"],
-        "tx_attempts": values["radio.tx_attempts"],
-        "payload_bytes": values["traffic.payload_bytes"],
-        "reference_period_s": values["traffic.reference_period_s"],
-        "sessions_per_day": values["traffic.sessions_per_day"],
-        "carbon_price_usd_per_ton": values["econ.carbon_price_usd_per_ton"],
-        "device_cost_case_a_usd": values["econ.device_cost_case_a_usd"],
-        "device_cost_case_b_usd": values["econ.device_cost_case_b_usd"],
-        "usd_per_hz": values["econ.usd_per_hz"],
-        "trials": values["campaign.trials"],
-        "seed": values["seed"],
-    }
-    assert set(kwargs) == {f.name for f in fields(RunConfig)}
+            value = default
+        value = overrides.get(key, value)
+        if f.type == "float" and not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {value}")
+        if f.type.startswith("Path"):
+            # Relative to the config file's directory; an empty optional path is unset.
+            value = path.parent / value if value or f.type == "Path" else None
+        kwargs[f.name] = value
     return RunConfig(**kwargs)

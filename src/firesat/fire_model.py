@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .geo import GeoPoint
+from .grid import RegionGrid
 
 
 def _clamp01(x: float) -> float:
@@ -47,50 +47,6 @@ class FireModelParams:
             raise ValidationError("require beta_e > 0")
 
 
-@dataclass(frozen=True)
-class RegionEnv:
-    """Environmental state of one grid cell."""
-
-    id: int
-    center: GeoPoint
-    biomass: float  # KgC/m^2
-    soil_moisture: float  # volumetric fraction
-    lightning: float  # flashes/km^2/month
-    p_human: float
-    spread_rate: float  # km/h
-
-    def __post_init__(self):
-        if self.biomass < 0:
-            raise ValidationError(f"region {self.id}: biomass must be >= 0")
-        if not 0.0 <= self.p_human <= 1.0:
-            raise ValidationError(f"region {self.id}: p_human outside [0, 1]")
-        if self.spread_rate < 0:
-            raise ValidationError(f"region {self.id}: spread_rate must be >= 0")
-        if self.lightning < 0:
-            raise ValidationError(f"region {self.id}: lightning must be >= 0")
-
-
-@dataclass(frozen=True)
-class RegionGrid:
-    """Ordered collection of equal-area regions."""
-
-    regions: tuple[RegionEnv, ...]
-    cell_area_km2: float
-
-    def __post_init__(self):
-        if self.cell_area_km2 <= 0:
-            raise ValidationError("cell_area_km2 must be > 0")
-        object.__setattr__(self, "regions", tuple(self.regions))
-        for i, r in enumerate(self.regions):
-            if r.id != i:
-                raise ValidationError(
-                    f"region ids must be 0..N-1 without gaps; index {i} has id {r.id}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-
 def p_biomass(b: float, params: FireModelParams) -> float:
     """Biomass factor: linear ramp between the lower and upper thresholds."""
     return _clamp01((b - params.b_low) / (params.b_up - params.b_low))
@@ -113,13 +69,28 @@ def p_lightning_human(l: float, p_human: float, params: FireModelParams) -> floa
     return ignition + (1.0 - ignition) * p_human
 
 
-def p_ignition(region: RegionEnv, params: FireModelParams) -> float:
-    """Product of the biomass, moisture, and lightning/human factors."""
+def p_ignition(
+    biomass: float, soil_moisture: float, lightning: float, p_human: float, params: FireModelParams
+) -> float:
+    """Product of the biomass, moisture, and lightning/human factors of one region."""
     return (
-        p_biomass(region.biomass, params)
-        * p_moisture(region.soil_moisture, params)
-        * p_lightning_human(region.lightning, region.p_human, params)
+        p_biomass(biomass, params)
+        * p_moisture(soil_moisture, params)
+        * p_lightning_human(lightning, p_human, params)
     )
+
+
+def ignition_probabilities(grid: RegionGrid, params: FireModelParams) -> list[float]:
+    """p_ignition of every region, in region order."""
+    return [
+        p_ignition(b, theta, l, ph, params)
+        for b, theta, l, ph in zip(
+            grid.biomass.tolist(),
+            grid.soil_moisture.tolist(),
+            grid.lightning.tolist(),
+            grid.p_human.tolist(),
+        )
+    ]
 
 
 def burned_area_km2(spread_rate: float, t: float) -> float:
@@ -154,16 +125,18 @@ def system_utility(
     """Ignition-weighted sum of detection probabilities at time t.
 
     counts may be a Placement's counts or any equal-length integer sequence.
+    Each term is p_ignition * p_detection(n), accumulated in region order.
     """
     if len(counts) != len(grid):
         raise ValidationError(
             f"placement length {len(counts)} != grid size {len(grid)}"
         )
+    p, q = ignition_and_miss(grid, t, params)
     total = 0.0
-    for region, n in zip(grid.regions, counts):
-        total += p_ignition(region, params) * p_detection(
-            n, grid.cell_area_km2, burned_area_km2(region.spread_rate, t)
-        )
+    for p_i, q_i, n in zip(p, q, counts):
+        if n < 0:
+            raise ValidationError("n_sensors must be >= 0")
+        total += p_i * (1.0 - q_i**n)
     return total
 
 
@@ -175,10 +148,9 @@ def ignition_and_miss(
     The miss probability q satisfies p_detection(n) == 1 - q**n; it drives the
     placement optimizers.
     """
-    p = []
-    q = []
-    for region in grid.regions:
-        p.append(p_ignition(region, params))
-        burned = burned_area_km2(region.spread_rate, t)
-        q.append(max(0.0, grid.cell_area_km2 - burned) / grid.cell_area_km2)
-    return p, q
+    area = grid.cell_area_km2
+    q = [
+        max(0.0, area - burned_area_km2(u, t)) / area
+        for u in grid.spread_rate.tolist()
+    ]
+    return ignition_probabilities(grid, params), q

@@ -1,35 +1,28 @@
 """CSV ingestion and emission for region grids and fire catalogs.
 
-All readers validate eagerly and report row numbers; writers emit floats via
-repr so files round-trip losslessly.
+All readers validate eagerly: parse errors name the row number, bad region
+values the region id and field. Writers emit floats via repr so files
+round-trip losslessly.
 """
 
 from __future__ import annotations
 
 import csv
 
-from .campaign import FireEvent, GridFrame
-from .errors import ValidationError
-from .fire_model import RegionEnv, RegionGrid
-from .geo import GeoPoint
+import numpy as np
 
-REGION_FIELDS = [
-    "id",
-    "lat",
-    "lon",
-    "biomass",
-    "soil_moisture",
-    "lightning",
-    "p_human",
-    "spread_rate",
-]
+from .errors import ValidationError
+from .geo import GeoPoint
+from .grid import COLUMNS, FireEvent, RegionGrid
+
+REGION_FIELDS = ["id", *COLUMNS]
 
 FIRE_FIELDS = ["fire_id", "lat", "lon", "recorded_area_km2"]
 
 
 def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
     """Load a region grid from CSV; ids must cover 0..N-1 exactly once."""
-    by_id: dict[int, RegionEnv] = {}
+    rows: dict[int, list[float]] = {}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != REGION_FIELDS:
@@ -40,53 +33,37 @@ def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
         for row_no, row in enumerate(reader, start=2):
             try:
                 rid = int(row["id"])
-                region = RegionEnv(
-                    id=rid,
-                    center=GeoPoint(float(row["lat"]), float(row["lon"])),
-                    biomass=float(row["biomass"]),
-                    soil_moisture=float(row["soil_moisture"]),
-                    lightning=float(row["lightning"]),
-                    p_human=float(row["p_human"]),
-                    spread_rate=float(row["spread_rate"]),
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{row_no}: {exc}") from exc
+                values = [float(row[name]) for name in COLUMNS]
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{row_no}: malformed row: {exc}") from exc
-            if rid in by_id:
+            if rid in rows:
                 raise ValidationError(f"{path}:{row_no}: duplicate region id {rid}")
-            by_id[rid] = region
-    if not by_id:
+            rows[rid] = values
+    if not rows:
         raise ValidationError(f"{path}: no region rows found")
-    n = len(by_id)
-    missing = [i for i in range(n) if i not in by_id]
+    n = len(rows)
+    missing = [i for i in range(n) if i not in rows]
     if missing:
         raise ValidationError(f"{path}: region ids not contiguous; missing {missing[:5]}")
-    return RegionGrid(tuple(by_id[i] for i in range(n)), cell_area_km2)
+    columns = np.array([rows[i] for i in range(n)]).T
+    try:
+        return RegionGrid(**dict(zip(COLUMNS, columns)), cell_area_km2=cell_area_km2)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def write_regions_csv(grid: RegionGrid, path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(REGION_FIELDS)
-        for r in grid.regions:
-            writer.writerow(
-                [
-                    r.id,
-                    repr(float(r.center.lat)),
-                    repr(float(r.center.lon)),
-                    repr(float(r.biomass)),
-                    repr(float(r.soil_moisture)),
-                    repr(float(r.lightning)),
-                    repr(float(r.p_human)),
-                    repr(float(r.spread_rate)),
-                ]
-            )
+        columns = (getattr(grid, name).tolist() for name in COLUMNS)
+        for rid, values in enumerate(zip(*columns)):
+            writer.writerow([rid, *map(repr, values)])
 
 
 def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
     """Load a fire catalog; each ignition is assigned to its containing cell."""
-    frame = GridFrame(grid)
+    frame = grid.frame
     events: list[FireEvent] = []
     seen: set[int] = set()
     with open(path, newline="") as f:
@@ -108,10 +85,9 @@ def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
                 raise ValidationError(f"{path}:{row_no}: duplicate fire id {fid}")
             seen.add(fid)
             try:
-                region_id = frame.locate(point)
+                events.append(FireEvent(fid, point, frame.locate(point), area))
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{row_no}: {exc}") from exc
-            events.append(FireEvent(fid, point, region_id, area))
     return events
 
 

@@ -17,8 +17,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
-from .fire_model import FireModelParams, RegionGrid, ignition_and_miss
+from .fire_model import FireModelParams, ignition_and_miss
+from .grid import RegionGrid
 
 
 @dataclass(frozen=True)
@@ -131,15 +134,15 @@ def biomass_uniform(grid: RegionGrid, budget: int) -> Placement:
     """
     if budget < 0:
         raise ValidationError("budget must be >= 0")
-    qualifying = [i for i, r in enumerate(grid.regions) if r.biomass > 0.0]
-    counts = [0] * len(grid)
-    if not qualifying:
+    qualifying = np.flatnonzero(grid.biomass > 0.0)
+    counts = np.zeros(len(grid), dtype=np.int64)
+    if not len(qualifying):
         warnings.warn("no region has positive biomass; placing no sensors")
-        return Placement(tuple(counts), budget)
+        return Placement(tuple(counts.tolist()), budget)
     base, extra = divmod(budget, len(qualifying))
-    for rank, i in enumerate(qualifying):
-        counts[i] = base + (1 if rank < extra else 0)
-    return Placement(tuple(counts), budget)
+    counts[qualifying] = base
+    counts[qualifying[:extra]] += 1
+    return Placement(tuple(counts.tolist()), budget)
 
 
 def write_placement_csv(placement: Placement, path) -> None:

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .campaign import FireEvent, KM_PER_DEG_LAT
-from .fire_model import FireModelParams, RegionEnv, RegionGrid, p_ignition
+from .fire_model import FireModelParams, ignition_probabilities
 from .geo import GeoPoint
+from .grid import KM_PER_DEG_LAT, FireEvent, RegionGrid
 from .ingest import write_fires_catalog_csv, write_regions_csv
 
 DEFAULT_SEED = 20200815
@@ -148,28 +148,27 @@ def build_sample_grid(seed: int = DEFAULT_SEED) -> RegionGrid:
     )
     spread = np.clip(spread, 0.30, 1.32)
 
-    regions = []
-    for i in range(N_ROWS * N_COLS):
-        regions.append(
-            RegionEnv(
-                id=i,
-                center=GeoPoint(round(float(lat[i]), 6), round(float(lon[i]), 6)),
-                biomass=round(float(biomass[i]), 6),
-                soil_moisture=round(float(moisture[i]), 6),
-                lightning=round(float(lightning[i]), 6),
-                p_human=0.5,
-                spread_rate=round(float(spread[i]), 6),
-            )
-        )
-    return RegionGrid(tuple(regions), CELL_KM * CELL_KM)
+    def rounded(values: np.ndarray) -> list[float]:
+        return [round(float(v), 6) for v in values]
+
+    return RegionGrid(
+        lat=rounded(lat),
+        lon=rounded(lon),
+        biomass=rounded(biomass),
+        soil_moisture=rounded(moisture),
+        lightning=rounded(lightning),
+        p_human=np.full(N_ROWS * N_COLS, 0.5),
+        spread_rate=rounded(spread),
+        cell_area_km2=CELL_KM * CELL_KM,
+    )
 
 
 def build_sample_fires(grid: RegionGrid, seed: int = DEFAULT_SEED) -> list[FireEvent]:
     """255 ignitions over vegetated cells, weighted by ignition probability."""
     rng = np.random.default_rng([seed, 7])
     params = FireModelParams(theta_wilt=THETA_WILT, theta_field=THETA_FIELD)
-    p_ign = np.array([p_ignition(r, params) for r in grid.regions])
-    vegetated = np.array([r.biomass > 0.0 for r in grid.regions])
+    p_ign = np.array(ignition_probabilities(grid, params))
+    vegetated = grid.biomass > 0.0
     weights = np.where(vegetated, p_ign + 0.002 * p_ign.max(), 0.0)
     weights /= weights.sum()
     cells = rng.choice(len(grid), size=N_FIRES, p=weights)
@@ -181,18 +180,19 @@ def build_sample_fires(grid: RegionGrid, seed: int = DEFAULT_SEED) -> list[FireE
     areas = rng.lognormal(mean=2.2, sigma=1.6, size=N_FIRES)
     areas = np.clip(areas * (10200.0 / areas.sum()), 0.02, 2600.0)
 
-    ref_lat = 0.5 * (grid.regions[0].center.lat + grid.regions[-1].center.lat)
+    lats = grid.lat.tolist()
+    lons = grid.lon.tolist()
+    ref_lat = 0.5 * (lats[0] + lats[-1])
     km_per_deg_lon = KM_PER_DEG_LAT * math.cos(math.radians(ref_lat))
 
     events = []
     for k in range(N_FIRES):
         cell = int(cells[k])
-        center = grid.regions[cell].center
         dx = float(offsets[k, 0] - 0.5) * CELL_KM
         dy = float(offsets[k, 1] - 0.5) * CELL_KM
         point = GeoPoint(
-            round(center.lat + dy / KM_PER_DEG_LAT, 6),
-            round(center.lon + dx / km_per_deg_lon, 6),
+            round(lats[cell] + dy / KM_PER_DEG_LAT, 6),
+            round(lons[cell] + dx / km_per_deg_lon, 6),
         )
         events.append(FireEvent(k, point, cell, round(float(areas[k]), 6)))
     return events

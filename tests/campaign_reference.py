@@ -20,12 +20,12 @@ from firesat.campaign import (
     CampaignTotals,
     FireOutcome,
     FireRecord,
-    GridFrame,
     baseline_outcomes,
     carbon_emission_ton,
     scatter_sensors,
 )
 from firesat.errors import ValidationError
+from firesat.grid import GridFrame
 
 
 def locate_kdtree(frame: GridFrame, p) -> int:
@@ -55,12 +55,12 @@ def _resolve_fire(event, nearest_km, u_p, r_max, frame, fire_xy) -> FireRecord:
 
 
 def run_campaign_kdtree(grid, placement, catalog, econ, trials=20, seed=0, scheme="") -> CampaignResult:
-    frame = GridFrame(grid)
-    baseline = baseline_outcomes(catalog, grid, frame)
+    frame = grid.frame
+    baseline = baseline_outcomes(catalog, grid)
 
     n_fires = len(catalog)
     fire_xy = np.array([frame.project(e.ignition) for e in catalog]).reshape(n_fires, 2)
-    u_p = np.array([grid.regions[e.region_id].spread_rate for e in catalog])
+    u_p = np.array([grid.spread_rate[e.region_id] for e in catalog])
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
 
     burned_sum = np.zeros(n_fires)

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import firesat
-from firesat.fire_model import FireModelParams, RegionEnv, RegionGrid
+from firesat.fire_model import FireModelParams
 from firesat.geo import GeoPoint, SatelliteConfig
+from firesat.grid import COLUMNS, RegionGrid
 from firesat.link_budget import DeviceConfig
 
 DATA_DIR = Path(firesat.__file__).parent / "data"
@@ -53,9 +54,9 @@ def region_for(
     t_hours: float = 4.0,
     cell_area: float = 100.0,
     params: FireModelParams = TEST_PARAMS,
-) -> RegionEnv:
-    """Region whose ignition probability is p_ign and whose single-sensor
-    miss probability at t_hours is miss_q.
+) -> dict[str, float]:
+    """Column values of a region whose ignition probability is p_ign and
+    whose single-sensor miss probability at t_hours is miss_q.
 
     Uses biomass for the ignition factor (moisture at the wilting point and
     full human ignition keep the other factors at 1) and inverts the circular
@@ -69,9 +70,9 @@ def region_for(
     # so overshoot the burned area instead of landing on the boundary.
     burned = cell_area * (1.0 - miss_q) if miss_q > 0.0 else 2.0 * cell_area
     spread = math.sqrt(burned / math.pi) / t_hours
-    return RegionEnv(
-        id=idx,
-        center=GeoPoint(36.0 + 0.09 * (idx // 100), -120.0 + 0.11 * (idx % 100)),
+    return dict(
+        lat=36.0 + 0.09 * (idx // 100),
+        lon=-120.0 + 0.11 * (idx % 100),
         biomass=biomass,
         soil_moisture=params.theta_wilt,
         lightning=0.0,
@@ -80,8 +81,13 @@ def region_for(
     )
 
 
+def grid_of(regions, cell_area: float) -> RegionGrid:
+    """RegionGrid whose region i has the column values of regions[i]."""
+    return RegionGrid(**{name: [r[name] for r in regions] for name in COLUMNS}, cell_area_km2=cell_area)
+
+
 def grid_from(p_list, q_list, t_hours: float = 4.0, cell_area: float = 100.0) -> RegionGrid:
-    regions = tuple(
+    regions = [
         region_for(i, p, q, t_hours, cell_area) for i, (p, q) in enumerate(zip(p_list, q_list))
-    )
-    return RegionGrid(regions, cell_area)
+    ]
+    return grid_of(regions, cell_area)

@@ -6,8 +6,6 @@ import pytest
 
 from firesat.campaign import (
     EconomicsParams,
-    FireEvent,
-    GridFrame,
     baseline_outcomes,
     carbon_emission_ton,
     run_campaign,
@@ -17,11 +15,11 @@ from firesat.campaign import (
     write_fires_csv,
 )
 from firesat.errors import ValidationError
-from firesat.fire_model import RegionGrid
 from firesat.geo import GeoPoint
+from firesat.grid import FireEvent
 from firesat.placement import Placement
 
-from conftest import region_for
+from conftest import grid_of, region_for
 
 
 def small_grid(n_side=4, spread=0.6, biomass=1.0):
@@ -32,17 +30,17 @@ def small_grid(n_side=4, spread=0.6, biomass=1.0):
             i = r * n_side + c
             env = region_for(i, 0.5, 0.5)
             regions.append(
-                type(env)(
-                    id=i,
-                    center=GeoPoint(36.0 + (r + 0.5) * 0.09, -120.0 + (c + 0.5) * 0.11),
+                dict(
+                    env,
+                    lat=36.0 + (r + 0.5) * 0.09,
+                    lon=-120.0 + (c + 0.5) * 0.11,
                     biomass=biomass,
-                    soil_moisture=env.soil_moisture,
                     lightning=0.0,
                     p_human=0.5,
                     spread_rate=spread,
                 )
             )
-    return RegionGrid(tuple(regions), 100.0)
+    return grid_of(regions, 100.0)
 
 
 def frame_point(frame, region_idx, dx=0.0, dy=0.0):
@@ -56,25 +54,25 @@ def frame_point(frame, region_idx, dx=0.0, dy=0.0):
 class TestGridFrame:
     def test_locate_round_trip(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         for idx in (0, 5, 15):
-            assert frame.locate(grid.regions[idx].center) == idx
+            assert frame.locate(GeoPoint(grid.lat[idx], grid.lon[idx])) == idx
 
     def test_locate_rejects_outside(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         with pytest.raises(ValidationError):
             frame.locate(GeoPoint(50.0, -120.0))
 
     def test_rows_cols(self):
         grid = small_grid()
-        rows, cols = GridFrame(grid).rows_cols()
+        rows, cols = grid.frame.rows_cols()
         assert rows.tolist() == [r for r in range(4) for _ in range(4)]
         assert cols.tolist() == [c for _ in range(4) for c in range(4)]
 
     def test_intersecting_mask_point(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         cx, cy = frame.centers_xy[5]
         mask = frame.intersecting_mask(float(cx), float(cy), 0.0)
         assert mask[5]
@@ -92,7 +90,7 @@ class TestScatter:
         counts = [3] * 16
         placement = Placement(tuple(counts), budget=48)
         pos = scatter_sensors(placement, grid, seed=5)
-        frame = GridFrame(grid)
+        frame = grid.frame
         reps = np.repeat(np.arange(16), counts)
         assert np.all(np.abs(pos - frame.centers_xy[reps]) <= 5.0 + 1e-12)
 
@@ -100,7 +98,7 @@ class TestScatter:
         grid = small_grid(n_side=1)
         placement = Placement((10**5,), budget=10**5)
         pos = scatter_sensors(placement, grid, seed=9)
-        frame = GridFrame(grid)
+        frame = grid.frame
         err = np.abs(pos.mean(axis=0) - frame.centers_xy[0])
         assert np.all(err <= 0.01 * frame.side_km)
 
@@ -115,23 +113,23 @@ class TestScatter:
 class TestSimulateFire:
     def test_sensor_at_ignition_point(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         point = frame_point(frame, 5, 0.0, 0.0)
         event = FireEvent(0, point, 5, recorded_area_km2=50.0)
         sensors = np.array([frame.project(point)])
-        record = simulate_fire(event, sensors, grid, frame)
+        record = simulate_fire(event, sensors, grid)
         assert record.detected
         assert record.detection_time_h == 0.0
         assert record.burned_km2 == 0.0
 
     def test_nearest_sensor_at_two_km(self):
         grid = small_grid(spread=0.5)
-        frame = GridFrame(grid)
+        frame = grid.frame
         point = frame_point(frame, 5)
         event = FireEvent(0, point, 5, recorded_area_km2=50.0)
         fx, fy = frame.project(point)
         sensors = np.array([[fx + 2.0, fy], [fx + 4.0, fy]])
-        record = simulate_fire(event, sensors, grid, frame)
+        record = simulate_fire(event, sensors, grid)
         assert record.detected
         assert record.burned_km2 == pytest.approx(4.0 * math.pi, rel=1e-9)
         assert record.detection_time_h == pytest.approx(4.0, rel=1e-9)
@@ -139,46 +137,46 @@ class TestSimulateFire:
     def test_carbon_formula(self):
         assert carbon_emission_ton(1.0, 1.0) == pytest.approx(120.0, rel=1e-12)
         grid = small_grid(biomass=1.0)
-        frame = GridFrame(grid)
+        frame = grid.frame
         point = frame_point(frame, 5)
         event = FireEvent(0, point, 5, recorded_area_km2=1.0)
-        record = simulate_fire(event, np.empty((0, 2)), grid, frame)
+        record = simulate_fire(event, np.empty((0, 2)), grid)
         assert not record.detected
         assert record.burned_km2 == 1.0
         assert record.carbon_ton == pytest.approx(120.0, rel=1e-12)
 
     def test_undetected_falls_back_to_catalog_area(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         point = frame_point(frame, 5)
         event = FireEvent(0, point, 5, recorded_area_km2=234.5)
         fx, fy = frame.project(point)
         far = math.sqrt(100.0 / math.pi) + 0.1
-        record = simulate_fire(event, np.array([[fx + far, fy]]), grid, frame)
+        record = simulate_fire(event, np.array([[fx + far, fy]]), grid)
         assert not record.detected
         assert record.burned_km2 == 234.5
 
     def test_zero_spread_degenerate(self):
         grid = small_grid(spread=0.0)
-        frame = GridFrame(grid)
+        frame = grid.frame
         point = frame_point(frame, 5)
         event = FireEvent(0, point, 5, recorded_area_km2=90.0)
         fx, fy = frame.project(point)
-        record = simulate_fire(event, np.array([[fx + 1.0, fy]]), grid, frame)
+        record = simulate_fire(event, np.array([[fx + 1.0, fy]]), grid)
         assert record.degenerate
         assert not record.detected
         assert record.burned_km2 == 0.0
 
     def test_burned_bounded_by_cell_or_catalog(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         rng = np.random.default_rng(2)
         for _ in range(50):
             idx = int(rng.integers(0, 16))
             point = frame_point(frame, idx, float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
             event = FireEvent(0, point, idx, recorded_area_km2=float(rng.uniform(0, 400)))
             sensors = rng.uniform(-20, 60, size=(int(rng.integers(0, 8)), 2))
-            record = simulate_fire(event, sensors, grid, frame)
+            record = simulate_fire(event, sensors, grid)
             assert record.burned_km2 <= max(event.recorded_area_km2, grid.cell_area_km2) + 1e-9
             assert record.carbon_ton >= 0.0
 
@@ -195,7 +193,7 @@ class TestRunCampaign:
 
     def test_zero_sensors_equals_catalog_baseline(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         catalog = self.make_catalog(grid, frame)
         econ = EconomicsParams(200.0, 10.0, 5000.0)
         placement = Placement((0,) * 16, budget=0)
@@ -207,7 +205,7 @@ class TestRunCampaign:
 
     def test_totals_equal_sum_of_fires(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         catalog = self.make_catalog(grid, frame)
         placement = Placement((4,) * 16, budget=64)
         result = run_campaign(grid, placement, catalog, EconomicsParams(), trials=5, seed=8)
@@ -216,7 +214,7 @@ class TestRunCampaign:
 
     def test_savings_recompose(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         catalog = self.make_catalog(grid, frame)
         econ = EconomicsParams(150.0, 25.0, 1.2e6)
         placement = Placement((4,) * 16, budget=64)
@@ -227,7 +225,7 @@ class TestRunCampaign:
 
     def test_deterministic(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         catalog = self.make_catalog(grid, frame)
         placement = Placement((3,) * 16, budget=48)
         a = run_campaign(grid, placement, catalog, EconomicsParams(), trials=4, seed=13)
@@ -243,7 +241,7 @@ class TestRunCampaign:
 
     def test_more_sensors_burn_less_on_average(self):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         catalog = self.make_catalog(grid, frame, n=12)
         small = Placement((2,) * 16, budget=32)
         big = Placement((12,) * 16, budget=192)
@@ -253,7 +251,7 @@ class TestRunCampaign:
 
     def test_writers(self, tmp_path):
         grid = small_grid()
-        frame = GridFrame(grid)
+        frame = grid.frame
         catalog = self.make_catalog(grid, frame)
         placement = Placement((2,) * 16, budget=32)
         result = run_campaign(grid, placement, catalog, EconomicsParams(), trials=2, seed=6)
@@ -271,9 +269,9 @@ class TestRunCampaign:
 
 def test_baseline_outcomes_use_recorded_area():
     grid = small_grid()
-    frame = GridFrame(grid)
+    frame = grid.frame
     point = frame_point(frame, 5)
     events = [FireEvent(0, point, 5, recorded_area_km2=77.0)]
-    records = baseline_outcomes(events, grid, frame)
+    records = baseline_outcomes(events, grid)
     assert records[0].burned_km2 == 77.0
     assert records[0].carbon_ton == pytest.approx(carbon_emission_ton(77.0, 1.0), rel=1e-12)

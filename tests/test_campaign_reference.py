@@ -12,11 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import firesat
-from firesat.campaign import KM_PER_DEG_LAT, EconomicsParams, FireEvent, GridFrame, run_campaign
+from firesat.campaign import EconomicsParams, run_campaign
 from firesat.errors import ValidationError
-from firesat.fire_model import RegionEnv, RegionGrid
 from firesat.geo import GeoPoint
+from firesat.grid import KM_PER_DEG_LAT, FireEvent, GridFrame
 from firesat.placement import Placement
+
+from conftest import grid_of
 
 from campaign_reference import locate_kdtree, run_campaign_kdtree
 
@@ -52,9 +54,9 @@ def grids(draw):
             x = xs[c] + draw(jitter) * side
             y = ys[r] + draw(jitter) * side
             regions.append(
-                RegionEnv(
-                    id=len(regions),
-                    center=GeoPoint(BASE_LAT + y / KM_PER_DEG_LAT, BASE_LON + x / KM_PER_DEG_LON),
+                dict(
+                    lat=BASE_LAT + y / KM_PER_DEG_LAT,
+                    lon=BASE_LON + x / KM_PER_DEG_LON,
                     biomass=float(biomass[len(regions)]),
                     soil_moisture=0.2,
                     lightning=0.0,
@@ -62,7 +64,7 @@ def grids(draw):
                     spread_rate=draw(spread),
                 )
             )
-    return RegionGrid(tuple(regions), area)
+    return grid_of(regions, area)
 
 
 def frame_point(frame: GridFrame, x: float, y: float) -> GeoPoint:
@@ -106,7 +108,7 @@ def points(draw, frame: GridFrame):
 @st.composite
 def campaigns(draw):
     grid = draw(grids())
-    frame = GridFrame(grid)
+    frame = grid.frame
     n = len(grid)
     if draw(st.booleans()):
         counts = tuple(draw(st.lists(st.integers(0, draw(st.sampled_from([1, 6, 40]))), min_size=n, max_size=n)))
@@ -144,12 +146,13 @@ def test_detecting_sensor_in_a_neighbour_cell():
     """The fire's own cell is empty; the neighbour's square lies 0.54 sides
     away, inside r_max = 0.564 sides, so only its sensors can detect."""
     side = 10.0
-    regions = tuple(
-        RegionEnv(i, GeoPoint(BASE_LAT, BASE_LON + i * side / KM_PER_DEG_LON), 1.0 + i, 0.2, 0.0, 0.5, 1.0)
+    regions = [
+        dict(lat=BASE_LAT, lon=BASE_LON + i * side / KM_PER_DEG_LON, biomass=1.0 + i,
+             soil_moisture=0.2, lightning=0.0, p_human=0.5, spread_rate=1.0)
         for i in range(2)
-    )
-    grid = RegionGrid(regions, side * side)
-    frame = GridFrame(grid)
+    ]
+    grid = grid_of(regions, side * side)
+    frame = grid.frame
     cx, cy = frame.centers_xy[0]
     catalog = [FireEvent(0, frame_point(frame, cx - 0.04 * side, cy), 0, 60.0)]
     placement = Placement((0, 400), budget=400)
@@ -162,7 +165,7 @@ def test_detecting_sensor_in_a_neighbour_cell():
 @given(st.data())
 def test_locate_equals_kdtree_reference(data):
     grid = data.draw(grids())
-    frame = GridFrame(grid)
+    frame = grid.frame
     p = frame_point(frame, *data.draw(points(frame)))
     x, y = frame.project(p)
     d2 = (frame.centers_xy[:, 0] - x) ** 2 + (frame.centers_xy[:, 1] - y) ** 2
@@ -189,6 +192,8 @@ def test_locate_equals_kdtree_reference(data):
 def test_cli_import_leaves_out_scipy_spatial():
     src = str(Path(firesat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, firesat.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+    code = "import sys, firesat.cli; print(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = out.stdout.split()
+    for package in ("scipy.spatial", "scipy"):
+        assert [m for m in loaded if m == package or m.startswith(package + ".")] == []

@@ -239,6 +239,36 @@ class TestValidationExitCodes:
             "plan", "--config", CONFIG, "--out", str(tmp_path), "--budget", "-5",
         ) == 2
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["plan", "--t-hours", "nan"], "plan.t_hours"),
+            (["plan", "--t-hours", "inf"], "plan.t_hours"),
+            (["simulate", "--seed", "-1"], "seed"),
+        ],
+    )
+    def test_bad_override_exits_2(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        assert run(*argv, "--config", CONFIG, "--out", str(out)) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan"],
+            ["linkbudget", "--lat", "37.2", "--lon", "-122.1"],
+            ["capacity"],
+            ["simulate"],
+        ],
+    )
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert run(*argv, "--config", CONFIG, "--out", str(out)) == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
 
 def test_sample_dataset_regenerates_byte_identical(tmp_path):
     paths = generate_sample_dataset(tmp_path)

@@ -89,22 +89,18 @@ class TestLightningHumanFactor:
 
 class TestIgnition:
     def test_zero_biomass_annihilates(self, params):
-        region = region_for(0, 0.0, 0.5)
-        assert p_ignition(region, params) == 0.0
+        r = region_for(0, 0.0, 0.5)
+        assert p_ignition(r["biomass"], r["soil_moisture"], r["lightning"], r["p_human"], params) == 0.0
 
     def test_product_of_factors(self, params):
         # factors 0.5 * 0.1138... * 0.6 via explicit env values
-        from firesat.fire_model import RegionEnv
-        from firesat.geo import GeoPoint
-
         theta = params.theta_wilt + 0.35 * (params.theta_field - params.theta_wilt)
         l = params.l_low + 0.25 * (params.l_up - params.l_low)
-        env = RegionEnv(0, GeoPoint(36, -120), 0.6, theta, l, 0.5, 1.0)
-        assert p_ignition(env, params) == pytest.approx(0.03414362865568266, rel=1e-10)
+        assert p_ignition(0.6, theta, l, 0.5, params) == pytest.approx(0.03414362865568266, rel=1e-10)
 
     def test_all_factors_one(self, params):
-        region = region_for(0, 1.0, 0.5)
-        assert p_ignition(region, params) == 1.0
+        r = region_for(0, 1.0, 0.5)
+        assert p_ignition(r["biomass"], r["soil_moisture"], r["lightning"], r["p_human"], params) == 1.0
 
 
 class TestBurnedArea:
@@ -149,13 +145,11 @@ class TestSystemUtility:
         assert system_utility(grid, [0, 0], 4.0, params) == 0.0
 
     def test_single_region_product(self, params):
-        from firesat.fire_model import RegionEnv, RegionGrid
-        from firesat.geo import GeoPoint
+        from firesat.grid import RegionGrid
 
         theta = params.theta_wilt + 0.35 * (params.theta_field - params.theta_wilt)
         l = params.l_low + 0.25 * (params.l_up - params.l_low)
-        env = RegionEnv(0, GeoPoint(36, -120), 0.6, theta, l, 0.5, 1.25)
-        grid = RegionGrid((env,), 100.0)
+        grid = RegionGrid([36], [-120], [0.6], [theta], [l], [0.5], [1.25], 100.0)
         assert system_utility(grid, [3], 2.0, params) == pytest.approx(
             0.016421688490386558, rel=1e-10
         )

@@ -10,6 +10,7 @@ from firesat.geo import (
     great_circle_km,
     slant_range_km,
 )
+from firesat.grid import RegionGrid
 
 CENTER_DEVICE = GeoPoint(37.2, -122.1)
 EDGE_DEVICE = GeoPoint(33.5, -116.6)
@@ -44,6 +45,13 @@ class TestGeoPoint:
             GeoPoint(float("nan"), 0.0)
         with pytest.raises(ValidationError):
             GeoPoint(0.0, float("inf"))
+
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    def test_grid_longitudes_wrap_like_geopoint(self, lons):
+        zeros = [0.0] * len(lons)
+        grid = RegionGrid(zeros, lons, zeros, zeros, zeros, zeros, zeros, 100.0)
+        assert grid.lon.tolist() == [GeoPoint(0.0, lon).lon for lon in lons]
 
 
 class TestGreatCircle:

@@ -25,6 +25,7 @@ class TestRegionIngestion:
         write_regions_csv(grid, path)
         again = ingest_regions(path)
         assert again == grid
+        assert ingest_regions(path, cell_area_km2=50.0) != grid
         assert path.read_bytes() == (DATA_DIR / "regions.csv").read_bytes()
 
     def test_empty_file_rejected(self, tmp_path):
@@ -69,6 +70,36 @@ class TestRegionIngestion:
         with pytest.raises(ValidationError, match=":3:"):
             ingest_regions(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lat", "90.5"),
+            ("lat", "nan"),
+            ("lon", "inf"),
+            ("biomass", "-0.1"),
+            ("biomass", "nan"),
+            ("soil_moisture", "inf"),
+            ("lightning", "-1.0"),
+            ("lightning", "-inf"),
+            ("p_human", "1.5"),
+            ("p_human", "nan"),
+            ("spread_rate", "-0.2"),
+            ("spread_rate", "inf"),
+        ],
+    )
+    def test_bad_value_names_file_region_and_field(self, tmp_path, field, value):
+        row = dict(id="1", lat="36.1", lon="-120.0", biomass="1.0", soil_moisture="0.1",
+                   lightning="0.0", p_human="0.5", spread_rate="0.5")
+        row[field] = value
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "id,lat,lon,biomass,soil_moisture,lightning,p_human,spread_rate\n"
+            "0,36.0,-120.0,1.0,0.1,0.0,0.5,0.5\n" + ",".join(row.values()) + "\n"
+        )
+        with pytest.raises(ValidationError) as info:
+            ingest_regions(path)
+        assert str(info.value).startswith(f"{path}: region 1: {field} ")
+
 
 class TestFireIngestion:
     def test_packaged_catalog_loads(self):
@@ -95,15 +126,24 @@ class TestFireIngestion:
 
     def test_duplicate_fire_id_rejected(self, tmp_path):
         grid = ingest_regions(DATA_DIR / "regions.csv")
-        point = grid.regions[5000].center
+        lat, lon = grid.lat[5000], grid.lon[5000]
         path = tmp_path / "dup.csv"
         path.write_text(
             "fire_id,lat,lon,recorded_area_km2\n"
-            f"3,{point.lat},{point.lon},5.0\n"
-            f"3,{point.lat},{point.lon},6.0\n"
+            f"3,{lat},{lon},5.0\n"
+            f"3,{lat},{lon},6.0\n"
         )
         with pytest.raises(ValidationError, match="duplicate fire id 3"):
             ingest_fires(path, grid)
+
+    @pytest.mark.parametrize("area", ["nan", "inf", "-1.0"])
+    def test_bad_recorded_area_rejected(self, tmp_path, area):
+        grid = ingest_regions(DATA_DIR / "regions.csv")
+        path = tmp_path / "area.csv"
+        path.write_text(f"fire_id,lat,lon,recorded_area_km2\n3,{grid.lat[5000]},{grid.lon[5000]},{area}\n")
+        with pytest.raises(ValidationError) as info:
+            ingest_fires(path, grid)
+        assert str(info.value).startswith(f"{path}:2: fire 3: recorded_area_km2 ")
 
 
 class TestConfig:
@@ -152,6 +192,26 @@ class TestConfig:
         path.write_text("\n".join(lines))
         with pytest.raises(ValidationError, match="does not exist"):
             load_config(path)
+
+    def test_unknown_override_rejected(self):
+        with pytest.raises(ValidationError, match="unknown config keys: plan.budgte"):
+            load_config(SAMPLE_CONFIG, {"plan.budgte": 7})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_non_finite_float_rejected(self, tmp_path, source, value):
+        path, overrides = SAMPLE_CONFIG, {"plan.t_hours": float(value)}
+        if source == "file":
+            path, overrides = tmp_path / "cfg.cfg", None
+            text = SAMPLE_CONFIG.read_text()
+            assert "plan.t_hours = 4\n" in text
+            path.write_text(text.replace("plan.t_hours = 4\n", f"plan.t_hours = {value}\n"))
+        with pytest.raises(ValidationError, match="plan.t_hours must be finite"):
+            load_config(path, overrides)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            load_config(SAMPLE_CONFIG, {"seed": -1})
 
     def test_overrides(self):
         cfg = load_config(SAMPLE_CONFIG, {"plan.budget": 7, "seed": 99})

@@ -14,8 +14,7 @@ from firesat.placement import (
     write_placement_json,
 )
 
-from conftest import grid_from, region_for
-from firesat.fire_model import RegionGrid
+from conftest import grid_from, grid_of, region_for
 
 
 class TestGreedy:
@@ -92,14 +91,14 @@ class TestBruteForce:
 class TestBiomassUniform:
     def test_even_split(self):
         regions = [region_for(i, 0.5 if i < 2 else 0.0, 0.5) for i in range(4)]
-        grid = RegionGrid(tuple(regions), 100.0)
+        grid = grid_of(regions, 100.0)
         placement = biomass_uniform(grid, 4)
         assert placement.counts == (2, 2, 0, 0)
 
     def test_remainder_goes_to_lowest_indices(self):
         qualifying = 3500
         regions = [region_for(i, 0.5 if i < qualifying else 0.0, 0.5) for i in range(3600)]
-        grid = RegionGrid(tuple(regions), 100.0)
+        grid = grid_of(regions, 100.0)
         placement = biomass_uniform(grid, 10**5)
         counts = placement.counts
         assert placement.deployed == 10**5
@@ -111,7 +110,7 @@ class TestBiomassUniform:
 
     def test_no_vegetation_warns_and_places_nothing(self):
         regions = [region_for(i, 0.0, 0.5) for i in range(3)]
-        grid = RegionGrid(tuple(regions), 100.0)
+        grid = grid_of(regions, 100.0)
         with pytest.warns(UserWarning):
             placement = biomass_uniform(grid, 10)
         assert placement.counts == (0, 0, 0)
