@@ -26,7 +26,6 @@ from .fire_model import (
 from .placement import (
     Placement,
     biomass_uniform,
-    optimize_bruteforce,
     optimize_greedy,
 )
 from .link_budget import (

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ValidationError
 from .grid import FireEvent, GridFrame, RegionGrid
 from .placement import Placement
@@ -318,13 +319,13 @@ def campaign_summary_dict(result: CampaignResult) -> dict:
 
 
 def write_campaign_json(result: CampaignResult, path) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(campaign_summary_dict(result), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def write_fires_csv(result: CampaignResult, path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(
             [

@@ -18,6 +18,7 @@ from . import capacity as cap
 from . import campaign as camp
 from . import link_budget as lb
 from . import placement as pl
+from .atomic import atomic_write
 from .config import RunConfig, load_config
 from .errors import NumericError, ValidationError
 from .fire_model import system_utility
@@ -36,7 +37,7 @@ def default_config_path() -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -80,7 +81,7 @@ def cmd_plan(args) -> int:
         utility = system_utility(grid, placement.counts, cfg.t_hours, cfg.fire_params())
         pl.write_placement_csv(placement, out / f"placement_{scheme}.csv")
         pl.write_placement_json(placement, out / f"placement_{scheme}.json", scheme)
-        with open(out / f"heatmap_{scheme}.csv", "w", newline="") as f:
+        with atomic_write(out / f"heatmap_{scheme}.csv", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["region_id", "row", "col", "n_sensors"])
             for i, n in enumerate(placement.counts):
@@ -262,7 +263,7 @@ def _run_sweep(cfg: RunConfig, grid, catalog, schemes, budgets, out: Path) -> No
         ("fig4c_carbon.csv", fig4c),
         ("fig4d_savings.csv", fig4d),
     ):
-        with open(out / name, "w", newline="") as f:
+        with atomic_write(out / name, newline="") as f:
             csv.writer(f, lineterminator="\n").writerows(rows)
     print(f"wrote sweep outputs to {out}")
 

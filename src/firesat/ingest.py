@@ -11,6 +11,7 @@ import csv
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ValidationError
 from .geo import GeoPoint
 from .grid import COLUMNS, FireEvent, RegionGrid
@@ -53,7 +54,7 @@ def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
 
 
 def write_regions_csv(grid: RegionGrid, path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(REGION_FIELDS)
         columns = (getattr(grid, name).tolist() for name in COLUMNS)
@@ -92,7 +93,7 @@ def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
 
 
 def write_fires_catalog_csv(events: list[FireEvent], path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(FIRE_FIELDS)
         for e in events:

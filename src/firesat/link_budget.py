@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel
+from .atomic import atomic_write
 from .errors import NumericError, ValidationError
 from .geo import GeoPoint, SatelliteConfig, elevation_deg, great_circle_km, slant_range_km
 
@@ -80,6 +81,12 @@ class McsRow:
     min_snr_db: float
     mcs_level: int
     ru_per_20_bytes: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.min_snr_db):
+            raise ValidationError(f"min_snr_db must be finite, got {self.min_snr_db}")
+        if self.ru_per_20_bytes < 1:
+            raise ValidationError(f"ru_per_20_bytes must be >= 1, got {self.ru_per_20_bytes}")
 
 
 @dataclass(frozen=True)
@@ -144,13 +151,13 @@ def load_mcs_table(path) -> McsTable:
                         int(row["ru_per_20_bytes"]),
                     )
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{row_no}: {exc}") from exc
     return McsTable(tuple(rows))
 
 
 def write_mcs_table(table: McsTable, path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["min_snr_db", "mcs_level", "ru_per_20_bytes"])
         for row in table.rows:

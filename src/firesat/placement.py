@@ -1,11 +1,11 @@
 """Sensor allocation under a global budget.
 
-The exact solver assigns sensors one at a time to the region with the largest
-marginal utility gain. Each region's utility term is concave and
-non-decreasing in its sensor count, so greedy marginal allocation is optimal
-for the integer program. A brute-force enumerator serves as an oracle on
-small instances, and the biomass-uniform baseline spreads the budget evenly
-over vegetated regions.
+The exact solver assigns sensors in the order of their marginal utility
+gain, largest first. Each region's utility term is concave and non-decreasing
+in its sensor count, so greedy marginal allocation is optimal for the integer
+program. A threshold warm start places most of the budget at once and a heap
+places the rest one sensor at a time. The biomass-uniform baseline spreads
+the budget evenly over vegetated regions.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ValidationError
 from .fire_model import FireModelParams, ignition_and_miss
 from .grid import RegionGrid
@@ -47,6 +48,15 @@ class Placement:
         return sum(self.counts)
 
 
+# Lowest threshold the warm start goes down to. Every gain above it, and every
+# product that forms such a gain, is a normal float with full relative precision.
+_THRESHOLD_FLOOR = 1e-300
+# Bound on the relative error of a gain p * q**n * (1 - q) and of the logarithms
+# that estimate how many gains exceed a threshold: several times the worst case
+# of a few roundings, one pow and two numpy logs of a few ulp each.
+_REL_ERR = 1e-14
+
+
 def optimize_greedy(
     grid: RegionGrid, budget: int, t: float, params: FireModelParams
 ) -> Placement:
@@ -56,19 +66,29 @@ def optimize_greedy(
     p_i * q_i**n_i * (1 - q_i); ties break toward the lowest region index.
     Regions whose marginal gain reaches zero stop receiving sensors, so fewer
     than `budget` sensors may be deployed.
+
+    A threshold warm start places most sensors up front, and a heap of each
+    region's next gain places the rest one at a time. This is exact: each
+    region's gain sequence, as evaluated in floating point, never rises, so
+    the one-at-a-time greedy places the `budget` largest (gain, lowest index
+    first) sensors of all regions, or every positive-gain sensor if there are
+    fewer. A region's sensors above any threshold are a prefix of its
+    sequence, and `_warm_start` only places sensors it has shown to be above
+    a threshold that at most `budget` sensors exceed. Those are among the
+    sensors the greedy places, and the heap, seeded with each region's next
+    gain, pops the remaining ones in the same order as from zero.
     """
     if budget < 0:
         raise ValidationError("budget must be >= 0")
     p, q = ignition_and_miss(grid, t, params)
-    n = len(grid)
-    counts = [0] * n
+    counts = _warm_start(p, q, budget)
     heap = []
-    for i in range(n):
-        gain = p[i] * (1.0 - q[i])
+    for i, w in enumerate(counts):
+        gain = p[i] * q[i] ** w * (1.0 - q[i])
         if gain > 0.0:
             heap.append((-gain, i))
     heapq.heapify(heap)
-    remaining = budget
+    remaining = budget - sum(counts)
     while remaining > 0 and heap:
         neg_gain, i = heapq.heappop(heap)
         if neg_gain >= 0.0:
@@ -81,49 +101,61 @@ def optimize_greedy(
     return Placement(tuple(counts), budget)
 
 
-def optimize_bruteforce(
-    grid: RegionGrid,
-    budget: int,
-    t: float,
-    params: FireModelParams,
-    max_allocations: int = 10**6,
-) -> Placement:
-    """Exhaustive maximization over every feasible allocation.
+def _warm_start(p: list[float], q: list[float], budget: int) -> list[int]:
+    """Per region, a number of sensors that the greedy places first.
 
-    Oracle for small instances only: refuses when the number of feasible
-    allocations C(budget + N, N) exceeds `max_allocations`. Ties break toward
-    the lexicographically smallest counts vector. Utility accumulates in
-    ascending region order so the comparison matches system_utility()
-    bit-for-bit.
+    Bisection finds the smallest threshold lam, not below _THRESHOLD_FLOOR,
+    at which the upper bounds of `_count_bounds` sum to at most `budget`; the
+    lower bounds at that lam are the warm start. Only the bisection uses
+    numpy; the heap's gains stay Python floats.
     """
-    if budget < 0:
-        raise ValidationError("budget must be >= 0")
-    n = len(grid)
-    n_alloc = math.comb(budget + n, n)
-    if n_alloc > max_allocations:
-        raise ValidationError(
-            f"{n_alloc} feasible allocations exceed the oracle cap {max_allocations}"
-        )
-    p, q = ignition_and_miss(grid, t, params)
+    q_arr = np.array(q)
+    first = np.array(p) * (1.0 - q_arr)  # each region's first gain
+    live = np.flatnonzero(first > _THRESHOLD_FLOOR)
+    counts = [0] * len(p)
+    if not len(live):
+        return counts
+    a = first[live]
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q_arr[live])
+    if _count_bounds(_THRESHOLD_FLOOR, a, log_q)[1].sum() <= budget:
+        lam = _THRESHOLD_FLOOR
+    else:
+        # Invariant: more than `budget` upper bounds at exp(lo_t), at most at
+        # exp(hi_t). No gain exceeds 2 max(a), where every bound is 0.
+        lo_t, hi_t = math.log(_THRESHOLD_FLOOR), math.log(2.0 * float(a.max()))
+        while True:
+            mid = 0.5 * (lo_t + hi_t)
+            if mid in (lo_t, hi_t):
+                break
+            if _count_bounds(math.exp(mid), a, log_q)[1].sum() > budget:
+                lo_t = mid
+            else:
+                hi_t = mid
+        lam = math.exp(hi_t)
+    for i, w in zip(live.tolist(), _count_bounds(lam, a, log_q)[0].tolist()):
+        counts[i] = int(w)
+    return counts
 
-    best_utility = -1.0
-    best_counts: tuple[int, ...] = (0,) * n
-    current = [0] * n
 
-    def recurse(i: int, remaining: int, acc: float):
-        nonlocal best_utility, best_counts
-        if i == n:
-            if acc > best_utility:
-                best_utility = acc
-                best_counts = tuple(current)
-            return
-        for j in range(remaining + 1):
-            current[i] = j
-            recurse(i + 1, remaining - j, acc + p[i] * (1.0 - q[i] ** j))
-        current[i] = 0
+def _count_bounds(
+    lam: float, a: np.ndarray, log_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per region, lower and upper bounds on how many gains exceed lam.
 
-    recurse(0, budget, 0.0)
-    return Placement(best_counts, budget)
+    A region's n-th gain a * q**n (a = p * (1 - q) > 0) exceeds lam, in real
+    arithmetic, for n < x = ln(lam / a) / ln(q). The count of its float gains
+    above lam therefore lies in [ceil(x - tol), ceil(x + tol)], where tol
+    covers the rounding of the gains and of x. A region with q = 0
+    (log_q = -inf) has the one positive gain a.
+    """
+    x = np.log(lam / a) / log_q
+    tol = _REL_ERR * (np.abs(x) - 1.0 / log_q)
+    single = log_q == -np.inf
+    above = (a > lam).astype(float)
+    lo = np.where(single, above, np.maximum(np.ceil(x - tol), 0.0))
+    hi = np.where(single, above, np.maximum(np.ceil(x + tol), 0.0))
+    return lo, hi
 
 
 def biomass_uniform(grid: RegionGrid, budget: int) -> Placement:
@@ -146,7 +178,7 @@ def biomass_uniform(grid: RegionGrid, budget: int) -> Placement:
 
 
 def write_placement_csv(placement: Placement, path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["region_id", "n_sensors"])
         for i, n in enumerate(placement.counts):
@@ -181,7 +213,7 @@ def write_placement_json(placement: Placement, path, scheme: str = "") -> None:
         "deployed": placement.deployed,
         "counts": list(placement.counts),
     }
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 

@@ -33,9 +33,11 @@ from firesat.fire_model import (
 )
 from firesat.geo import GeoPoint, elevation_deg, great_circle_km, slant_range_km
 from firesat.ingest import ingest_fires, ingest_regions
-from firesat.placement import Placement, biomass_uniform, optimize_bruteforce, optimize_greedy
+from firesat.placement import Placement, biomass_uniform, optimize_greedy
 
 from conftest import DATA_DIR, TEST_PARAMS, grid_from
+
+from placement_reference import optimize_bruteforce
 
 CONFIG_PATH = DATA_DIR / "sample_config.cfg"
 

@@ -269,6 +269,26 @@ class TestValidationExitCodes:
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("row", ["nan,5,3", "inf,11,1", "1.0,5,0", "1.0,5,-3"])
+    @pytest.mark.parametrize(
+        "argv", [["linkbudget", "--lat", "37.2", "--lon", "-122.1"], ["capacity"]]
+    )
+    def test_bad_mcs_table_exits_2(self, tmp_path, capsys, argv, row):
+        table = tmp_path / "mcs.csv"
+        table.write_text(f"min_snr_db,mcs_level,ru_per_20_bytes\n{row}\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            (DATA_DIR / "sample_config.cfg")
+            .read_text()
+            .replace("= regions.csv", f"= {DATA_DIR / 'regions.csv'}")
+            .replace("= fires.csv", f"= {DATA_DIR / 'fires.csv'}")
+            .replace("= mcs_table.csv", f"= {table}")
+        )
+        out = tmp_path / "out"
+        assert run(*argv, "--config", str(config), "--out", str(out)) == 2
+        assert f"{table}:2:" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 def test_sample_dataset_regenerates_byte_identical(tmp_path):
     paths = generate_sample_dataset(tmp_path)

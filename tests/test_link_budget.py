@@ -168,6 +168,22 @@ class TestMcsTable:
             # RU count increasing with MCS level
             lb.McsTable((lb.McsRow(0.0, 1, 2), lb.McsRow(1.0, 2, 3)))
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("nan,5,3", "min_snr_db"),
+            ("inf,11,1", "min_snr_db"),
+            ("-inf,5,3", "min_snr_db"),
+            ("1.0,5,0", "ru_per_20_bytes"),
+            ("1.0,5,-3", "ru_per_20_bytes"),
+        ],
+    )
+    def test_bad_row_names_file_and_row(self, tmp_path, row, field):
+        path = tmp_path / "mcs.csv"
+        path.write_text(f"min_snr_db,mcs_level,ru_per_20_bytes\n-2.0,4,4\n{row}\n")
+        with pytest.raises(ValidationError, match=f"mcs.csv:3: {field}"):
+            lb.load_mcs_table(path)
+
 
 class TestFadingParams:
     def test_table_values_at_50_degrees(self):
