@@ -58,7 +58,6 @@ from .campaign import (
     EconomicsParams,
     run_campaign,
     scatter_sensors,
-    simulate_fire,
 )
 from .config import RunConfig, load_config
 from .ingest import ingest_fires, ingest_regions

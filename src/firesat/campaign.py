@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,53 +110,6 @@ def _scatter(placement: Placement, frame: GridFrame, rng: np.random.Generator) -
     return frame.centers_xy[reps] + offsets
 
 
-def _resolve_fire(
-    nearest_km: float,
-    u_p: float,
-    r_max: float,
-    frame: GridFrame,
-    fire_xy: tuple[float, float],
-    escaped: FireRecord,
-    cells: np.ndarray | None = None,
-) -> FireRecord:
-    """Outcome of one fire whose nearest sensor lies nearest_km away.
-
-    `escaped` is the fire's no-detection record (see baseline_outcomes);
-    `cells` is passed through to GridFrame.biomass_avg.
-    """
-    fx, fy = fire_xy
-    detected = nearest_km <= r_max and (u_p > 0.0 or nearest_km == 0.0)
-    if detected:
-        time_h = 0.0 if nearest_km == 0.0 else nearest_km / u_p
-        burned = math.pi * nearest_km**2
-        carbon = carbon_emission_ton(burned, frame.biomass_avg(fx, fy, nearest_km, cells))
-        return FireRecord(True, False, time_h, burned, carbon)
-    if u_p == 0.0:
-        # The fire cannot spread, so nothing burns, but no sensor ever sees it.
-        return FireRecord(False, True, None, 0.0, 0.0)
-    return escaped
-
-
-def simulate_fire(event: FireEvent, sensors: np.ndarray, grid: RegionGrid) -> FireRecord:
-    """Outcome of a single fire against fixed sensor positions.
-
-    The burned circle grows at the ignition region's spread rate until it
-    touches the nearest sensor; a fire whose nearest sensor sits farther than
-    sqrt(A/pi) escapes detection and burns its cataloged area.
-    """
-    frame = grid.frame
-    fx, fy = frame.project(event.ignition)
-    sensors = np.asarray(sensors, dtype=float).reshape(-1, 2)
-    if len(sensors):
-        nearest = float(np.min(np.hypot(sensors[:, 0] - fx, sensors[:, 1] - fy)))
-    else:
-        nearest = math.inf
-    u_p = float(grid.spread_rate[event.region_id])
-    r_max = math.sqrt(grid.cell_area_km2 / math.pi)
-    escaped = baseline_outcomes([event], grid)[0]
-    return _resolve_fire(nearest, u_p, r_max, frame, (fx, fy), escaped)
-
-
 def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid) -> list[FireRecord]:
     """No-detection outcomes: every fire burns its cataloged area."""
     frame = grid.frame
@@ -167,6 +121,105 @@ def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid) -> list[FireRe
         carbon = carbon_emission_ton(burned, frame.biomass_avg(fx, fy, radius))
         records.append(FireRecord(False, False, None, burned, carbon))
     return records
+
+
+# Rows that one block of fires gathers from a trial's draw; blocks hold whole
+# fires, so a fire with more candidate rows makes a larger block.
+_BLOCK_ROWS = 8192
+
+
+def _candidate_cells(frame: GridFrame, fire_xy: np.ndarray, r_max: float):
+    """Per fire, the cells whose square reaches within r_max of its point.
+
+    Returns (gap_sq, biomass, cells): row i of gap_sq holds fire i's squared
+    distances to its candidate squares, as GridFrame.intersecting_mask
+    computes them, padded with inf; row i of biomass holds those cells'
+    biomass, padded with 0; cells[i] lists the cells in ascending order.
+    """
+    reach = r_max * (1.0 + 1e-9)
+    cells, gaps = [], []
+    for x, y in fire_xy.tolist():
+        gap = frame.gap_sq(x, y)
+        cells.append(np.flatnonzero(gap <= reach * reach))
+        gaps.append(gap[cells[-1]])
+    width = max([1] + [len(c) for c in cells])
+    gap_sq = np.full((len(cells), width), np.inf)
+    biomass = np.zeros((len(cells), width))
+    for i, c in enumerate(cells):
+        gap_sq[i, : len(c)] = gaps[i]
+        biomass[i, : len(c)] = frame.biomass[c]
+    return gap_sq, biomass, cells
+
+
+class _Block(NamedTuple):
+    """Whole fires whose candidate sensors a trial gathers in one array.
+
+    The array holds `size` rows: one run per (fire, candidate cell with
+    sensors) pair, in fire order. Pair p's run has rows[p] rows, its k-th row
+    is row shift[p] + k of the trial's draw (k counted over the whole array),
+    and it is offset by the cell's center[p] and the fire's xy[p]. The runs of
+    fire fires[j] start at row first_row[j].
+    """
+
+    fires: np.ndarray
+    first_row: np.ndarray
+    size: int
+    shift: np.ndarray
+    rows: np.ndarray
+    center: np.ndarray
+    xy: np.ndarray
+
+
+def _scan_blocks(
+    cells: list[np.ndarray], counts: np.ndarray, centers: np.ndarray, fire_xy: np.ndarray
+) -> list[_Block]:
+    """The fires with sensors in their candidate cells, in blocks of about
+    _BLOCK_ROWS rows."""
+    ends = np.cumsum(counts)
+    occupied = [(i, c[counts[c] > 0]) for i, c in enumerate(cells)]
+    occupied = [(i, c) for i, c in occupied if len(c)]
+    blocks = []
+    first = size = 0
+    for k, (_, c) in enumerate(occupied):
+        size += int(counts[c].sum())
+        if size < _BLOCK_ROWS and k + 1 < len(occupied):
+            continue
+        group = occupied[first : k + 1]
+        fires = np.array([i for i, _ in group])
+        pairs = [len(c) for _, c in group]
+        pair_cells = np.concatenate([c for _, c in group])
+        rows = counts[pair_cells]
+        pair_row = np.cumsum(rows) - rows
+        blocks.append(
+            _Block(
+                fires=fires,
+                first_row=pair_row[np.cumsum(pairs) - pairs],
+                size=size,
+                shift=ends[pair_cells] - rows - pair_row,
+                rows=rows,
+                center=centers[pair_cells],
+                xy=fire_xy[np.repeat(fires, pairs)],
+            )
+        )
+        first, size = k + 1, 0
+    return blocks
+
+
+def _biomass_means(gap_sq: np.ndarray, biomass: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """GridFrame.biomass_avg of each row's disk, over its candidate cells.
+
+    Equal bit for bit to biomass[mask].mean(): numpy sums fewer than 8 values
+    left to right, and adding the masked-out cells as +0.0 leaves a sum of
+    non-negative biomass unchanged. At 8 or more selected cells numpy sums
+    pairwise, so those rows call .mean() themselves.
+    """
+    mask = gap_sq <= (radius * radius)[:, None]
+    selected = np.count_nonzero(mask, axis=1)
+    total = np.cumsum(np.where(mask, biomass, 0.0), axis=1)[:, -1]
+    means = np.divide(total, selected, out=np.zeros_like(total), where=selected > 0)
+    for k in np.flatnonzero(selected >= 8):
+        means[k] = biomass[k][mask[k]].mean()
+    return means
 
 
 def run_campaign(
@@ -185,13 +238,23 @@ def run_campaign(
     carbon reduction x carbon price - device cost - bandwidth cost, with the
     device cost charged on deployed sensors.
 
-    A scattered sensor never leaves its cell's square, so a fire can only be
-    detected by a sensor of a cell whose square reaches within r_max of it.
-    Those candidate cells are found once; each trial draws the same stream as
-    scatter_sensors and scans only their sensors, which sit in one contiguous
-    slice per cell. Positions and squared distances use the same arithmetic as
-    a KD-tree over all scattered sensors, so the nearest distance matches it
-    bit for bit whenever it is at most r_max; farther sensors never detect.
+    A fire grows from its ignition point until it touches the nearest sensor.
+    It is detected when that sensor lies within r_max = sqrt(cell area / pi)
+    and the fire spreads (or the sensor sits on the ignition point); it then
+    burns pi * d**2, and its carbon uses the mean biomass of the cells its
+    circle touches. Otherwise it burns its cataloged area, or nothing if it
+    cannot spread.
+
+    A scattered sensor never leaves its cell's square, so only cells whose
+    square reaches within r_max of a fire can detect it. Those candidate
+    cells are found once. Each trial draws the same stream as scatter_sensors,
+    gathers the candidate cells' sensors for a block of fires at a time, and
+    takes each fire's minimum squared distance with one reduction. Positions
+    and squared distances use the same elementwise arithmetic as a KD-tree
+    over all scattered sensors, and a minimum does not depend on order, so
+    the nearest distance matches it bit for bit whenever it is at most r_max.
+    Detection is then resolved for all fires at once; see _biomass_means for
+    why the biomass mean is exact.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -205,50 +268,56 @@ def run_campaign(
     n_fires = len(catalog)
     fire_xy = np.array([frame.project(e.ignition) for e in catalog]).reshape(n_fires, 2)
     u_p = grid.spread_rate[[e.region_id for e in catalog]]
+    stalled = u_p == 0.0
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
-
     counts = np.asarray(placement.counts, dtype=np.int64)
     total = int(counts.sum())
-    ends = np.cumsum(counts)
-    # Per fire: its candidate cells, and (start, end, center) of each
-    # candidate cell that holds sensors.
-    candidates = [
-        np.flatnonzero(frame.intersecting_mask(x, y, r_max * (1.0 + 1e-9))) for x, y in fire_xy
-    ]
-    slices = [
-        [(int(ends[j] - counts[j]), int(ends[j]), frame.centers_xy[j]) for j in cells if counts[j]]
-        for cells in candidates
-    ]
 
+    gap_sq, biomass, cells = _candidate_cells(frame, fire_xy, r_max)
+    blocks = _scan_blocks(cells, counts, frame.centers_xy, fire_xy)
+    # What an undetected fire adds: its catalog record, or nothing when stalled.
+    escaped_burned = np.where(stalled, 0.0, [r.burned_km2 for r in baseline])
+    escaped_carbon = np.where(stalled, 0.0, [r.carbon_ton for r in baseline])
+
+    nearest_sq = np.full(n_fires, np.inf)  # stays inf for fires in no block
     burned_sum = np.zeros(n_fires)
     carbon_sum = np.zeros(n_fires)
     time_sum = np.zeros(n_fires)
     detected_count = np.zeros(n_fires, dtype=np.int64)
     degenerate = np.zeros(n_fires, dtype=bool)
 
+    # One buffer for every trial's draw: allocating it afresh each trial costs
+    # page faults and leaves the heap fragmented.
+    unit = np.empty((total, 2))
     for trial in range(trials):
-        # The draws _scatter turns into positions, row j of cell k at ends[k-1] + j.
-        unit = np.random.default_rng([seed, trial]).random((total, 2))
-        for i in range(n_fires):
-            xy = fire_xy[i]
-            nearest_sq = math.inf
-            for start, end, center in slices[i]:
-                d = unit[start:end] - 0.5
-                d *= frame.side_km
-                d += center
-                d -= xy
-                d *= d
-                nearest_sq = min(nearest_sq, float((d[:, 0] + d[:, 1]).min()))
-            record = _resolve_fire(
-                math.sqrt(nearest_sq), float(u_p[i]), r_max, frame,
-                (float(xy[0]), float(xy[1])), baseline[i], candidates[i],
-            )
-            burned_sum[i] += record.burned_km2
-            carbon_sum[i] += record.carbon_ton
-            if record.detected:
-                detected_count[i] += 1
-                time_sum[i] += record.detection_time_h
-            degenerate[i] |= record.degenerate
+        # The draws _scatter turns into positions; each cell's sensors are
+        # the rows after those of all lower-numbered cells.
+        np.random.default_rng([seed, trial]).random(out=unit)
+        for fires, first_row, size, shift, rows, center, xy in blocks:
+            rows_of_draw = np.repeat(shift, rows)
+            rows_of_draw += np.arange(size)
+            d = unit[rows_of_draw]
+            del rows_of_draw  # freed before the next block-sized temporaries
+            d -= 0.5
+            d *= frame.side_km
+            d += np.repeat(center, rows, axis=0)
+            d -= np.repeat(xy, rows, axis=0)
+            d *= d
+            nearest_sq[fires] = np.minimum.reduceat(d[:, 0] + d[:, 1], first_row)
+        nearest = np.sqrt(nearest_sq)
+        detected = (nearest <= r_max) & ((u_p > 0.0) | (nearest == 0.0))
+        hit = np.flatnonzero(detected)
+        dist = nearest[hit]
+        burned = np.array([math.pi * r**2 for r in dist.tolist()])
+        trial_burned = escaped_burned.copy()
+        trial_burned[hit] = burned
+        trial_carbon = escaped_carbon.copy()
+        trial_carbon[hit] = carbon_emission_ton(burned, _biomass_means(gap_sq[hit], biomass[hit], dist))
+        burned_sum += trial_burned
+        carbon_sum += trial_carbon
+        time_sum[hit] += np.divide(dist, u_p[hit], out=np.zeros_like(dist), where=dist != 0.0)
+        detected_count += detected
+        degenerate |= stalled & ~detected
 
     outcomes = []
     for i, event in enumerate(catalog):

@@ -47,8 +47,8 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ValidationError(f"--out {out}: cannot create directory: {exc.strerror}") from None
+    except OSError as exc:
+        raise ValidationError(f"--out {out}: cannot create directory: {exc.strerror or exc}") from None
     return out
 
 

@@ -18,20 +18,24 @@ from .link_budget import DEFAULT_MCS_TABLE, DeviceConfig, McsTable, load_mcs_tab
 
 
 def parse_kv_file(path) -> dict[str, str]:
+    try:
+        with open(path) as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: cannot decode as text: {exc}") from None
     result: dict[str, str] = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not key:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            if key in result:
-                raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
-            result[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not sep or not key:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+        if key in result:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
+        result[key] = value
     return result
 
 

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import NumericError, ValidationError
 from .grid import RegionGrid
 
 
@@ -97,7 +99,13 @@ def burned_area_km2(spread_rate: float, t: float) -> float:
     """Area of a circular fire after t hours at the given spread rate."""
     if spread_rate < 0 or t < 0:
         raise ValidationError("spread_rate and t must be >= 0")
-    return math.pi * (spread_rate * t) ** 2
+    try:
+        area = math.pi * (spread_rate * t) ** 2
+    except OverflowError:
+        area = math.inf
+    if area == math.inf:
+        raise NumericError(f"burned area overflows at spread rate {spread_rate} km/h over {t} h")
+    return area
 
 
 def p_detection(n_sensors: int, area_km2: float, burned: float) -> float:
@@ -142,15 +150,25 @@ def system_utility(
 
 def ignition_and_miss(
     grid: RegionGrid, t: float, params: FireModelParams
-) -> tuple[list[float], list[float]]:
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-region (ignition probability, single-sensor miss probability) at time t.
 
     The miss probability q satisfies p_detection(n) == 1 - q**n; it drives the
-    placement optimizers.
+    placement optimizers. Both are computed once per (t, params) and kept in
+    grid.memo: the grid's columns are read-only and params is frozen, so a
+    later call returns the same floats.
     """
-    area = grid.cell_area_km2
-    q = [
-        max(0.0, area - burned_area_km2(u, t)) / area
-        for u in grid.spread_rate.tolist()
-    ]
-    return ignition_probabilities(grid, params), q
+    key = ("ignition_and_miss", type(t), t, params)
+    columns = grid.memo.get(key)
+    if columns is None:
+        area = grid.cell_area_km2
+        q = [
+            max(0.0, area - burned_area_km2(u, t)) / area
+            for u in grid.spread_rate.tolist()
+        ]
+        columns = (np.array(ignition_probabilities(grid, params)), np.array(q))
+        for column in columns:
+            column.flags.writeable = False
+        grid.memo[key] = columns
+    p, q = columns
+    return tuple(p.tolist()), tuple(q.tolist())

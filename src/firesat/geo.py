@@ -87,13 +87,7 @@ def _geocentric_angle_rad(p: GeoPoint, sat: SatelliteConfig) -> float:
 
 def slant_range_km(p: GeoPoint, sat: SatelliteConfig) -> float:
     """Straight-line distance from a surface point to the satellite."""
-    psi = _geocentric_angle_rad(p, sat)
-    r_orbit = EARTH_RADIUS_KM + sat.altitude_km
-    return math.sqrt(
-        EARTH_RADIUS_KM**2
-        + r_orbit**2
-        - 2.0 * EARTH_RADIUS_KM * r_orbit * math.cos(psi)
-    )
+    return _slant_range_km(_geocentric_angle_rad(p, sat), sat)
 
 
 def elevation_deg(p: GeoPoint, sat: SatelliteConfig) -> float:
@@ -102,7 +96,21 @@ def elevation_deg(p: GeoPoint, sat: SatelliteConfig) -> float:
     Returns 90 at the sub-satellite point. Raises UnservableLocationError
     when the satellite sits below the local horizon.
     """
-    psi = _geocentric_angle_rad(p, sat)
+    return _elevation_deg(_geocentric_angle_rad(p, sat), p, sat)
+
+
+def _slant_range_km(psi: float, sat: SatelliteConfig) -> float:
+    """slant_range_km of a point at geocentric angle psi (radians)."""
+    r_orbit = EARTH_RADIUS_KM + sat.altitude_km
+    return math.sqrt(
+        EARTH_RADIUS_KM**2
+        + r_orbit**2
+        - 2.0 * EARTH_RADIUS_KM * r_orbit * math.cos(psi)
+    )
+
+
+def _elevation_deg(psi: float, p: GeoPoint, sat: SatelliteConfig) -> float:
+    """elevation_deg of p, given its geocentric angle psi (radians)."""
     if psi == 0.0:
         return 90.0
     ratio = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + sat.altitude_km)

@@ -76,6 +76,12 @@ class RegionGrid:
         )
 
     @cached_property
+    def memo(self) -> dict:
+        """Values derived from the read-only columns, kept under their
+        callers' keys for the grid's lifetime."""
+        return {}
+
+    @cached_property
     def frame(self) -> GridFrame:
         """The grid's planar frame, built on first use."""
         return GridFrame(self)
@@ -122,28 +128,23 @@ class GridFrame:
         _, cols = np.unique(x, return_inverse=True)
         return rows, cols
 
-    def intersecting_mask(self, cx: float, cy: float, radius: float, cells=None) -> np.ndarray:
-        """Boolean mask of cells whose square intersects the disk.
-
-        With `cells` (ascending cell indices) the mask covers those cells only.
-        """
-        centers = self.centers_xy if cells is None else self.centers_xy[cells]
+    def gap_sq(self, cx: float, cy: float) -> np.ndarray:
+        """Squared distance from (cx, cy) to each cell's square, 0 inside it."""
         half = self.side_km / 2.0
-        ddx = np.maximum(np.abs(centers[:, 0] - cx) - half, 0.0)
-        ddy = np.maximum(np.abs(centers[:, 1] - cy) - half, 0.0)
-        return ddx * ddx + ddy * ddy <= radius * radius
+        ddx = np.maximum(np.abs(self.centers_xy[:, 0] - cx) - half, 0.0)
+        ddy = np.maximum(np.abs(self.centers_xy[:, 1] - cy) - half, 0.0)
+        return ddx * ddx + ddy * ddy
 
-    def biomass_avg(self, cx: float, cy: float, radius: float, cells=None) -> float:
-        """Mean biomass of the cells whose square intersects the disk.
+    def intersecting_mask(self, cx: float, cy: float, radius: float) -> np.ndarray:
+        """Boolean mask of cells whose square intersects the disk."""
+        return self.gap_sq(cx, cy) <= radius * radius
 
-        `cells` (ascending cell indices) restricts the search to cells known
-        to hold every intersecting one; the result is then unchanged.
-        """
-        mask = self.intersecting_mask(cx, cy, radius, cells)
+    def biomass_avg(self, cx: float, cy: float, radius: float) -> float:
+        """Mean biomass of the cells whose square intersects the disk."""
+        mask = self.intersecting_mask(cx, cy, radius)
         if not mask.any():
             return 0.0
-        biomass = self.biomass if cells is None else self.biomass[cells]
-        return float(biomass[mask].mean())
+        return float(self.biomass[mask].mean())
 
 
 @dataclass(frozen=True)

@@ -21,25 +21,32 @@ REGION_FIELDS = ["id", *COLUMNS]
 FIRE_FIELDS = ["fire_id", "lat", "lon", "recorded_area_km2"]
 
 
+def _csv_rows(path, fields: list[str]):
+    """(row number, row dict) of each data row of a CSV whose header is `fields`."""
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames != fields:
+                raise ValidationError(
+                    f"{path}: expected header {','.join(fields)}, got {reader.fieldnames}"
+                )
+            yield from enumerate(reader, start=2)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: cannot decode as text: {exc}") from None
+
+
 def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
     """Load a region grid from CSV; ids must cover 0..N-1 exactly once."""
     rows: dict[int, list[float]] = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != REGION_FIELDS:
-            raise ValidationError(
-                f"{path}: expected header {','.join(REGION_FIELDS)}, "
-                f"got {reader.fieldnames}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                rid = int(row["id"])
-                values = [float(row[name]) for name in COLUMNS]
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{row_no}: malformed row: {exc}") from exc
-            if rid in rows:
-                raise ValidationError(f"{path}:{row_no}: duplicate region id {rid}")
-            rows[rid] = values
+    for row_no, row in _csv_rows(path, REGION_FIELDS):
+        try:
+            rid = int(row["id"])
+            values = [float(row[name]) for name in COLUMNS]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{row_no}: malformed row: {exc}") from exc
+        if rid in rows:
+            raise ValidationError(f"{path}:{row_no}: duplicate region id {rid}")
+        rows[rid] = values
     if not rows:
         raise ValidationError(f"{path}: no region rows found")
     n = len(rows)
@@ -67,28 +74,22 @@ def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
     frame = grid.frame
     events: list[FireEvent] = []
     seen: set[int] = set()
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != FIRE_FIELDS:
-            raise ValidationError(
-                f"{path}: expected header {','.join(FIRE_FIELDS)}, got {reader.fieldnames}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                fid = int(row["fire_id"])
-                point = GeoPoint(float(row["lat"]), float(row["lon"]))
-                area = float(row["recorded_area_km2"])
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{row_no}: {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{row_no}: malformed row: {exc}") from exc
-            if fid in seen:
-                raise ValidationError(f"{path}:{row_no}: duplicate fire id {fid}")
-            seen.add(fid)
-            try:
-                events.append(FireEvent(fid, point, frame.locate(point), area))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{row_no}: {exc}") from exc
+    for row_no, row in _csv_rows(path, FIRE_FIELDS):
+        try:
+            fid = int(row["fire_id"])
+            point = GeoPoint(float(row["lat"]), float(row["lon"]))
+            area = float(row["recorded_area_km2"])
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{row_no}: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{row_no}: malformed row: {exc}") from exc
+        if fid in seen:
+            raise ValidationError(f"{path}:{row_no}: duplicate fire id {fid}")
+        seen.add(fid)
+        try:
+            events.append(FireEvent(fid, point, frame.locate(point), area))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{row_no}: {exc}") from exc
     return events
 
 

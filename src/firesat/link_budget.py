@@ -20,7 +20,18 @@ import numpy as np
 from . import bessel
 from .atomic import atomic_write
 from .errors import NumericError, ValidationError
-from .geo import GeoPoint, SatelliteConfig, elevation_deg, great_circle_km, slant_range_km
+# snr_db shares one geocentric angle through the private helpers; the public
+# elevation_deg and slant_range_km stay importable from this module.
+from .geo import (
+    GeoPoint,
+    SatelliteConfig,
+    _elevation_deg,
+    _geocentric_angle_rad,
+    _slant_range_km,
+    elevation_deg,
+    great_circle_km,
+    slant_range_km,
+)
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -137,22 +148,25 @@ DEFAULT_MCS_TABLE = McsTable(
 
 def load_mcs_table(path) -> McsTable:
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        expected = ["min_snr_db", "mcs_level", "ru_per_20_bytes"]
-        if reader.fieldnames != expected:
-            raise ValidationError(f"{path}: expected header {','.join(expected)}")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    McsRow(
-                        float(row["min_snr_db"]),
-                        int(row["mcs_level"]),
-                        int(row["ru_per_20_bytes"]),
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            expected = ["min_snr_db", "mcs_level", "ru_per_20_bytes"]
+            if reader.fieldnames != expected:
+                raise ValidationError(f"{path}: expected header {','.join(expected)}")
+            for row_no, row in enumerate(reader, start=2):
+                try:
+                    rows.append(
+                        McsRow(
+                            float(row["min_snr_db"]),
+                            int(row["mcs_level"]),
+                            int(row["ru_per_20_bytes"]),
+                        )
                     )
-                )
-            except (TypeError, ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{row_no}: {exc}") from exc
+                except (TypeError, ValueError, ValidationError) as exc:
+                    raise ValidationError(f"{path}:{row_no}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: cannot decode as text: {exc}") from None
     return McsTable(tuple(rows))
 
 
@@ -259,9 +273,10 @@ def snr_db(
     """
     if mode not in ("linear", "db-scaled"):
         raise ValidationError(f"unknown beam composition mode {mode!r}")
-    elev = elevation_deg(location, sat)  # raises when below horizon
+    psi = _geocentric_angle_rad(location, sat)
+    elev = _elevation_deg(psi, location, sat)  # raises when below horizon
     d_beam = great_circle_km(location, sat.beam_center)
-    slant = slant_range_km(location, sat)
+    slant = _slant_range_km(psi, sat)
     gain_t = antenna_gain_dbi(device.off_boresight_deg, device.g_t_max_dbi)
     factor = beam_rolloff_factor(d_beam, sat.beam_radius_km)
     if mode == "linear":

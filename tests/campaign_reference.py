@@ -4,8 +4,9 @@
 scan: every trial scatters every sensor, indexes them all in a KD-tree,
 queries it for each fire, and averages biomass over the whole grid for every
 detected or escaped fire. `locate_kdtree` finds the containing cell through a
-KD-tree over the cell centres. Property tests check the fast paths against
-both; nothing at runtime imports this module.
+KD-tree over the cell centres. `simulate_fire` resolves one fire against
+given sensor positions with the same rule. Property tests check the fast
+paths against these; nothing at runtime imports this module.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from firesat.campaign import (
     scatter_sensors,
 )
 from firesat.errors import ValidationError
-from firesat.grid import GridFrame
+from firesat.grid import FireEvent, GridFrame, RegionGrid
 
 
 def locate_kdtree(frame: GridFrame, p) -> int:
@@ -52,6 +53,25 @@ def _resolve_fire(event, nearest_km, u_p, r_max, frame, fire_xy) -> FireRecord:
     radius = math.sqrt(burned / math.pi)
     carbon = carbon_emission_ton(burned, frame.biomass_avg(fx, fy, radius))
     return FireRecord(False, False, None, burned, carbon)
+
+
+def simulate_fire(event: FireEvent, sensors: np.ndarray, grid: RegionGrid) -> FireRecord:
+    """Outcome of a single fire against fixed sensor positions.
+
+    The burned circle grows at the ignition region's spread rate until it
+    touches the nearest sensor; a fire whose nearest sensor sits farther than
+    sqrt(A/pi) escapes detection and burns its cataloged area.
+    """
+    frame = grid.frame
+    fx, fy = frame.project(event.ignition)
+    sensors = np.asarray(sensors, dtype=float).reshape(-1, 2)
+    if len(sensors):
+        nearest = float(np.min(np.hypot(sensors[:, 0] - fx, sensors[:, 1] - fy)))
+    else:
+        nearest = math.inf
+    u_p = float(grid.spread_rate[event.region_id])
+    r_max = math.sqrt(grid.cell_area_km2 / math.pi)
+    return _resolve_fire(event, nearest, u_p, r_max, frame, (fx, fy))
 
 
 def run_campaign_kdtree(grid, placement, catalog, econ, trials=20, seed=0, scheme="") -> CampaignResult:

@@ -10,7 +10,6 @@ from firesat.campaign import (
     carbon_emission_ton,
     run_campaign,
     scatter_sensors,
-    simulate_fire,
     write_campaign_json,
     write_fires_csv,
 )
@@ -20,6 +19,8 @@ from firesat.grid import FireEvent
 from firesat.placement import Placement
 
 from conftest import grid_of, region_for
+
+from campaign_reference import simulate_fire
 
 
 def small_grid(n_side=4, spread=0.6, biomass=1.0):

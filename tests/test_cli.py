@@ -290,6 +290,64 @@ class TestValidationExitCodes:
         assert not any(out.iterdir())
 
 
+class TestNoTraceback:
+    """Inputs that once escaped main() as a traceback with exit 1."""
+
+    @staticmethod
+    def config_with(tmp_path, **files) -> Path:
+        """The sample config, reading `files` (by sample file name) instead."""
+        text = (DATA_DIR / "sample_config.cfg").read_text()
+        for name in ("regions.csv", "fires.csv", "mcs_table.csv"):
+            text = text.replace(f"= {name}", f"= {files.get(name, DATA_DIR / name)}")
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        return config
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("regions.csv", ["plan", "--budget", "10"]),
+            ("fires.csv", ["simulate", "--budget", "10", "--trials", "1"]),
+            ("mcs_table.csv", ["capacity"]),
+            ("sample_config.cfg", ["plan", "--budget", "10"]),
+        ],
+    )
+    def test_undecodable_input_exits_2_naming_file(self, tmp_path, capsys, name, argv):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe" + (DATA_DIR / name).read_bytes())
+        config = bad if name.endswith(".cfg") else self.config_with(tmp_path, **{name: bad})
+        assert run(*argv, "--config", str(config), "--out", str(tmp_path / "out")) == 2
+        assert f"error: {bad}: cannot decode as text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_overflowing_deadline_exits_3(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--config", CONFIG, "--out", str(out), "--t-hours", "1e308"]
+        assert run(*argv) == 3
+        assert "numeric error: burned area overflows" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            PermissionError(13, "Permission denied"),
+            FileNotFoundError(2, "No such file or directory"),
+            OSError(30, "Read-only file system"),
+            OSError("no errno"),
+        ],
+    )
+    def test_out_mkdir_failure_exits_2_naming_path(self, tmp_path, capsys, monkeypatch, error):
+        def refuse(self, *args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        out = tmp_path / "a" / "out"
+        assert run("capacity", "--config", CONFIG, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: --out {out}: cannot create directory: " in err
+        assert (error.strerror or str(error)) in err
+
+
 def test_sample_dataset_regenerates_byte_identical(tmp_path):
     paths = generate_sample_dataset(tmp_path)
     assert paths["regions"].read_bytes() == (DATA_DIR / "regions.csv").read_bytes()

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from firesat.errors import ValidationError
+from firesat import fire_model
+from firesat.errors import NumericError, ValidationError
 from firesat.fire_model import (
     FireModelParams,
     burned_area_km2,
+    ignition_and_miss,
     p_biomass,
     p_detection,
     p_ignition,
@@ -112,6 +114,45 @@ class TestBurnedArea:
 
     def test_zero_spread(self):
         assert burned_area_km2(0.0, 8.0) == 0.0
+
+    @pytest.mark.parametrize("u, t", [(1.0, 1e200), (0.6, 1e308), (2.0, 1e308)])
+    def test_overflow_is_a_numeric_error(self, u, t):
+        with pytest.raises(NumericError, match="burned area overflows"):
+            burned_area_km2(u, t)
+
+
+class TestIgnitionAndMissCache:
+    P, Q = [0.3, 0.8, 0.05, 0.6], [0.95, 0.6, 0.85, 0.2]
+
+    def test_computed_once_per_t_and_params(self, monkeypatch, params):
+        grid = grid_from(self.P, self.Q)
+        deadlines = []
+        real = fire_model.burned_area_km2
+        monkeypatch.setattr(
+            fire_model, "burned_area_km2", lambda u, t: deadlines.append(t) or real(u, t)
+        )
+        first = ignition_and_miss(grid, 4.0, params)
+        assert deadlines == [4.0] * 4
+        equal_params = FireModelParams(params.theta_wilt, params.theta_field)
+        assert ignition_and_miss(grid, 4.0, equal_params) == first
+        assert len(deadlines) == 4
+        assert ignition_and_miss(grid, 5.0, params) != first
+        assert ignition_and_miss(grid, 4.0, FireModelParams(0.05, 0.4)) != first
+        assert len(deadlines) == 12
+        # A deadline of another type (numpy's powers differ from Python's) and
+        # a fresh but equal grid each compute their own.
+        assert ignition_and_miss(grid, 4, params) == first
+        assert ignition_and_miss(grid_from(self.P, self.Q), 4.0, params) == first
+        assert len(deadlines) == 20
+
+    def test_returns_immutable_python_floats(self, params):
+        grid = grid_from(self.P, self.Q)
+        for _ in range(2):
+            p, q = ignition_and_miss(grid, 4.0, params)
+            assert type(p) is tuple and type(q) is tuple
+            assert all(type(v) is float for v in p + q)
+            assert p == pytest.approx(self.P, rel=1e-9)
+            assert q == pytest.approx(self.Q, rel=1e-9)
 
 
 class TestDetection:

@@ -8,7 +8,7 @@ import scipy.stats
 
 from firesat import link_budget as lb
 from firesat.errors import UnservableLocationError, ValidationError
-from firesat.geo import GeoPoint
+from firesat.geo import GeoPoint, elevation_deg, slant_range_km
 
 CENTER_DEVICE = GeoPoint(37.2, -122.1)
 EDGE_DEVICE = GeoPoint(33.5, -116.6)
@@ -132,6 +132,16 @@ class TestSnr:
     def test_below_horizon_unservable(self, device, satellite):
         with pytest.raises(UnservableLocationError):
             lb.snr_db(device, satellite, GeoPoint(10.0, 60.0))
+
+    def test_geometry_equals_the_public_geo_functions(self, device, satellite):
+        # snr_db computes the geocentric angle once; the results stay bit-equal.
+        rng = np.random.default_rng(3)
+        points = [GeoPoint(0.0, satellite.sub_satellite_lon), GeoPoint(37.2, -122.1)]
+        points += [GeoPoint(float(la), float(lo)) for la, lo in rng.uniform([-60, -180], [60, -70], (50, 2))]
+        for p in points:
+            result = lb.snr_db(device, satellite, p)
+            assert result.elevation_deg == elevation_deg(p, satellite)
+            assert result.slant_range_km == slant_range_km(p, satellite)
 
     def test_unknown_mode_rejected(self, device, satellite):
         with pytest.raises(ValidationError):
