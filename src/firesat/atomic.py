@@ -1,10 +1,20 @@
-"""Atomic output files: write a temporary file, then rename it into place."""
+"""Data files: atomic writers for CSV and JSON, and the readers that check them.
+
+Every file the package writes goes through `atomic_write`: a temporary file
+that is renamed into place. JSON is indented by 2 with sorted keys and ends
+in a newline; CSV rows end in a bare newline and floats are written by repr,
+so files round-trip losslessly.
+"""
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import ValidationError
 
 
 @contextmanager
@@ -26,3 +36,43 @@ def atomic_write(path, newline: str | None = None):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_json(path, payload: dict) -> None:
+    with atomic_write(path) as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """A header row, then `rows`; None is written as an empty cell."""
+    with atomic_write(path, newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path) -> dict:
+    """The JSON object in `path`; anything else is a ValidationError."""
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+    except ValueError as exc:  # also undecodable text
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: top-level JSON value is not an object")
+    return payload
+
+
+def read_csv(path, header: list[str]):
+    """(row number, row dict) of each data row of a CSV whose header is `header`."""
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames != header:
+                raise ValidationError(
+                    f"{path}: expected header {','.join(header)}, got {reader.fieldnames}"
+                )
+            yield from enumerate(reader, start=2)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: cannot decode as text: {exc}") from None

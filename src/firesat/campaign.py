@@ -8,16 +8,14 @@ in the grid's planar frame (RegionGrid.frame).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_csv, write_json
 from .errors import ValidationError
 from .grid import FireEvent, GridFrame, RegionGrid
 from .placement import Placement
@@ -97,17 +95,13 @@ def scatter_sensors(placement: Placement, grid: RegionGrid, seed) -> np.ndarray:
     """
     if len(placement.counts) != len(grid):
         raise ValidationError("placement length does not match grid size")
-    return _scatter(placement, grid.frame, np.random.default_rng(seed))
-
-
-def _scatter(placement: Placement, frame: GridFrame, rng: np.random.Generator) -> np.ndarray:
     counts = np.asarray(placement.counts, dtype=np.int64)
     total = int(counts.sum())
     if total == 0:
         return np.empty((0, 2))
     reps = np.repeat(np.arange(len(counts)), counts)
-    offsets = (rng.random((total, 2)) - 0.5) * frame.side_km
-    return frame.centers_xy[reps] + offsets
+    offsets = (np.random.default_rng(seed).random((total, 2)) - 0.5) * grid.frame.side_km
+    return grid.frame.centers_xy[reps] + offsets
 
 
 def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid) -> list[FireRecord]:
@@ -286,38 +280,43 @@ def run_campaign(
     detected_count = np.zeros(n_fires, dtype=np.int64)
     degenerate = np.zeros(n_fires, dtype=bool)
 
-    # One buffer for every trial's draw: allocating it afresh each trial costs
-    # page faults and leaves the heap fragmented.
-    unit = np.empty((total, 2))
-    for trial in range(trials):
-        # The draws _scatter turns into positions; each cell's sensors are
-        # the rows after those of all lower-numbered cells.
-        np.random.default_rng([seed, trial]).random(out=unit)
-        for fires, first_row, size, shift, rows, center, xy in blocks:
-            rows_of_draw = np.repeat(shift, rows)
-            rows_of_draw += np.arange(size)
-            d = unit[rows_of_draw]
-            del rows_of_draw  # freed before the next block-sized temporaries
-            d -= 0.5
-            d *= frame.side_km
-            d += np.repeat(center, rows, axis=0)
-            d -= np.repeat(xy, rows, axis=0)
-            d *= d
-            nearest_sq[fires] = np.minimum.reduceat(d[:, 0] + d[:, 1], first_row)
-        nearest = np.sqrt(nearest_sq)
-        detected = (nearest <= r_max) & ((u_p > 0.0) | (nearest == 0.0))
-        hit = np.flatnonzero(detected)
-        dist = nearest[hit]
-        burned = np.array([math.pi * r**2 for r in dist.tolist()])
-        trial_burned = escaped_burned.copy()
-        trial_burned[hit] = burned
-        trial_carbon = escaped_carbon.copy()
-        trial_carbon[hit] = carbon_emission_ton(burned, _biomass_means(gap_sq[hit], biomass[hit], dist))
-        burned_sum += trial_burned
-        carbon_sum += trial_carbon
-        time_sum[hit] += np.divide(dist, u_p[hit], out=np.zeros_like(dist), where=dist != 0.0)
-        detected_count += detected
-        degenerate |= stalled & ~detected
+    try:
+        # One buffer for every trial's draw: allocating it afresh each trial
+        # costs page faults and leaves the heap fragmented.
+        unit = np.empty((total, 2))
+        for trial in range(trials):
+            # The draws scatter_sensors turns into positions; each cell's
+            # sensors are the rows after those of all lower-numbered cells.
+            np.random.default_rng([seed, trial]).random(out=unit)
+            for fires, first_row, size, shift, rows, center, xy in blocks:
+                rows_of_draw = np.repeat(shift, rows)
+                rows_of_draw += np.arange(size)
+                d = unit[rows_of_draw]
+                del rows_of_draw  # freed before the next block-sized temporaries
+                d -= 0.5
+                d *= frame.side_km
+                d += np.repeat(center, rows, axis=0)
+                d -= np.repeat(xy, rows, axis=0)
+                d *= d
+                nearest_sq[fires] = np.minimum.reduceat(d[:, 0] + d[:, 1], first_row)
+            nearest = np.sqrt(nearest_sq)
+            detected = (nearest <= r_max) & ((u_p > 0.0) | (nearest == 0.0))
+            hit = np.flatnonzero(detected)
+            dist = nearest[hit]
+            burned = np.array([math.pi * r**2 for r in dist.tolist()])
+            trial_burned = escaped_burned.copy()
+            trial_burned[hit] = burned
+            trial_carbon = escaped_carbon.copy()
+            trial_carbon[hit] = carbon_emission_ton(burned, _biomass_means(gap_sq[hit], biomass[hit], dist))
+            burned_sum += trial_burned
+            carbon_sum += trial_carbon
+            time_sum[hit] += np.divide(dist, u_p[hit], out=np.zeros_like(dist), where=dist != 0.0)
+            detected_count += detected
+            degenerate |= stalled & ~detected
+    except MemoryError:
+        raise ValidationError(
+            f"out of memory for {total} sensors: each trial's draw needs {16 * total} bytes"
+        ) from None
 
     outcomes = []
     for i, event in enumerate(catalog):
@@ -366,56 +365,20 @@ def run_campaign(
 
 
 def campaign_summary_dict(result: CampaignResult) -> dict:
-    return {
-        "scheme": result.scheme,
-        "seed": result.seed,
-        "trials": result.trials,
-        "budget": result.budget,
-        "sensors_deployed": result.sensors_deployed,
-        "n_fires": len(result.fires),
-        "totals": {
-            "burned_km2": result.totals.burned_km2,
-            "carbon_ton": result.totals.carbon_ton,
-            "baseline_burned_km2": result.totals.baseline_burned_km2,
-            "baseline_carbon_ton": result.totals.baseline_carbon_ton,
-            "carbon_reduction_ton": result.totals.carbon_reduction_ton,
-            "carbon_revenue_usd": result.totals.carbon_revenue_usd,
-            "device_cost_usd": result.totals.device_cost_usd,
-            "bandwidth_cost_usd": result.totals.bandwidth_cost_usd,
-            "savings_usd": result.totals.savings_usd,
-        },
-    }
+    """The result's fields, with n_fires in place of the per-fire outcomes."""
+    summary = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "fires"}
+    summary["totals"] = asdict(result.totals)
+    summary["n_fires"] = len(result.fires)
+    return summary
 
 
 def write_campaign_json(result: CampaignResult, path) -> None:
-    with atomic_write(path) as f:
-        json.dump(campaign_summary_dict(result), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, campaign_summary_dict(result))
+
+
+# Columns of the fires CSV: every FireOutcome field but `degenerate`.
+FIRE_COLUMNS = [f.name for f in fields(FireOutcome) if f.name != "degenerate"]
 
 
 def write_fires_csv(result: CampaignResult, path) -> None:
-    with atomic_write(path, newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            [
-                "fire_id",
-                "region_id",
-                "recorded_area_km2",
-                "detection_rate",
-                "detection_time_h",
-                "burned_km2",
-                "carbon_ton",
-            ]
-        )
-        for o in result.fires:
-            writer.writerow(
-                [
-                    o.fire_id,
-                    o.region_id,
-                    repr(o.recorded_area_km2),
-                    repr(o.detection_rate),
-                    "" if o.detection_time_h is None else repr(o.detection_time_h),
-                    repr(o.burned_km2),
-                    repr(o.carbon_ton),
-                ]
-            )
+    write_csv(path, FIRE_COLUMNS, ([getattr(o, c) for c in FIRE_COLUMNS] for o in result.fires))

@@ -7,10 +7,9 @@ success, 2 on validation failure, 3 on numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from . import capacity as cap
 from . import campaign as camp
 from . import link_budget as lb
 from . import placement as pl
-from .atomic import atomic_write
+from .atomic import read_json, write_csv, write_json
 from .config import RunConfig, load_config
 from .errors import NumericError, ValidationError
 from .fire_model import system_utility
@@ -36,12 +35,6 @@ def default_config_path() -> Path:
     return Path(str(resources.files("firesat") / "data" / "sample_config.cfg"))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with atomic_write(path) as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _out_dir(args) -> Path:
     """The --out directory, created if missing."""
     out = Path(args.out)
@@ -50,10 +43,6 @@ def _out_dir(args) -> Path:
     except OSError as exc:
         raise ValidationError(f"--out {out}: cannot create directory: {exc.strerror or exc}") from None
     return out
-
-
-def _load_grid(cfg: RunConfig):
-    return ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
 
 
 def _placement_for(scheme: str, grid, budget: int, cfg: RunConfig) -> pl.Placement:
@@ -72,7 +61,7 @@ def _bandwidth_cost(cfg: RunConfig, n_sensors: int) -> float:
 def cmd_plan(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     out = _out_dir(args)
-    grid = _load_grid(cfg)
+    grid = ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
     rows, cols = grid.frame.rows_cols()
     schemes = SCHEMES if args.scheme == "both" else (args.scheme,)
     summary: dict = {"budget": cfg.budget, "t_hours": cfg.t_hours, "schemes": {}}
@@ -81,11 +70,11 @@ def cmd_plan(args) -> int:
         utility = system_utility(grid, placement.counts, cfg.t_hours, cfg.fire_params())
         pl.write_placement_csv(placement, out / f"placement_{scheme}.csv")
         pl.write_placement_json(placement, out / f"placement_{scheme}.json", scheme)
-        with atomic_write(out / f"heatmap_{scheme}.csv", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["region_id", "row", "col", "n_sensors"])
-            for i, n in enumerate(placement.counts):
-                writer.writerow([i, int(rows[i]), int(cols[i]), n])
+        write_csv(
+            out / f"heatmap_{scheme}.csv",
+            ["region_id", "row", "col", "n_sensors"],
+            ([i, int(rows[i]), int(cols[i]), n] for i, n in enumerate(placement.counts)),
+        )
         summary["schemes"][scheme] = {
             "utility": utility,
             "deployed": placement.deployed,
@@ -93,7 +82,7 @@ def cmd_plan(args) -> int:
             "nonzero_regions": sum(1 for n in placement.counts if n > 0),
         }
         print(f"{scheme}: utility={utility:.6f} deployed={placement.deployed}")
-    _write_json(out / "plan_summary.json", summary)
+    write_json(out / "plan_summary.json", summary)
     print(f"wrote plan outputs to {out}")
     return EXIT_OK
 
@@ -108,7 +97,7 @@ def cmd_linkbudget(args) -> int:
     for mode in modes:
         result = lb.snr_db(cfg.device(), cfg.satellite(), location, mode, table)
         key = mode.replace("-", "_")
-        payload[key] = result.as_dict()
+        payload[key] = asdict(result)
         print(f"{mode}: snr={result.snr_db:.4f} dB mcs={result.mcs_level}")
     if args.reference_snr_db is not None:
         payload["reference_snr_db"] = args.reference_snr_db
@@ -117,7 +106,7 @@ def cmd_linkbudget(args) -> int:
             for k in payload
             if k in ("linear", "db_scaled")
         }
-    _write_json(out / "linkbudget.json", payload)
+    write_json(out / "linkbudget.json", payload)
     print(f"wrote {out / 'linkbudget.json'}")
     return EXIT_OK
 
@@ -155,7 +144,7 @@ def cmd_capacity(args) -> int:
             "exception_total_bytes": cap.traffic_total_bytes(k, period, exception),
         },
     }
-    _write_json(out / "capacity.json", payload)
+    write_json(out / "capacity.json", payload)
     w = payload["worst_case"]
     print(
         f"K={k}: duration={w['report_duration_ms']:.0f} ms, "
@@ -183,7 +172,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     budgets = _parse_sweep(args.sweep) if args.sweep else None
     out = _out_dir(args)
-    grid = _load_grid(cfg)
+    grid = ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
     catalog = ingest_fires(cfg.fires_csv, grid)
     schemes = SCHEMES if args.scheme == "both" else (args.scheme,)
 
@@ -230,10 +219,7 @@ def _parse_sweep(text: str) -> list[int]:
 
 
 def _run_sweep(cfg: RunConfig, grid, catalog, schemes, budgets, out: Path) -> None:
-    fig3a = [["budget", "scheme", "utility"]]
-    fig4b = [["budget", "scheme", "burned_km2"]]
-    fig4c = [["budget", "scheme", "carbon_ton"]]
-    fig4d = [["budget", "scheme", "savings_case_a_usd", "savings_case_b_usd"]]
+    fig3a, fig4b, fig4c, fig4d = [], [], [], []
     baseline_written = False
     for budget in budgets:
         for scheme in schemes:
@@ -248,23 +234,23 @@ def _run_sweep(cfg: RunConfig, grid, catalog, schemes, budgets, out: Path) -> No
                 - placement.deployed * cfg.device_cost_case_b_usd
                 - t.bandwidth_cost_usd
             )
-            fig3a.append([budget, scheme, repr(utility)])
-            fig4b.append([budget, scheme, repr(t.burned_km2)])
-            fig4c.append([budget, scheme, repr(t.carbon_ton)])
-            fig4d.append([budget, scheme, repr(t.savings_usd), repr(savings_b)])
+            fig3a.append([budget, scheme, utility])
+            fig4b.append([budget, scheme, t.burned_km2])
+            fig4c.append([budget, scheme, t.carbon_ton])
+            fig4d.append([budget, scheme, t.savings_usd, savings_b])
             if not baseline_written:
-                fig4b.append([0, "catalog", repr(t.baseline_burned_km2)])
-                fig4c.append([0, "catalog", repr(t.baseline_carbon_ton)])
+                fig4b.append([0, "catalog", t.baseline_burned_km2])
+                fig4c.append([0, "catalog", t.baseline_carbon_ton])
                 baseline_written = True
             print(f"K={budget} {scheme}: burned={t.burned_km2:.1f} savings={t.savings_usd/1e9:.3f}B")
-    for name, rows in (
-        ("fig3a_utility.csv", fig3a),
-        ("fig4b_burned_area.csv", fig4b),
-        ("fig4c_carbon.csv", fig4c),
-        ("fig4d_savings.csv", fig4d),
-    ):
-        with atomic_write(out / name, newline="") as f:
-            csv.writer(f, lineterminator="\n").writerows(rows)
+    write_csv(out / "fig3a_utility.csv", ["budget", "scheme", "utility"], fig3a)
+    write_csv(out / "fig4b_burned_area.csv", ["budget", "scheme", "burned_km2"], fig4b)
+    write_csv(out / "fig4c_carbon.csv", ["budget", "scheme", "carbon_ton"], fig4c)
+    write_csv(
+        out / "fig4d_savings.csv",
+        ["budget", "scheme", "savings_case_a_usd", "savings_case_b_usd"],
+        fig4d,
+    )
     print(f"wrote sweep outputs to {out}")
 
 
@@ -283,17 +269,10 @@ def cmd_report(args) -> int:
     for name in known:
         path = out / name
         if path.is_file():
-            with open(path) as f:
-                try:
-                    payload = json.load(f)
-                except ValueError as exc:
-                    raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-            if not isinstance(payload, dict):
-                raise ValidationError(f"{path}: top-level JSON value is not an object")
-            report["sources"][name] = payload
+            report["sources"][name] = read_json(path)
     if not report["sources"]:
         raise ValidationError(f"no prior command outputs found in {out}")
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     print(f"aggregated {len(report['sources'])} outputs into {out / 'report.json'}")
     return EXIT_OK
 

@@ -7,11 +7,9 @@ round-trip losslessly.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import read_csv, write_csv
 from .errors import ValidationError
 from .geo import GeoPoint
 from .grid import COLUMNS, FireEvent, RegionGrid
@@ -21,24 +19,10 @@ REGION_FIELDS = ["id", *COLUMNS]
 FIRE_FIELDS = ["fire_id", "lat", "lon", "recorded_area_km2"]
 
 
-def _csv_rows(path, fields: list[str]):
-    """(row number, row dict) of each data row of a CSV whose header is `fields`."""
-    try:
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames != fields:
-                raise ValidationError(
-                    f"{path}: expected header {','.join(fields)}, got {reader.fieldnames}"
-                )
-            yield from enumerate(reader, start=2)
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: cannot decode as text: {exc}") from None
-
-
 def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
     """Load a region grid from CSV; ids must cover 0..N-1 exactly once."""
     rows: dict[int, list[float]] = {}
-    for row_no, row in _csv_rows(path, REGION_FIELDS):
+    for row_no, row in read_csv(path, REGION_FIELDS):
         try:
             rid = int(row["id"])
             values = [float(row[name]) for name in COLUMNS]
@@ -61,12 +45,8 @@ def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
 
 
 def write_regions_csv(grid: RegionGrid, path) -> None:
-    with atomic_write(path, newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(REGION_FIELDS)
-        columns = (getattr(grid, name).tolist() for name in COLUMNS)
-        for rid, values in enumerate(zip(*columns)):
-            writer.writerow([rid, *map(repr, values)])
+    columns = [getattr(grid, name).tolist() for name in COLUMNS]
+    write_csv(path, REGION_FIELDS, ([rid, *values] for rid, values in enumerate(zip(*columns))))
 
 
 def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
@@ -74,7 +54,7 @@ def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
     frame = grid.frame
     events: list[FireEvent] = []
     seen: set[int] = set()
-    for row_no, row in _csv_rows(path, FIRE_FIELDS):
+    for row_no, row in read_csv(path, FIRE_FIELDS):
         try:
             fid = int(row["fire_id"])
             point = GeoPoint(float(row["lat"]), float(row["lon"]))
@@ -94,15 +74,11 @@ def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
 
 
 def write_fires_catalog_csv(events: list[FireEvent], path) -> None:
-    with atomic_write(path, newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(FIRE_FIELDS)
-        for e in events:
-            writer.writerow(
-                [
-                    e.id,
-                    repr(float(e.ignition.lat)),
-                    repr(float(e.ignition.lon)),
-                    repr(float(e.recorded_area_km2)),
-                ]
-            )
+    write_csv(
+        path,
+        FIRE_FIELDS,
+        (
+            [e.id, float(e.ignition.lat), float(e.ignition.lon), float(e.recorded_area_km2)]
+            for e in events
+        ),
+    )

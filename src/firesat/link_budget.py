@@ -11,14 +11,13 @@ sampler below.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import bessel
-from .atomic import atomic_write
+from .atomic import read_csv, write_csv
 from .errors import NumericError, ValidationError
 # snr_db shares one geocentric angle through the private helpers; the public
 # elevation_deg and slant_range_km stay importable from this module.
@@ -100,6 +99,9 @@ class McsRow:
             raise ValidationError(f"ru_per_20_bytes must be >= 1, got {self.ru_per_20_bytes}")
 
 
+MCS_FIELDS = [f.name for f in fields(McsRow)]
+
+
 @dataclass(frozen=True)
 class McsTable:
     """Monotone step table mapping SNR to the highest supportable MCS level."""
@@ -148,34 +150,18 @@ DEFAULT_MCS_TABLE = McsTable(
 
 def load_mcs_table(path) -> McsTable:
     rows = []
-    try:
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            expected = ["min_snr_db", "mcs_level", "ru_per_20_bytes"]
-            if reader.fieldnames != expected:
-                raise ValidationError(f"{path}: expected header {','.join(expected)}")
-            for row_no, row in enumerate(reader, start=2):
-                try:
-                    rows.append(
-                        McsRow(
-                            float(row["min_snr_db"]),
-                            int(row["mcs_level"]),
-                            int(row["ru_per_20_bytes"]),
-                        )
-                    )
-                except (TypeError, ValueError, ValidationError) as exc:
-                    raise ValidationError(f"{path}:{row_no}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: cannot decode as text: {exc}") from None
+    for row_no, row in read_csv(path, MCS_FIELDS):
+        try:
+            rows.append(
+                McsRow(float(row["min_snr_db"]), int(row["mcs_level"]), int(row["ru_per_20_bytes"]))
+            )
+        except (TypeError, ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}:{row_no}: {exc}") from exc
     return McsTable(tuple(rows))
 
 
 def write_mcs_table(table: McsTable, path) -> None:
-    with atomic_write(path, newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["min_snr_db", "mcs_level", "ru_per_20_bytes"])
-        for row in table.rows:
-            writer.writerow([repr(row.min_snr_db), row.mcs_level, row.ru_per_20_bytes])
+    write_csv(path, MCS_FIELDS, map(astuple, table.rows))
 
 
 @dataclass(frozen=True)
@@ -198,22 +184,6 @@ class LinkResult:
     elevation_deg: float
     slant_range_km: float
     beam_center_distance_km: float
-
-    def as_dict(self) -> dict:
-        return {
-            "antenna_gain_dbi": self.antenna_gain_dbi,
-            "beam_gain_dbi": self.beam_gain_dbi,
-            "fspl_db": self.fspl_db,
-            "snr_db": self.snr_db,
-            "mcs_level": self.mcs_level,
-            "tx_power_dbm": self.tx_power_dbm,
-            "other_losses_db": self.other_losses_db,
-            "noise_power_dbm": self.noise_power_dbm,
-            "mode": self.mode,
-            "elevation_deg": self.elevation_deg,
-            "slant_range_km": self.slant_range_km,
-            "beam_center_distance_km": self.beam_center_distance_km,
-        }
 
 
 def antenna_gain_dbi(epsilon: float, g_t_max: float) -> float:

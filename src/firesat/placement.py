@@ -10,16 +10,14 @@ the budget evenly over vegetated regions.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import read_csv, read_json, write_csv, write_json
 from .errors import ValidationError
 from .fire_model import FireModelParams, ignition_and_miss
 from .grid import RegionGrid
@@ -177,48 +175,47 @@ def biomass_uniform(grid: RegionGrid, budget: int) -> Placement:
     return Placement(tuple(counts.tolist()), budget)
 
 
+PLACEMENT_FIELDS = ["region_id", "n_sensors"]
+
+
 def write_placement_csv(placement: Placement, path) -> None:
-    with atomic_write(path, newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["region_id", "n_sensors"])
-        for i, n in enumerate(placement.counts):
-            writer.writerow([i, n])
+    write_csv(path, PLACEMENT_FIELDS, enumerate(placement.counts))
 
 
 def read_placement_csv(path, budget: int | None = None) -> Placement:
     counts: list[int] = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["region_id", "n_sensors"]:
-            raise ValidationError(f"{path}: expected header region_id,n_sensors")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                rid = int(row["region_id"])
-                n = int(row["n_sensors"])
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{row_no}: {exc}") from exc
-            if rid != len(counts):
-                raise ValidationError(
-                    f"{path}:{row_no}: region ids must be consecutive from 0"
-                )
-            counts.append(n)
-    total = sum(counts)
-    return Placement(tuple(counts), total if budget is None else budget)
+    for row_no, row in read_csv(path, PLACEMENT_FIELDS):
+        try:
+            rid = int(row["region_id"])
+            n = int(row["n_sensors"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{row_no}: {exc}") from exc
+        if rid != len(counts):
+            raise ValidationError(f"{path}:{row_no}: region ids must be consecutive from 0")
+        counts.append(n)
+    try:
+        return Placement(tuple(counts), sum(counts) if budget is None else budget)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_placement_json(placement: Placement, path, scheme: str = "") -> None:
-    payload = {
-        "scheme": scheme,
-        "budget": placement.budget,
-        "deployed": placement.deployed,
-        "counts": list(placement.counts),
-    }
-    with atomic_write(path) as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(
+        path,
+        {
+            "scheme": scheme,
+            "budget": placement.budget,
+            "deployed": placement.deployed,
+            "counts": list(placement.counts),
+        },
+    )
 
 
 def read_placement_json(path) -> Placement:
-    with open(path) as f:
-        payload = json.load(f)
-    return Placement(tuple(payload["counts"]), int(payload["budget"]))
+    payload = read_json(path)
+    try:
+        return Placement(tuple(payload["counts"]), int(payload["budget"]))
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None

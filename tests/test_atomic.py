@@ -6,9 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from firesat import cli
 from firesat import link_budget as lb
-from firesat.atomic import atomic_write
+from firesat.atomic import atomic_write, write_csv, write_json
 from firesat.campaign import (
     CampaignResult,
     CampaignTotals,
@@ -16,6 +15,7 @@ from firesat.campaign import (
     write_campaign_json,
     write_fires_csv,
 )
+from firesat.grid import COLUMNS
 from firesat.ingest import write_fires_catalog_csv, write_regions_csv
 from firesat.placement import write_placement_csv, write_placement_json
 
@@ -30,6 +30,11 @@ def interrupted_after(*items):
     """Iterable that yields `items`, then raises Interrupted."""
     yield from items
     raise Interrupted
+
+
+def failing_column():
+    """Grid column whose values raise Interrupted after the first."""
+    return SimpleNamespace(tolist=lambda: interrupted_after(1.0))
 
 
 def totals() -> CampaignTotals:
@@ -54,8 +59,11 @@ FAILING_WRITES = {
     "write_fires_csv": lambda path: write_fires_csv(
         result(fires=interrupted_after(OUTCOME)), path
     ),
-    "cli._write_json": lambda path: cli._write_json(path, {"a": 1, "b": object()}),
-    "write_regions_csv": lambda path: write_regions_csv(SimpleNamespace(), path),
+    "write_json": lambda path: write_json(path, {"a": 1, "b": object()}),
+    "write_csv": lambda path: write_csv(path, ["a"], interrupted_after([1])),
+    "write_regions_csv": lambda path: write_regions_csv(
+        SimpleNamespace(**{name: failing_column() for name in COLUMNS}), path
+    ),
     "write_fires_catalog_csv": lambda path: write_fires_catalog_csv(
         interrupted_after(), path
     ),
@@ -69,7 +77,7 @@ FAILING_WRITES = {
 def test_failed_write_keeps_old_file(tmp_path, writer):
     path = tmp_path / "out.csv"
     path.write_text(OLD)
-    with pytest.raises(Exception):
+    with pytest.raises((Interrupted, TypeError)):  # a deleted writer's AttributeError fails
         FAILING_WRITES[writer](path)
     assert path.read_text() == OLD
     assert os.listdir(tmp_path) == ["out.csv"]

@@ -250,6 +250,28 @@ class TestRunCampaign:
         r_big = run_campaign(grid, big, catalog, EconomicsParams(), trials=20, seed=3)
         assert r_big.totals.burned_km2 <= r_small.totals.burned_km2
 
+    def test_draw_out_of_memory_is_a_validation_error(self, monkeypatch):
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError
+
+        grid = small_grid()
+        catalog = self.make_catalog(grid, grid.frame)
+        monkeypatch.setattr(np, "empty", no_memory)
+        with pytest.raises(ValidationError, match="^out of memory for 48 sensors: .* 768 bytes$"):
+            run_campaign(grid, Placement((3,) * 16, 48), catalog, EconomicsParams(), trials=2)
+
+    def test_gather_out_of_memory_is_a_validation_error(self, monkeypatch):
+        class NoGather(np.ndarray):
+            def __getitem__(self, key):
+                raise MemoryError
+
+        empty = np.empty
+        grid = small_grid()
+        catalog = self.make_catalog(grid, grid.frame)
+        monkeypatch.setattr(np, "empty", lambda shape: empty(shape).view(NoGather))
+        with pytest.raises(ValidationError, match="^out of memory for 48 sensors: "):
+            run_campaign(grid, Placement((3,) * 16, 48), catalog, EconomicsParams(), trials=2)
+
     def test_writers(self, tmp_path):
         grid = small_grid()
         frame = grid.frame

@@ -1,6 +1,8 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from firesat.cli import main
@@ -183,6 +185,60 @@ class TestSimulate:
         assert not list(out.glob("fig*.csv"))
 
 
+class TestOutputFormats:
+    """Formats derived from dataclass fields, spelled out here so that a new
+    field changes a gated output only together with this test."""
+
+    def test_campaign_json_and_fires_csv(self, tmp_path):
+        argv = ["--budget", "10", "--trials", "1", "--scheme", "optimized"]
+        assert run("simulate", "--config", CONFIG, "--out", str(tmp_path), *argv) == 0
+        payload = json.loads((tmp_path / "campaign_optimized.json").read_text())
+        assert sorted(payload) == [
+            "budget", "n_fires", "scheme", "seed", "sensors_deployed", "totals", "trials",
+        ]
+        assert sorted(payload["totals"]) == [
+            "bandwidth_cost_usd",
+            "baseline_burned_km2",
+            "baseline_carbon_ton",
+            "burned_km2",
+            "carbon_reduction_ton",
+            "carbon_revenue_usd",
+            "carbon_ton",
+            "device_cost_usd",
+            "savings_usd",
+        ]
+        header = (tmp_path / "fires_optimized.csv").read_text().splitlines()[0]
+        assert header.split(",") == [
+            "fire_id",
+            "region_id",
+            "recorded_area_km2",
+            "detection_rate",
+            "detection_time_h",
+            "burned_km2",
+            "carbon_ton",
+        ]
+
+    def test_linkbudget_json(self, tmp_path):
+        argv = ["--lat", "36.0", "--lon", "-119.0"]
+        assert run("linkbudget", "--config", CONFIG, "--out", str(tmp_path), *argv) == 0
+        payload = json.loads((tmp_path / "linkbudget.json").read_text())
+        for mode in ("linear", "db_scaled"):
+            assert sorted(payload[mode]) == [
+                "antenna_gain_dbi",
+                "beam_center_distance_km",
+                "beam_gain_dbi",
+                "elevation_deg",
+                "fspl_db",
+                "mcs_level",
+                "mode",
+                "noise_power_dbm",
+                "other_losses_db",
+                "slant_range_km",
+                "snr_db",
+                "tx_power_dbm",
+            ]
+
+
 class TestReport:
     def test_aggregates_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -318,6 +374,22 @@ class TestNoTraceback:
         config = bad if name.endswith(".cfg") else self.config_with(tmp_path, **{name: bad})
         assert run(*argv, "--config", str(config), "--out", str(tmp_path / "out")) == 2
         assert f"error: {bad}: cannot decode as text" in capsys.readouterr().err
+
+    def test_campaign_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        empty = np.empty
+
+        def bounded_empty(shape, *args, **kwargs):
+            # Refuses what the real call could only overcommit, never allocating it.
+            if math.prod(np.atleast_1d(shape).tolist()) > 10**8:
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", bounded_empty)
+        argv = ["--budget", "1000000000000", "--trials", "1", "--scheme", "uniform"]
+        assert run("simulate", "--config", CONFIG, "--out", str(tmp_path), *argv) == 2
+        err = capsys.readouterr().err
+        assert "error: out of memory for 1000000000000 sensors: " in err
+        assert "needs 16000000000000 bytes" in err
 
     @pytest.mark.parametrize("command", ["plan", "simulate"])
     def test_overflowing_deadline_exits_3(self, tmp_path, capsys, command):

@@ -1,5 +1,6 @@
-"""The package's import layering: the region grid sits below every model
-module, and only the entry points import the campaign."""
+"""The package's layering: the region grid sits below every model module,
+only the entry points import the campaign, and only `atomic` writes or
+reads CSV and JSON itself."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,23 @@ def test_grid_imports_only_errors_and_geo():
 def test_only_entry_points_import_campaign():
     importers = {p.stem for p in PACKAGE.glob("*.py") if "campaign" in package_imports(p)}
     assert importers == {"cli", "__init__"}
+
+
+def data_file_calls(path: Path) -> set[str]:
+    """The data-file primitives a source file names, imported or dotted."""
+    primitives = {"csv.writer", "csv.DictReader", "json.dump", "atomic_write"}
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            named.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(f"{node.module}.{alias.name}" for alias in node.names)
+            named.update(alias.name for alias in node.names)
+    return named & primitives
+
+
+def test_only_atomic_writes_and_reads_data_files():
+    users = {p.stem for p in PACKAGE.glob("*.py") if data_file_calls(p)}
+    assert users == {"atomic"}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -332,3 +333,23 @@ class TestSerialization:
         path.write_text("region_id,n_sensors\n0,1\n2,1\n")
         with pytest.raises(ValidationError):
             read_placement_csv(path)
+
+    @pytest.mark.parametrize(
+        "name, body",
+        [
+            pytest.param("bad.json", b'{"budget": 3, ', id="truncated-json"),
+            pytest.param("bad.json", b"[1, 2]", id="top-level-list"),
+            pytest.param("bad.json", b'{"counts": [1, 2]}', id="missing-budget"),
+            pytest.param("bad.json", b'{"budget": 3, "counts": 7}', id="counts-not-a-list"),
+            pytest.param("bad.json", b"\xff\xfe{}", id="undecodable-json"),
+            pytest.param("bad.csv", b"\xff\xferegion_id,n_sensors\n0,1\n", id="undecodable-csv"),
+            pytest.param("bad.csv", b"region,n\n0,1\n", id="wrong-csv-header"),
+            pytest.param("bad.csv", b"region_id,n_sensors\n0,-1\n", id="negative-csv-count"),
+        ],
+    )
+    def test_bad_file_is_a_validation_error_naming_it(self, tmp_path, name, body):
+        path = tmp_path / name
+        path.write_bytes(body)
+        read = read_placement_json if name.endswith(".json") else read_placement_csv
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
+            read(path)
