@@ -117,86 +117,69 @@ def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid) -> list[FireRe
     return records
 
 
-# Rows that one block of fires gathers from a trial's draw; blocks hold whole
-# fires, so a fire with more candidate rows makes a larger block.
+# About how many rows of a trial's draw the gather kernel takes at a time.
 _BLOCK_ROWS = 8192
+# Slack, in km, on the distance within which phase 2 looks for a nearer
+# sensor. Sensor positions and cell gaps carry absolute rounding errors near
+# 1e-13 km, far below it.
+_SLACK_KM = 1e-6
 
 
 def _candidate_cells(frame: GridFrame, fire_xy: np.ndarray, r_max: float):
     """Per fire, the cells whose square reaches within r_max of its point.
 
-    Returns (gap_sq, biomass, cells): row i of gap_sq holds fire i's squared
-    distances to its candidate squares, as GridFrame.intersecting_mask
-    computes them, padded with inf; row i of biomass holds those cells'
-    biomass, padded with 0; cells[i] lists the cells in ascending order.
+    Returns (gap_sq, cells): row i holds fire i's candidate cells in
+    ascending order and their squared gaps, as GridFrame.cells_within
+    computes them; rows are padded with gap inf and cell -1.
     """
     reach = r_max * (1.0 + 1e-9)
-    cells, gaps = [], []
-    for x, y in fire_xy.tolist():
-        gap = frame.gap_sq(x, y)
-        cells.append(np.flatnonzero(gap <= reach * reach))
-        gaps.append(gap[cells[-1]])
-    width = max([1] + [len(c) for c in cells])
-    gap_sq = np.full((len(cells), width), np.inf)
-    biomass = np.zeros((len(cells), width))
-    for i, c in enumerate(cells):
-        gap_sq[i, : len(c)] = gaps[i]
-        biomass[i, : len(c)] = frame.biomass[c]
-    return gap_sq, biomass, cells
+    found = [frame.cells_within(x, y, reach) for x, y in fire_xy.tolist()]
+    width = max([1] + [len(c) for c, _ in found])
+    gap_sq = np.full((len(found), width), np.inf)
+    cells = np.full((len(found), width), -1)
+    for i, (c, gap) in enumerate(found):
+        gap_sq[i, : len(c)] = gap
+        cells[i, : len(c)] = c
+    return gap_sq, cells
 
 
-class _Block(NamedTuple):
-    """Whole fires whose candidate sensors a trial gathers in one array.
+class _Pairs(NamedTuple):
+    """(fire, candidate cell with sensors) pairs in fire order: pair p covers
+    rows[p] rows of a trial's draw from row first[p], for the cell centred at
+    center[p] whose square lies gap_sq[p] (squared) from fire fire[p] at xy[p]."""
 
-    The array holds `size` rows: one run per (fire, candidate cell with
-    sensors) pair, in fire order. Pair p's run has rows[p] rows, its k-th row
-    is row shift[p] + k of the trial's draw (k counted over the whole array),
-    and it is offset by the cell's center[p] and the fire's xy[p]. The runs of
-    fire fires[j] start at row first_row[j].
-    """
-
-    fires: np.ndarray
-    first_row: np.ndarray
-    size: int
-    shift: np.ndarray
+    fire: np.ndarray
+    gap_sq: np.ndarray
+    first: np.ndarray
     rows: np.ndarray
     center: np.ndarray
     xy: np.ndarray
 
+    def take(self, keep: np.ndarray) -> _Pairs:
+        return _Pairs(*(a[keep] for a in self))
 
-def _scan_blocks(
-    cells: list[np.ndarray], counts: np.ndarray, centers: np.ndarray, fire_xy: np.ndarray
-) -> list[_Block]:
-    """The fires with sensors in their candidate cells, in blocks of about
-    _BLOCK_ROWS rows."""
-    ends = np.cumsum(counts)
-    occupied = [(i, c[counts[c] > 0]) for i, c in enumerate(cells)]
-    occupied = [(i, c) for i, c in occupied if len(c)]
-    blocks = []
-    first = size = 0
-    for k, (_, c) in enumerate(occupied):
-        size += int(counts[c].sum())
-        if size < _BLOCK_ROWS and k + 1 < len(occupied):
-            continue
-        group = occupied[first : k + 1]
-        fires = np.array([i for i, _ in group])
-        pairs = [len(c) for _, c in group]
-        pair_cells = np.concatenate([c for _, c in group])
-        rows = counts[pair_cells]
-        pair_row = np.cumsum(rows) - rows
-        blocks.append(
-            _Block(
-                fires=fires,
-                first_row=pair_row[np.cumsum(pairs) - pairs],
-                size=size,
-                shift=ends[pair_cells] - rows - pair_row,
-                rows=rows,
-                center=centers[pair_cells],
-                xy=fire_xy[np.repeat(fires, pairs)],
-            )
-        )
-        first, size = k + 1, 0
-    return blocks
+
+def _lower_nearest(nearest_sq: np.ndarray, unit: np.ndarray, side: float, pairs: _Pairs) -> None:
+    """Lower each fire's nearest_sq to the squared distance of every sensor
+    of its pairs' cells, gathering a chunk of about _BLOCK_ROWS rows of the
+    trial's draw `unit` at a time."""
+    start = np.cumsum(pairs.rows) - pairs.rows
+    # A chunk holds the pairs that start in one span of _BLOCK_ROWS rows.
+    # (np.unique would do too, but its first call imports numpy.ma: 10 ms, 1 MB.)
+    cuts = np.flatnonzero(np.diff(start // _BLOCK_ROWS, prepend=-1)).tolist()
+    for a, b in zip(cuts, cuts[1:] + [len(start)]):
+        rows = pairs.rows[a:b]
+        local = start[a:b] - start[a]
+        rows_of_draw = np.repeat(pairs.first[a:b] - local, rows)
+        rows_of_draw += np.arange(int(local[-1] + rows[-1]))
+        d = unit[rows_of_draw]
+        del rows_of_draw  # freed before the next chunk-sized temporaries
+        d -= 0.5
+        d *= side
+        d += np.repeat(pairs.center[a:b], rows, axis=0)
+        d -= np.repeat(pairs.xy[a:b], rows, axis=0)
+        d *= d
+        np.minimum.at(nearest_sq, pairs.fire[a:b], np.minimum.reduceat(d[:, 0] + d[:, 1], local))
 
 
 def _biomass_means(gap_sq: np.ndarray, biomass: np.ndarray, radius: np.ndarray) -> np.ndarray:
@@ -240,15 +223,15 @@ def run_campaign(
     cannot spread.
 
     A scattered sensor never leaves its cell's square, so only cells whose
-    square reaches within r_max of a fire can detect it. Those candidate
-    cells are found once. Each trial draws the same stream as scatter_sensors,
-    gathers the candidate cells' sensors for a block of fires at a time, and
-    takes each fire's minimum squared distance with one reduction. Positions
-    and squared distances use the same elementwise arithmetic as a KD-tree
-    over all scattered sensors, and a minimum does not depend on order, so
-    the nearest distance matches it bit for bit whenever it is at most r_max.
-    Detection is then resolved for all fires at once; see _biomass_means for
-    why the biomass mean is exact.
+    square reaches within r_max of a fire can detect it; those candidate
+    cells are found once. Each trial draws the same stream as scatter_sensors
+    and gathers in two phases: each fire's occupied candidates at its
+    smallest gap, then only those others whose square lies within the
+    nearest distance found plus _SLACK_KM. Positions and squared distances
+    use the same elementwise arithmetic as a KD-tree over all sensors, and a
+    minimum does not depend on order, so the nearest distance matches it bit
+    for bit whenever it is at most r_max. Detection is then resolved for all
+    fires at once; see _biomass_means for why the biomass mean is exact.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -267,13 +250,22 @@ def run_campaign(
     counts = np.asarray(placement.counts, dtype=np.int64)
     total = int(counts.sum())
 
-    gap_sq, biomass, cells = _candidate_cells(frame, fire_xy, r_max)
-    blocks = _scan_blocks(cells, counts, frame.centers_xy, fire_xy)
+    gap_sq, cells = _candidate_cells(frame, fire_xy, r_max)
+    biomass = np.where(cells >= 0, frame.biomass[cells], 0.0)
+    # (fire, occupied candidate) pairs; those at the fire's smallest gap go first.
+    occupied = (cells >= 0) & (counts[cells] > 0)
+    fire, k = np.nonzero(occupied)
+    cell = cells[fire, k]
+    rows = counts[cell]
+    pairs = _Pairs(fire, gap_sq[fire, k], np.cumsum(counts)[cell] - rows, rows,
+                   frame.centers_xy[cell], fire_xy[fire])
+    nearest_cell = pairs.gap_sq == np.min(gap_sq, axis=1, initial=np.inf, where=occupied)[fire]
+    first, second = pairs.take(nearest_cell), pairs.take(~nearest_cell)
     # What an undetected fire adds: its catalog record, or nothing when stalled.
     escaped_burned = np.where(stalled, 0.0, [r.burned_km2 for r in baseline])
     escaped_carbon = np.where(stalled, 0.0, [r.carbon_ton for r in baseline])
 
-    nearest_sq = np.full(n_fires, np.inf)  # stays inf for fires in no block
+    nearest_sq = np.full(n_fires, np.inf)
     burned_sum = np.zeros(n_fires)
     carbon_sum = np.zeros(n_fires)
     time_sum = np.zeros(n_fires)
@@ -288,17 +280,13 @@ def run_campaign(
             # The draws scatter_sensors turns into positions; each cell's
             # sensors are the rows after those of all lower-numbered cells.
             np.random.default_rng([seed, trial]).random(out=unit)
-            for fires, first_row, size, shift, rows, center, xy in blocks:
-                rows_of_draw = np.repeat(shift, rows)
-                rows_of_draw += np.arange(size)
-                d = unit[rows_of_draw]
-                del rows_of_draw  # freed before the next block-sized temporaries
-                d -= 0.5
-                d *= frame.side_km
-                d += np.repeat(center, rows, axis=0)
-                d -= np.repeat(xy, rows, axis=0)
-                d *= d
-                nearest_sq[fires] = np.minimum.reduceat(d[:, 0] + d[:, 1], first_row)
+            nearest_sq.fill(np.inf)  # stays inf for fires with no sensor to scan
+            _lower_nearest(nearest_sq, unit, frame.side_km, first)
+            # Only a cell within the nearest distance found so far can hold a
+            # nearer sensor; a fire with none found scans all its cells.
+            reach = np.sqrt(nearest_sq) + _SLACK_KM
+            within = second.gap_sq <= (reach * reach)[second.fire]
+            _lower_nearest(nearest_sq, unit, frame.side_km, second.take(within))
             nearest = np.sqrt(nearest_sq)
             detected = (nearest <= r_max) & ((u_p > 0.0) | (nearest == 0.0))
             hit = np.flatnonzero(detected)
@@ -334,34 +322,24 @@ def run_campaign(
             )
         )
 
-    total_burned = sum(o.burned_km2 for o in outcomes)
-    total_carbon = sum(o.carbon_ton for o in outcomes)
-    base_burned = sum(r.burned_km2 for r in baseline)
     base_carbon = sum(r.carbon_ton for r in baseline)
+    total_carbon = sum(o.carbon_ton for o in outcomes)
     reduction = base_carbon - total_carbon
     revenue = reduction * econ.carbon_price_usd_per_ton
     device_cost = placement.deployed * econ.device_cost_usd
-    savings = revenue - device_cost - econ.bandwidth_cost_usd
     totals = CampaignTotals(
-        burned_km2=total_burned,
+        burned_km2=sum(o.burned_km2 for o in outcomes),
         carbon_ton=total_carbon,
-        baseline_burned_km2=base_burned,
+        baseline_burned_km2=sum(r.burned_km2 for r in baseline),
         baseline_carbon_ton=base_carbon,
         carbon_reduction_ton=reduction,
         carbon_revenue_usd=revenue,
         device_cost_usd=device_cost,
         bandwidth_cost_usd=econ.bandwidth_cost_usd,
-        savings_usd=savings,
+        savings_usd=revenue - device_cost - econ.bandwidth_cost_usd,
     )
-    return CampaignResult(
-        scheme=scheme,
-        seed=seed,
-        trials=trials,
-        budget=placement.budget,
-        sensors_deployed=placement.deployed,
-        fires=tuple(outcomes),
-        totals=totals,
-    )
+    return CampaignResult(scheme=scheme, seed=seed, trials=trials, budget=placement.budget,
+                          sensors_deployed=placement.deployed, fires=tuple(outcomes), totals=totals)
 
 
 def campaign_summary_dict(result: CampaignResult) -> dict:

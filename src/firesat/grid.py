@@ -109,16 +109,21 @@ class GridFrame:
         )
 
     def locate(self, p: GeoPoint) -> int:
-        """Index of the cell containing p; ValidationError when outside the grid."""
+        """Index of the cell containing p; ValidationError when outside the grid.
+
+        The cell with the nearest centre, lowest index on ties. A centre that
+        passes the test lies within (side/2 + 1e-9) * sqrt(2) of p, so the
+        x-band of that half-width, plus rounding slack, holds the nearest one.
+        """
         x, y = self.project(p)
-        dx = self.centers_xy[:, 0] - x
-        dy = self.centers_xy[:, 1] - y
-        idx = int(np.argmin(dx * dx + dy * dy))
-        cx, cy = self.centers_xy[idx]
         half = self.side_km / 2.0 + 1e-9
-        if abs(x - cx) > half or abs(y - cy) > half:
+        cells = self._x_band(x, half * math.sqrt(2.0) * (1.0 + 1e-9) + 1e-9)
+        dx = self.centers_xy[cells, 0] - x
+        dy = self.centers_xy[cells, 1] - y
+        k = int(np.argmin(dx * dx + dy * dy)) if len(cells) else -1
+        if k < 0 or abs(dx[k]) > half or abs(dy[k]) > half:
             raise ValidationError(f"point ({p.lat}, {p.lon}) lies outside the region grid")
-        return idx
+        return int(cells[k])
 
     def rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
         """Row/column indices of each cell, ranked south-to-north / west-to-east."""
@@ -128,23 +133,36 @@ class GridFrame:
         _, cols = np.unique(x, return_inverse=True)
         return rows, cols
 
-    def gap_sq(self, cx: float, cy: float) -> np.ndarray:
-        """Squared distance from (cx, cy) to each cell's square, 0 inside it."""
-        half = self.side_km / 2.0
-        ddx = np.maximum(np.abs(self.centers_xy[:, 0] - cx) - half, 0.0)
-        ddy = np.maximum(np.abs(self.centers_xy[:, 1] - cy) - half, 0.0)
-        return ddx * ddx + ddy * ddy
+    @cached_property
+    def _x_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell indices sorted by centre x, and the sorted x values."""
+        order = np.argsort(self.centers_xy[:, 0])
+        return order, self.centers_xy[order, 0]
 
-    def intersecting_mask(self, cx: float, cy: float, radius: float) -> np.ndarray:
-        """Boolean mask of cells whose square intersects the disk."""
-        return self.gap_sq(cx, cy) <= radius * radius
+    def _x_band(self, x: float, half_width: float) -> np.ndarray:
+        """Cells whose centre x lies within half_width of x, in ascending order."""
+        order, xs = self._x_order
+        lo, hi = np.searchsorted(xs, x - half_width), np.searchsorted(xs, x + half_width, "right")
+        return np.sort(order[lo:hi])
+
+    def cells_within(self, x: float, y: float, reach: float) -> tuple[np.ndarray, np.ndarray]:
+        """Cells whose square lies within `reach` of (x, y), in ascending order,
+        and their squared gaps (0 inside the square), each bit-equal to a scan
+        of all cells. Such a centre lies within reach + side/2 of x, to a few
+        ulp; the x-band adds a relative 1e-9 and 1e-9 km for rounding.
+        """
+        half = self.side_km / 2.0
+        cells = self._x_band(x, (reach + half) * (1.0 + 1e-9) + 1e-9)
+        ddx = np.maximum(np.abs(self.centers_xy[cells, 0] - x) - half, 0.0)
+        ddy = np.maximum(np.abs(self.centers_xy[cells, 1] - y) - half, 0.0)
+        gap_sq = ddx * ddx + ddy * ddy
+        keep = gap_sq <= reach * reach
+        return cells[keep], gap_sq[keep]
 
     def biomass_avg(self, cx: float, cy: float, radius: float) -> float:
         """Mean biomass of the cells whose square intersects the disk."""
-        mask = self.intersecting_mask(cx, cy, radius)
-        if not mask.any():
-            return 0.0
-        return float(self.biomass[mask].mean())
+        cells, _ = self.cells_within(cx, cy, radius)
+        return float(self.biomass[cells].mean()) if len(cells) else 0.0
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,11 @@ class Placement:
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
+        for i, n in enumerate(self.counts):
+            if n < 0:
+                raise ValidationError(f"region {i}: sensor count {n} must be >= 0")
         if self.budget < 0:
             raise ValidationError("budget must be >= 0")
-        if any(n < 0 for n in self.counts):
-            raise ValidationError("sensor counts must be >= 0")
         if sum(self.counts) > self.budget:
             raise ValidationError(
                 f"total sensors {sum(self.counts)} exceed budget {self.budget}"

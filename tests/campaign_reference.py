@@ -1,12 +1,14 @@
-"""Slow references for the campaign's nearest-sensor query and cell lookup.
+"""Slow references for the campaign's nearest-sensor query and cell lookups.
 
 `run_campaign_kdtree` is the campaign loop as it stood before the cell-local
 scan: every trial scatters every sensor, indexes them all in a KD-tree,
 queries it for each fire, and averages biomass over the whole grid for every
-detected or escaped fire. `locate_kdtree` finds the containing cell through a
-KD-tree over the cell centres. `simulate_fire` resolves one fire against
-given sensor positions with the same rule. Property tests check the fast
-paths against these; nothing at runtime imports this module.
+detected or escaped fire. `locate_kdtree` finds the containing cell through
+a KD-tree over the cell centres. `gap_sq`, `intersecting_mask`,
+`biomass_avg_full` and `locate_full` scan every cell, as GridFrame did before
+its x-band lookup. `simulate_fire` resolves one fire against given sensor
+positions with the same rule. Property tests check the fast paths against
+these; nothing at runtime imports this module.
 """
 
 from __future__ import annotations
@@ -29,6 +31,38 @@ from firesat.errors import ValidationError
 from firesat.grid import FireEvent, GridFrame, RegionGrid
 
 
+def gap_sq(frame: GridFrame, cx: float, cy: float) -> np.ndarray:
+    """Squared distance from (cx, cy) to each cell's square, 0 inside it."""
+    half = frame.side_km / 2.0
+    ddx = np.maximum(np.abs(frame.centers_xy[:, 0] - cx) - half, 0.0)
+    ddy = np.maximum(np.abs(frame.centers_xy[:, 1] - cy) - half, 0.0)
+    return ddx * ddx + ddy * ddy
+
+
+def intersecting_mask(frame: GridFrame, cx: float, cy: float, radius: float) -> np.ndarray:
+    """Boolean mask of cells whose square intersects the disk."""
+    return gap_sq(frame, cx, cy) <= radius * radius
+
+
+def biomass_avg_full(frame: GridFrame, cx: float, cy: float, radius: float) -> float:
+    mask = intersecting_mask(frame, cx, cy, radius)
+    if not mask.any():
+        return 0.0
+    return float(frame.biomass[mask].mean())
+
+
+def locate_full(frame: GridFrame, p) -> int:
+    x, y = frame.project(p)
+    dx = frame.centers_xy[:, 0] - x
+    dy = frame.centers_xy[:, 1] - y
+    idx = int(np.argmin(dx * dx + dy * dy))
+    cx, cy = frame.centers_xy[idx]
+    half = frame.side_km / 2.0 + 1e-9
+    if abs(x - cx) > half or abs(y - cy) > half:
+        raise ValidationError(f"point ({p.lat}, {p.lon}) lies outside the region grid")
+    return idx
+
+
 def locate_kdtree(frame: GridFrame, p) -> int:
     x, y = frame.project(p)
     _, idx = cKDTree(frame.centers_xy).query([x, y])
@@ -45,13 +79,13 @@ def _resolve_fire(event, nearest_km, u_p, r_max, frame, fire_xy) -> FireRecord:
     if detected:
         time_h = 0.0 if nearest_km == 0.0 else nearest_km / u_p
         burned = math.pi * nearest_km**2
-        carbon = carbon_emission_ton(burned, frame.biomass_avg(fx, fy, nearest_km))
+        carbon = carbon_emission_ton(burned, biomass_avg_full(frame, fx, fy, nearest_km))
         return FireRecord(True, False, time_h, burned, carbon)
     if u_p == 0.0:
         return FireRecord(False, True, None, 0.0, 0.0)
     burned = event.recorded_area_km2
     radius = math.sqrt(burned / math.pi)
-    carbon = carbon_emission_ton(burned, frame.biomass_avg(fx, fy, radius))
+    carbon = carbon_emission_ton(burned, biomass_avg_full(frame, fx, fy, radius))
     return FireRecord(False, False, None, burned, carbon)
 
 

@@ -1,5 +1,5 @@
-"""The cell-local campaign and the argmin cell lookup against their KD-tree
-references, on random grids, placements and fire catalogs."""
+"""The cell-local campaign and the banded cell lookups against their KD-tree
+and full-scan references, on random grids, placements and fire catalogs."""
 
 import math
 import os
@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import firesat
 from firesat import campaign
-from firesat.campaign import EconomicsParams, baseline_outcomes, run_campaign
+from firesat.campaign import EconomicsParams, baseline_outcomes, run_campaign, scatter_sensors
 from firesat.errors import ValidationError
 from firesat.geo import GeoPoint
 from firesat.grid import KM_PER_DEG_LAT, FireEvent, GridFrame
@@ -21,7 +21,14 @@ from firesat.placement import Placement
 
 from conftest import grid_of
 
-from campaign_reference import locate_kdtree, run_campaign_kdtree
+from campaign_reference import (
+    biomass_avg_full,
+    gap_sq,
+    intersecting_mask,
+    locate_full,
+    locate_kdtree,
+    run_campaign_kdtree,
+)
 
 BASE_LAT, BASE_LON = 36.0, -120.0
 KM_PER_DEG_LON = KM_PER_DEG_LAT * math.cos(math.radians(BASE_LAT))
@@ -31,14 +38,15 @@ PROPERTY = settings(max_examples=300, deadline=None, suppress_health_check=[Heal
 
 @st.composite
 def grids(draw):
-    """Cells laid out square, jittered, or at irregular row/column spacing."""
+    """Cells laid out square, jittered, at irregular row/column spacing, or
+    overlapping (centres closer than a side)."""
     n_rows = draw(st.integers(1, 4))
     n_cols = draw(st.integers(1, 4))
     area = draw(st.floats(1.0, 400.0))
     side = math.sqrt(area)
-    layout = draw(st.sampled_from(["square", "jittered", "irregular"]))
-    if layout == "irregular":
-        gaps = st.floats(0.3, 2.0)
+    layout = draw(st.sampled_from(["square", "jittered", "irregular", "overlapping"]))
+    if layout in ("irregular", "overlapping"):
+        gaps = st.floats(0.3, 2.0) if layout == "irregular" else st.floats(0.2, 0.9)
         ys = np.cumsum([0.0] + [draw(gaps) * side for _ in range(n_rows - 1)])
         xs = np.cumsum([0.0] + [draw(gaps) * side for _ in range(n_cols - 1)])
     else:
@@ -190,6 +198,38 @@ def test_locate_equals_kdtree_reference(data):
     assert got == want
 
 
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValidationError it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as err:
+        return f"ValidationError: {err}"
+
+
+@PROPERTY
+@given(st.data())
+def test_banded_lookups_equal_full_scan(data):
+    """cells_within, biomass_avg and locate scan an x-band of cells; they
+    return what a scan over all cells returns, bit for bit, at points on
+    cell edges and corners and outside the grid, for reaches of 0 to 3 sides
+    and reaches at a cell's own gap."""
+    grid = data.draw(grids())
+    frame = grid.frame
+    x, y = data.draw(points(frame))
+    full = gap_sq(frame, x, y)
+    if data.draw(st.booleans()):
+        reach = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))) * frame.side_km
+    else:
+        reach = math.sqrt(float(full[data.draw(st.integers(0, len(full) - 1))]))
+    cells, gaps = frame.cells_within(x, y, reach)
+    want = np.flatnonzero(full <= reach * reach)
+    assert cells.tolist() == want.tolist()
+    assert gaps.view(np.int64).tolist() == full[want].view(np.int64).tolist()
+    assert frame.biomass_avg(x, y, reach) == biomass_avg_full(frame, x, y, reach)
+    p = frame_point(frame, x, y)
+    assert outcome(frame.locate, p) == outcome(locate_full, frame, p)
+
+
 def test_cli_import_leaves_out_scipy_spatial():
     src = str(Path(firesat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -304,7 +344,7 @@ def test_many_blocks_and_a_fire_with_only_empty_candidates():
             x, y = frame.centers_xy[corner] + rng.uniform(-0.45, 0.45, 2) * side
             catalog.append(FireEvent(len(catalog), frame_point(frame, x, y), corner, 30.0))
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
-    candidates = [frame.intersecting_mask(*frame.project(e.ignition), r_max) for e in catalog]
+    candidates = [intersecting_mask(frame, *frame.project(e.ignition), r_max) for e in catalog]
     assert not np.asarray(counts)[candidates[0]].any()
     assert sum(np.asarray(counts)[c].sum() for c in candidates) > 3 * campaign._BLOCK_ROWS
     fast = run_campaign(grid, placement, catalog, EconomicsParams(), trials=2, seed=9)
@@ -341,3 +381,94 @@ def test_zero_sensor_campaign_equals_baseline(data):
         assert outcome.degenerate == stalled
         assert outcome.burned_km2 == (0.0 if stalled else record.burned_km2)
         assert outcome.carbon_ton == (0.0 if stalled else record.carbon_ton)
+
+
+def nearest_cells(grid, placement, fire, seed, trials):
+    """Per trial, the cell of the sensor nearest to `fire`, from the same
+    positions as scatter_sensors."""
+    owner = np.repeat(np.arange(len(grid)), placement.counts)
+    fx, fy = grid.frame.project(fire.ignition)
+    found = []
+    for trial in range(trials):
+        xy = scatter_sensors(placement, grid, [seed, trial])
+        found.append(int(owner[np.argmin(np.hypot(xy[:, 0] - fx, xy[:, 1] - fy))]))
+    return found
+
+
+def test_neighbour_sensor_nearer_than_the_own_cells():
+    """The fire's own cell holds two sensors, but it lies 0.02 sides from a
+    neighbour with 400, so its nearest sensor is the neighbour's in every
+    trial; only the second phase gathers that cell."""
+    side, seed, trials = 10.0, 5, 4
+    grid = cell_grid([(0, 0), (1, 0)], side)
+    frame = grid.frame
+    west_edge = frame.centers_xy[1, 0] - side / 2.0
+    fire = FireEvent(0, frame_point(frame, west_edge - 0.02 * side, frame.centers_xy[0, 1]), 0, 60.0)
+    assert frame.locate(fire.ignition) == 0
+    placement = Placement((2, 400), budget=402)
+    assert nearest_cells(grid, placement, fire, seed, trials) == [1] * trials
+    fast = run_campaign(grid, placement, [fire], EconomicsParams(), trials=trials, seed=seed)
+    assert fast == run_campaign_kdtree(grid, placement, [fire], EconomicsParams(), trials=trials, seed=seed)
+    assert fast.fires[0].detection_rate == 1.0
+
+
+def test_empty_own_cell_nearest_sensor_in_the_farther_neighbour():
+    """The fire's own cell is empty. Its west neighbour, 0.04 sides away, is
+    the nearest occupied cell but holds one sensor; its north neighbour,
+    0.06 sides away, holds 400 and the nearest sensor in every trial."""
+    side, seed, trials = 10.0, 6, 4
+    grid = cell_grid([(0, 0), (1, 0), (1, 1)], side)
+    frame = grid.frame
+    (wx, _), (ox, oy), (_, ny) = frame.centers_xy
+    fire = FireEvent(0, frame_point(frame, wx + side / 2 + 0.04 * side, ny - side / 2 - 0.06 * side), 1, 60.0)
+    assert frame.locate(fire.ignition) == 1
+    cells, gaps = frame.cells_within(*frame.project(fire.ignition), 0.1 * side)
+    assert cells.tolist() == [0, 1, 2] and gaps[0] < gaps[2]
+    placement = Placement((1, 0, 400), budget=401)
+    assert nearest_cells(grid, placement, fire, seed, trials) == [2] * trials
+    fast = run_campaign(grid, placement, [fire], EconomicsParams(), trials=trials, seed=seed)
+    assert fast == run_campaign_kdtree(grid, placement, [fire], EconomicsParams(), trials=trials, seed=seed)
+    assert fast.fires[0].detection_rate == 1.0
+
+
+def test_fire_on_a_corner_of_four_occupied_cells():
+    """A fire on the corner the four cells share lies in every square, so all
+    four are scanned in the first phase."""
+    side, seed, trials = 10.0, 8, 6
+    grid = cell_grid([(0, 0), (1, 0), (0, 1), (1, 1)], side)
+    frame = grid.frame
+    corner = FireEvent(0, frame_point(frame, *frame.centers_xy.mean(axis=0)), 0, 40.0)
+    assert frame.cells_within(*frame.project(corner.ignition), 0.0)[0].tolist() == [0, 1, 2, 3]
+    placement = Placement((3, 5, 2, 4), budget=14)
+    assert len(set(nearest_cells(grid, placement, corner, seed, trials))) > 1
+    fast = run_campaign(grid, placement, [corner], EconomicsParams(), trials=trials, seed=seed)
+    assert fast == run_campaign_kdtree(grid, placement, [corner], EconomicsParams(), trials=trials, seed=seed)
+
+
+def test_chunks_span_several_blocks_in_both_phases(monkeypatch):
+    """Two fires per cell sit 0.001 sides inside the edge they share with the
+    cell to the north or south, nearer that square than to most of their own
+    cell's 7000 sensors. So both phases gather more than two chunks' rows."""
+    side, seed, trials = 10.0, 12, 2
+    grid = cell_grid([(0, 0), (1, 0), (0, 1), (1, 1)], side)
+    frame = grid.frame
+    catalog = []
+    for cell, (cx, cy) in enumerate(frame.centers_xy):
+        inward = -1.0 if cell >= 2 else 1.0
+        for dx in (-0.2, 0.3):
+            y = cy + inward * (side / 2 - 0.001 * side)
+            catalog.append(FireEvent(len(catalog), frame_point(frame, cx + dx * side, y), cell, 30.0))
+    placement = Placement((7000,) * 4, budget=28000)
+    gathered = []
+    lower = campaign._lower_nearest
+
+    def counting(nearest_sq, unit, side_km, pairs):
+        gathered.append(int(pairs.rows.sum()))
+        lower(nearest_sq, unit, side_km, pairs)
+
+    monkeypatch.setattr(campaign, "_lower_nearest", counting)
+    fast = run_campaign(grid, placement, catalog, EconomicsParams(), trials=trials, seed=seed)
+    monkeypatch.undo()
+    assert len(gathered) == 2 * trials
+    assert min(gathered) > 2 * campaign._BLOCK_ROWS
+    assert fast == run_campaign_kdtree(grid, placement, catalog, EconomicsParams(), trials=trials, seed=seed)

@@ -334,6 +334,14 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             read_placement_csv(path)
 
+    def test_csv_negative_count_is_named_before_the_budget(self, tmp_path):
+        # The budget defaults to the sum of the counts, here -1; the count
+        # itself is the fault.
+        path = tmp_path / "negative.csv"
+        path.write_text("region_id,n_sensors\n0,-1\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: region 0: sensor count -1 must be >= 0$"):
+            read_placement_csv(path)
+
     @pytest.mark.parametrize(
         "name, body",
         [
