@@ -3,7 +3,8 @@
 Every file the package writes goes through `atomic_write`: a temporary file
 that is renamed into place. JSON is indented by 2 with sorted keys and ends
 in a newline; CSV rows end in a bare newline and floats are written by repr,
-so files round-trip losslessly.
+so files round-trip losslessly. CSV is read column-wise, a fixed number of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -12,9 +13,17 @@ import csv
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ValidationError
+
+# Data rows parsed and converted at a time: bounds the row strings alive at
+# once, which parsing a whole file at once would hold all together.
+_CHUNK_ROWS = 1024
 
 
 @contextmanager
@@ -64,15 +73,122 @@ def read_json(path) -> dict:
     return payload
 
 
-def read_csv(path, header: list[str]):
-    """(row number, row dict) of each data row of a CSV whose header is `header`."""
+@dataclass(frozen=True)
+class CsvColumns:
+    """Typed columns of a CSV's data rows, up to the first row that breaks
+    the header's width or its field types.
+
+    An int field gives a list of ints, a float field a float64 array. The
+    breaking row's error waits in `error`, and `head` holds that row's values
+    before its bad field, so that a caller checking rows of its own reports
+    a fault in an earlier row first: the first offending row wins. `lines`
+    holds the physical line each data row starts on, the breaking row's last.
+    """
+
+    path: object
+    columns: tuple
+    error: ValidationError | None
+    head: tuple
+    lines: np.ndarray
+
+    def rows(self):
+        """Each row's values as Python ints and floats."""
+        return zip(*(c if isinstance(c, list) else c.tolist() for c in self.columns))
+
+    def line(self, row: int) -> int:
+        """Physical line on which data row `row` starts."""
+        return int(self.lines[row])
+
+    def raise_error(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def read_csv(path, header: list[str], types: tuple, malformed: str = "") -> CsvColumns:
+    """Columns of a CSV whose header is `header`, each converted by its type
+    in `types` (int or float).
+
+    Blank lines hold no row. The first row whose field count differs from the
+    header's, or whose field its type rejects, ends the columns; its error
+    names the line it starts on, and a rejected field's message follows
+    `malformed`.
+    """
+    parts: list[list] = [[] for _ in types]
+    lines: list[np.ndarray] = []
+    error, head = None, ()
     try:
         with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames != header:
+            reader = csv.reader(f)
+            try:
+                fieldnames = next(reader, None)
+            except csv.Error as exc:
+                raise ValidationError(f"{path}:1: {exc}") from None
+            if fieldnames != header:
                 raise ValidationError(
-                    f"{path}: expected header {','.join(header)}, got {reader.fieldnames}"
+                    f"{path}: expected header {','.join(header)}, got {fieldnames}"
                 )
-            yield from enumerate(reader, start=2)
+            start = reader.line_num + 1  # line on which the next record starts
+            while True:
+                chunk_start = start
+                rows: list[list[str]] = []
+                starts: list[int] = []
+                try:
+                    for fields in islice(reader, _CHUNK_ROWS):
+                        if fields:
+                            rows.append(fields)
+                            starts.append(start)
+                        start = reader.line_num + 1
+                except UnicodeDecodeError as exc:
+                    error = ValidationError(f"{path}: cannot decode as text: {exc}")
+                except csv.Error as exc:
+                    error = ValidationError(f"{path}:{start}: {exc}")
+                try:
+                    chunk = _columns(rows, types)
+                except ValueError:
+                    bad, head, text = _first_bad_row(rows, types, malformed)
+                    error = ValidationError(f"{path}:{starts[bad]}: {text}")
+                    start = starts[bad]
+                    del rows[bad:], starts[bad:]
+                    chunk = _columns(rows, types)
+                for part, column in zip(parts, chunk):
+                    part.append(column)
+                lines.append(np.array(starts, dtype=np.int64))
+                if error is not None:
+                    lines.append(np.array([start], dtype=np.int64))
+                    break
+                if start == chunk_start:  # no record left: end of file
+                    break
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: cannot decode as text: {exc}") from None
+    columns = tuple(
+        list(chain.from_iterable(part)) if t is int
+        else np.concatenate(part) if part else np.empty(0)
+        for t, part in zip(types, parts)
+    )
+    return CsvColumns(path, columns, error, head, np.concatenate(lines))
+
+
+def _columns(rows: list[list[str]], types: tuple) -> list:
+    """`rows` transposed and converted (no columns for no rows); ValueError if
+    a row's width or a field is wrong."""
+    if set(map(len, rows)) - {len(types)}:
+        raise ValueError("field count")
+    return [
+        list(map(t, column)) if t is int else np.fromiter(map(t, column), np.float64, len(rows))
+        for t, column in zip(types, zip(*rows))
+    ]
+
+
+def _first_bad_row(rows: list[list[str]], types: tuple, malformed: str):
+    """Index of the first row of `rows` that `_columns` rejects, its values
+    before the bad field, and the error text."""
+    for i, row in enumerate(rows):
+        if len(row) != len(types):
+            return i, (), f"expected {len(types)} fields, got {len(row)}"
+        head = []
+        try:
+            for t, value in zip(types, row):
+                head.append(t(value))
+        except ValueError as exc:
+            return i, tuple(head), f"{malformed}{exc}"
+    raise AssertionError("no bad row")

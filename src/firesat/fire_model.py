@@ -18,8 +18,18 @@ from .errors import NumericError, ValidationError
 from .grid import RegionGrid
 
 
-def _clamp01(x: float) -> float:
-    return max(0.0, min(1.0, x))
+def _clamp01(x: np.ndarray) -> np.ndarray:
+    """max(0.0, min(1.0, x)) elementwise as Python evaluates it: -0.0 gives
+    0.0 and NaN gives 1.0, where np.clip would keep both."""
+    x = np.where(x < 1.0, x, 1.0)
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _ramp(x: np.ndarray, low: float, up: float) -> np.ndarray:
+    """(x - low) / (up - low) clamped to [0, 1]. A tiny span overflows the
+    ratio to inf, as Python floats do, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _clamp01((x - low) / (up - low))
 
 
 @dataclass(frozen=True)
@@ -49,50 +59,79 @@ class FireModelParams:
             raise ValidationError("require beta_e > 0")
 
 
-def p_biomass(b: float, params: FireModelParams) -> float:
+def biomass_factor(b: np.ndarray, params: FireModelParams) -> np.ndarray:
     """Biomass factor: linear ramp between the lower and upper thresholds."""
-    return _clamp01((b - params.b_low) / (params.b_up - params.b_low))
+    return _ramp(b, params.b_low, params.b_up)
+
+
+def moisture_factor(theta: np.ndarray, params: FireModelParams) -> np.ndarray:
+    """Soil moisture factor: collapses as root-zone wetness approaches field capacity."""
+    beta_root = _ramp(theta, params.theta_wilt, params.theta_field)
+    with np.errstate(over="ignore"):  # a tiny beta_e: tanh(inf) is 1.0
+        x = 1.75 * beta_root / params.beta_e
+    # math.tanh and Python's ** differ from numpy's in the last bit.
+    tanh_sq = [math.tanh(v) ** 2 for v in x.tolist()]
+    return 1.0 - np.array(tanh_sq, dtype=np.float64)
+
+
+def lightning_human_factor(
+    l: np.ndarray, p_human: np.ndarray, params: FireModelParams
+) -> np.ndarray:
+    """Lightning/human factor; reduces to p_human where there is no lightning."""
+    if not np.all((0.0 <= p_human) & (p_human <= 1.0)):
+        raise ValidationError("p_human outside [0, 1]")
+    beta_l = _ramp(l, params.l_low, params.l_up)
+    # math.exp differs from numpy's in the last bit.
+    e = np.array([math.exp(x) for x in (1.5 - 6.0 * beta_l).tolist()], dtype=np.float64)
+    ignition = beta_l / (beta_l + e)
+    return np.where(beta_l == 0.0, p_human, ignition + (1.0 - ignition) * p_human)
+
+
+def ignition_columns(
+    biomass: np.ndarray,
+    soil_moisture: np.ndarray,
+    lightning: np.ndarray,
+    p_human: np.ndarray,
+    params: FireModelParams,
+) -> np.ndarray:
+    """Product of the biomass, moisture, and lightning/human factors, elementwise."""
+    return (
+        biomass_factor(biomass, params)
+        * moisture_factor(soil_moisture, params)
+        * lightning_human_factor(lightning, p_human, params)
+    )
+
+
+def _at(factor, *values: float, params: FireModelParams) -> float:
+    """A column-form factor evaluated on one element."""
+    return float(factor(*(np.array([v], dtype=np.float64) for v in values), params)[0])
+
+
+def p_biomass(b: float, params: FireModelParams) -> float:
+    """`biomass_factor` of one value."""
+    return _at(biomass_factor, b, params=params)
 
 
 def p_moisture(theta: float, params: FireModelParams) -> float:
-    """Soil moisture factor: collapses as root-zone wetness approaches field capacity."""
-    beta_root = _clamp01((theta - params.theta_wilt) / (params.theta_field - params.theta_wilt))
-    return 1.0 - math.tanh(1.75 * beta_root / params.beta_e) ** 2
+    """`moisture_factor` of one value."""
+    return _at(moisture_factor, theta, params=params)
 
 
 def p_lightning_human(l: float, p_human: float, params: FireModelParams) -> float:
-    """Lightning/human factor; reduces to p_human when there is no lightning."""
-    if not 0.0 <= p_human <= 1.0:
-        raise ValidationError("p_human outside [0, 1]")
-    beta_l = _clamp01((l - params.l_low) / (params.l_up - params.l_low))
-    if beta_l == 0.0:
-        return p_human
-    ignition = beta_l / (beta_l + math.exp(1.5 - 6.0 * beta_l))
-    return ignition + (1.0 - ignition) * p_human
+    """`lightning_human_factor` of one value."""
+    return _at(lightning_human_factor, l, p_human, params=params)
 
 
 def p_ignition(
     biomass: float, soil_moisture: float, lightning: float, p_human: float, params: FireModelParams
 ) -> float:
-    """Product of the biomass, moisture, and lightning/human factors of one region."""
-    return (
-        p_biomass(biomass, params)
-        * p_moisture(soil_moisture, params)
-        * p_lightning_human(lightning, p_human, params)
-    )
+    """`ignition_columns` of one region."""
+    return _at(ignition_columns, biomass, soil_moisture, lightning, p_human, params=params)
 
 
-def ignition_probabilities(grid: RegionGrid, params: FireModelParams) -> list[float]:
+def ignition_probabilities(grid: RegionGrid, params: FireModelParams) -> np.ndarray:
     """p_ignition of every region, in region order."""
-    return [
-        p_ignition(b, theta, l, ph, params)
-        for b, theta, l, ph in zip(
-            grid.biomass.tolist(),
-            grid.soil_moisture.tolist(),
-            grid.lightning.tolist(),
-            grid.p_human.tolist(),
-        )
-    ]
+    return ignition_columns(grid.biomass, grid.soil_moisture, grid.lightning, grid.p_human, params)
 
 
 def burned_area_km2(spread_rate: float, t: float) -> float:
@@ -166,7 +205,7 @@ def ignition_and_miss(
             max(0.0, area - burned_area_km2(u, t)) / area
             for u in grid.spread_rate.tolist()
         ]
-        columns = (np.array(ignition_probabilities(grid, params)), np.array(q))
+        columns = (ignition_probabilities(grid, params), np.array(q))
         for column in columns:
             column.flags.writeable = False
         grid.memo[key] = columns

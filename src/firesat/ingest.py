@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .atomic import read_csv, write_csv
+from .atomic import CsvColumns, read_csv, write_csv
 from .errors import ValidationError
 from .geo import GeoPoint
 from .grid import COLUMNS, FireEvent, RegionGrid
@@ -21,27 +21,32 @@ FIRE_FIELDS = ["fire_id", "lat", "lon", "recorded_area_km2"]
 
 def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
     """Load a region grid from CSV; ids must cover 0..N-1 exactly once."""
-    rows: dict[int, list[float]] = {}
-    for row_no, row in read_csv(path, REGION_FIELDS):
-        try:
-            rid = int(row["id"])
-            values = [float(row[name]) for name in COLUMNS]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{row_no}: malformed row: {exc}") from exc
-        if rid in rows:
-            raise ValidationError(f"{path}:{row_no}: duplicate region id {rid}")
-        rows[rid] = values
-    if not rows:
-        raise ValidationError(f"{path}: no region rows found")
-    n = len(rows)
-    missing = [i for i in range(n) if i not in rows]
-    if missing:
-        raise ValidationError(f"{path}: region ids not contiguous; missing {missing[:5]}")
-    columns = np.array([rows[i] for i in range(n)]).T
+    table = read_csv(path, REGION_FIELDS, (int,) + (float,) * len(COLUMNS), "malformed row: ")
+    order = _region_order(path, table)
+    columns = [column[order] for column in table.columns[1:]]
     try:
         return RegionGrid(**dict(zip(COLUMNS, columns)), cell_area_km2=cell_area_km2)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _region_order(path, table: CsvColumns) -> np.ndarray:
+    """Row of each region id from 0 up; an earlier row's fault is raised first."""
+    row_of: dict[int, int] = {}
+    for row, rid in enumerate(table.columns[0]):
+        if row_of.setdefault(rid, row) != row:
+            raise ValidationError(f"{path}:{table.line(row)}: duplicate region id {rid}")
+    table.raise_error()
+    n = len(row_of)
+    if not n:
+        raise ValidationError(f"{path}: no region rows found")
+    try:
+        return np.fromiter(map(row_of.__getitem__, range(n)), np.intp, n)
+    except KeyError:
+        missing = [i for i in range(n) if i not in row_of]
+        raise ValidationError(
+            f"{path}: region ids not contiguous; missing {missing[:5]}"
+        ) from None
 
 
 def write_regions_csv(grid: RegionGrid, path) -> None:
@@ -51,25 +56,30 @@ def write_regions_csv(grid: RegionGrid, path) -> None:
 
 def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
     """Load a fire catalog; each ignition is assigned to its containing cell."""
+    table = read_csv(path, FIRE_FIELDS, (int, float, float, float), "malformed row: ")
     frame = grid.frame
     events: list[FireEvent] = []
     seen: set[int] = set()
-    for row_no, row in read_csv(path, FIRE_FIELDS):
+
+    def point(row: int, lat: float, lon: float) -> GeoPoint:
         try:
-            fid = int(row["fire_id"])
-            point = GeoPoint(float(row["lat"]), float(row["lon"]))
-            area = float(row["recorded_area_km2"])
+            return GeoPoint(lat, lon)
         except ValidationError as exc:
-            raise ValidationError(f"{path}:{row_no}: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{row_no}: malformed row: {exc}") from exc
+            raise ValidationError(f"{path}:{table.line(row)}: {exc}") from exc
+
+    for row, (fid, lat, lon, area) in enumerate(table.rows()):
+        ignition = point(row, lat, lon)
         if fid in seen:
-            raise ValidationError(f"{path}:{row_no}: duplicate fire id {fid}")
+            raise ValidationError(f"{path}:{table.line(row)}: duplicate fire id {fid}")
         seen.add(fid)
         try:
-            events.append(FireEvent(fid, point, frame.locate(point), area))
+            events.append(FireEvent(fid, ignition, frame.locate(ignition), area))
         except ValidationError as exc:
-            raise ValidationError(f"{path}:{row_no}: {exc}") from exc
+            raise ValidationError(f"{path}:{table.line(row)}: {exc}") from exc
+    if len(table.head) == FIRE_FIELDS.index("recorded_area_km2"):
+        # Only the area was bad: a row's point is checked before its area is read.
+        point(len(events), *table.head[1:])
+    table.raise_error()
     return events
 
 

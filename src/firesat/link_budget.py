@@ -149,14 +149,14 @@ DEFAULT_MCS_TABLE = McsTable(
 
 
 def load_mcs_table(path) -> McsTable:
+    table = read_csv(path, MCS_FIELDS, (float, int, int))
     rows = []
-    for row_no, row in read_csv(path, MCS_FIELDS):
+    for row, values in enumerate(table.rows()):
         try:
-            rows.append(
-                McsRow(float(row["min_snr_db"]), int(row["mcs_level"]), int(row["ru_per_20_bytes"]))
-            )
-        except (TypeError, ValueError, ValidationError) as exc:
-            raise ValidationError(f"{path}:{row_no}: {exc}") from exc
+            rows.append(McsRow(*values))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{table.line(row)}: {exc}") from exc
+    table.raise_error()
     return McsTable(tuple(rows))
 
 

@@ -184,16 +184,14 @@ def write_placement_csv(placement: Placement, path) -> None:
 
 
 def read_placement_csv(path, budget: int | None = None) -> Placement:
-    counts: list[int] = []
-    for row_no, row in read_csv(path, PLACEMENT_FIELDS):
-        try:
-            rid = int(row["region_id"])
-            n = int(row["n_sensors"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{row_no}: {exc}") from exc
-        if rid != len(counts):
-            raise ValidationError(f"{path}:{row_no}: region ids must be consecutive from 0")
-        counts.append(n)
+    table = read_csv(path, PLACEMENT_FIELDS, (int, int))
+    ids, counts = table.columns
+    for row, rid in enumerate(ids):
+        if rid != row:
+            raise ValidationError(
+                f"{path}:{table.line(row)}: region ids must be consecutive from 0"
+            )
+    table.raise_error()
     try:
         return Placement(tuple(counts), sum(counts) if budget is None else budget)
     except ValidationError as exc:

@@ -47,6 +47,13 @@ def device() -> DeviceConfig:
     )
 
 
+def sample_config_text() -> str:
+    """The sample config, reading the packaged MCS table and the regions.csv
+    and fires.csv beside the file it is written to."""
+    text = (DATA_DIR / "sample_config.cfg").read_text()
+    return text.replace("= mcs_table.csv", f"= {DATA_DIR / 'mcs_table.csv'}")
+
+
 def region_for(
     idx: int,
     p_ign: float,

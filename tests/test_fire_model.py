@@ -1,12 +1,20 @@
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from firesat import fire_model
 from firesat.errors import NumericError, ValidationError
 from firesat.fire_model import (
     FireModelParams,
+    biomass_factor,
     burned_area_km2,
     ignition_and_miss,
+    ignition_columns,
+    ignition_probabilities,
+    lightning_human_factor,
+    moisture_factor,
     p_biomass,
     p_detection,
     p_ignition,
@@ -14,9 +22,11 @@ from firesat.fire_model import (
     p_moisture,
     system_utility,
 )
+from firesat.ingest import ingest_regions
 from firesat.placement import Placement
 
-from conftest import TEST_PARAMS, grid_from, region_for
+import fire_model_reference as ref
+from conftest import DATA_DIR, TEST_PARAMS, grid_from, region_for
 
 probs = st.floats(0.0, 1.0)
 
@@ -240,3 +250,99 @@ def test_placement_type_invariants():
         Placement((-1, 0), budget=5)
     p = Placement((2, 3), budget=5)
     assert p.deployed == 5
+
+
+# The column form against the scalar reference, bit for bit: values at, just
+# beside and between the thresholds, signed zeros and subnormals.
+TINY = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308)
+
+
+def near(*anchors: float):
+    anchor = st.sampled_from(anchors + TINY)
+    return st.one_of(
+        anchor,
+        anchor.map(lambda x: math.nextafter(x, math.inf)),
+        anchor.map(lambda x: math.nextafter(x, -math.inf)),
+        st.floats(-1.0, 3.0),
+    )
+
+
+@st.composite
+def model_params(draw):
+    def pair(lo, hi):
+        # A lower threshold of 0.0 turns -0.0 and tiny negative inputs into -0.0;
+        # a span of one ulp overflows the ramp's ratio to inf.
+        a = draw(st.one_of(st.just(0.0), st.floats(lo, hi)))
+        up = draw(st.floats(a, a + (hi - lo), exclude_min=True))
+        return a, draw(st.sampled_from([up, math.nextafter(a, math.inf)]))
+
+    b_low, b_up = pair(0.0, 2.0)
+    theta_wilt, theta_field = pair(-0.2, 1.0)
+    l_low, l_up = pair(0.0, 2.0)
+    beta_e = draw(st.one_of(st.floats(0.01, 2.0), st.sampled_from([5e-324, 2.2250738585072014e-308])))
+    return FireModelParams(theta_wilt, theta_field, b_low, b_up, beta_e, l_low, l_up)
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def scalar_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_column_form_matches_scalar_reference(data):
+    params = data.draw(st.one_of(st.just(TEST_PARAMS), model_params()))
+    n = data.draw(st.integers(1, 6))
+    b = data.draw(st.lists(near(params.b_low, params.b_up), min_size=n, max_size=n))
+    theta = data.draw(
+        st.lists(near(params.theta_wilt, params.theta_field), min_size=n, max_size=n)
+    )
+    l = data.draw(st.lists(near(params.l_low, params.l_up), min_size=n, max_size=n))
+    ph = data.draw(
+        st.lists(st.one_of(near(1.0), st.floats(0.0, 1.0)), min_size=n, max_size=n)
+    )
+    columns = [np.array(c, dtype=np.float64) for c in (b, theta, l, ph)]
+
+    assert bits(biomass_factor(columns[0], params)) == bits(ref.p_biomass(x, params) for x in b)
+    assert bits(moisture_factor(columns[1], params)) == bits(
+        ref.p_moisture(x, params) for x in theta
+    )
+    assert bits(p_biomass(x, params) for x in b) == bits(ref.p_biomass(x, params) for x in b)
+    assert bits(p_moisture(x, params) for x in theta) == bits(
+        ref.p_moisture(x, params) for x in theta
+    )
+    expected = [scalar_outcome(ref.p_lightning_human, x, y, params) for x, y in zip(l, ph)]
+    got = [scalar_outcome(p_lightning_human, x, y, params) for x, y in zip(l, ph)]
+    assert [v if isinstance(v, str) else float(v).hex() for v in got] == [
+        v if isinstance(v, str) else float(v).hex() for v in expected
+    ]
+    if any(isinstance(v, str) for v in expected):
+        with pytest.raises(ValidationError, match=r"p_human outside \[0, 1\]"):
+            ignition_columns(*columns, params)
+        return
+    assert bits(lightning_human_factor(columns[2], columns[3], params)) == bits(expected)
+    reference = [ref.p_ignition(*row, params) for row in zip(b, theta, l, ph)]
+    assert bits(ignition_columns(*columns, params)) == bits(reference)
+    assert bits(p_ignition(*row, params) for row in zip(b, theta, l, ph)) == bits(reference)
+
+
+def test_packaged_grid_ignition_matches_scalar_reference():
+    grid = ingest_regions(DATA_DIR / "regions.csv")
+    params = FireModelParams(theta_wilt=0.05, theta_field=0.35)
+    reference = [
+        ref.p_ignition(*row, params)
+        for row in zip(
+            grid.biomass.tolist(),
+            grid.soil_moisture.tolist(),
+            grid.lightning.tolist(),
+            grid.p_human.tolist(),
+        )
+    ]
+    assert bits(ignition_probabilities(grid, params)) == bits(reference)

@@ -41,7 +41,7 @@ def test_only_entry_points_import_campaign():
 
 def data_file_calls(path: Path) -> set[str]:
     """The data-file primitives a source file names, imported or dotted."""
-    primitives = {"csv.writer", "csv.DictReader", "json.dump", "atomic_write"}
+    primitives = {"csv.writer", "csv.reader", "csv.DictReader", "json.dump", "atomic_write"}
     named = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
