@@ -17,7 +17,9 @@ import numpy as np
 
 from .atomic import write_csv, write_json
 from .errors import ValidationError
-from .grid import FireEvent, GridFrame, RegionGrid
+# GridFrame stays reachable as campaign.GridFrame, where perfbench/tracing.py
+# wraps its biomass_avg.
+from .grid import FireEvent, GridFrame, RegionGrid  # noqa: F401
 from .placement import Placement
 
 @dataclass(frozen=True)
@@ -31,17 +33,6 @@ class EconomicsParams:
     def __post_init__(self):
         if min(self.carbon_price_usd_per_ton, self.device_cost_usd, self.bandwidth_cost_usd) < 0:
             raise ValidationError("economic parameters must be >= 0")
-
-
-@dataclass(frozen=True)
-class FireRecord:
-    """Outcome of one fire under one sensor scatter."""
-
-    detected: bool
-    degenerate: bool
-    detection_time_h: float | None
-    burned_km2: float
-    carbon_ton: float
 
 
 @dataclass(frozen=True)
@@ -104,17 +95,17 @@ def scatter_sensors(placement: Placement, grid: RegionGrid, seed) -> np.ndarray:
     return grid.frame.centers_xy[reps] + offsets
 
 
-def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid) -> list[FireRecord]:
-    """No-detection outcomes: every fire burns its cataloged area."""
+def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid) -> tuple[np.ndarray, np.ndarray]:
+    """No-detection outcomes: every fire burns its cataloged area.
+
+    Returns each fire's burned area and carbon, the latter over the mean
+    biomass of the cells its burned circle touches.
+    """
     frame = grid.frame
-    records = []
-    for event in catalog:
-        fx, fy = frame.project(event.ignition)
-        burned = event.recorded_area_km2
-        radius = math.sqrt(burned / math.pi)
-        carbon = carbon_emission_ton(burned, frame.biomass_avg(fx, fy, radius))
-        records.append(FireRecord(False, False, None, burned, carbon))
-    return records
+    xy = [frame.project(e.ignition) for e in catalog]
+    burned = np.array([e.recorded_area_km2 for e in catalog], dtype=np.float64)
+    radius = np.sqrt(burned / math.pi)
+    return burned, carbon_emission_ton(burned, frame.disk_biomass(*frame.disks(xy, radius), radius))
 
 
 # About how many rows of a trial's draw the gather kernel takes at a time.
@@ -123,24 +114,6 @@ _BLOCK_ROWS = 8192
 # sensor. Sensor positions and cell gaps carry absolute rounding errors near
 # 1e-13 km, far below it.
 _SLACK_KM = 1e-6
-
-
-def _candidate_cells(frame: GridFrame, fire_xy: np.ndarray, r_max: float):
-    """Per fire, the cells whose square reaches within r_max of its point.
-
-    Returns (gap_sq, cells): row i holds fire i's candidate cells in
-    ascending order and their squared gaps, as GridFrame.cells_within
-    computes them; rows are padded with gap inf and cell -1.
-    """
-    reach = r_max * (1.0 + 1e-9)
-    found = [frame.cells_within(x, y, reach) for x, y in fire_xy.tolist()]
-    width = max([1] + [len(c) for c, _ in found])
-    gap_sq = np.full((len(found), width), np.inf)
-    cells = np.full((len(found), width), -1)
-    for i, (c, gap) in enumerate(found):
-        gap_sq[i, : len(c)] = gap
-        cells[i, : len(c)] = c
-    return gap_sq, cells
 
 
 class _Pairs(NamedTuple):
@@ -182,23 +155,6 @@ def _lower_nearest(nearest_sq: np.ndarray, unit: np.ndarray, side: float, pairs:
         np.minimum.at(nearest_sq, pairs.fire[a:b], np.minimum.reduceat(d[:, 0] + d[:, 1], local))
 
 
-def _biomass_means(gap_sq: np.ndarray, biomass: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """GridFrame.biomass_avg of each row's disk, over its candidate cells.
-
-    Equal bit for bit to biomass[mask].mean(): numpy sums fewer than 8 values
-    left to right, and adding the masked-out cells as +0.0 leaves a sum of
-    non-negative biomass unchanged. At 8 or more selected cells numpy sums
-    pairwise, so those rows call .mean() themselves.
-    """
-    mask = gap_sq <= (radius * radius)[:, None]
-    selected = np.count_nonzero(mask, axis=1)
-    total = np.cumsum(np.where(mask, biomass, 0.0), axis=1)[:, -1]
-    means = np.divide(total, selected, out=np.zeros_like(total), where=selected > 0)
-    for k in np.flatnonzero(selected >= 8):
-        means[k] = biomass[k][mask[k]].mean()
-    return means
-
-
 def run_campaign(
     grid: RegionGrid,
     placement: Placement,
@@ -231,7 +187,8 @@ def run_campaign(
     use the same elementwise arithmetic as a KD-tree over all sensors, and a
     minimum does not depend on order, so the nearest distance matches it bit
     for bit whenever it is at most r_max. Detection is then resolved for all
-    fires at once; see _biomass_means for why the biomass mean is exact.
+    fires at once; see GridFrame.disk_biomass for why the biomass mean is
+    exact.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -240,7 +197,7 @@ def run_campaign(
     frame = grid.frame
     if not catalog:
         warnings.warn("empty fire catalog; campaign totals are zero")
-    baseline = baseline_outcomes(catalog, grid)
+    base_burned, base_carbon = baseline_outcomes(catalog, grid)
 
     n_fires = len(catalog)
     fire_xy = np.array([frame.project(e.ignition) for e in catalog]).reshape(n_fires, 2)
@@ -250,8 +207,7 @@ def run_campaign(
     counts = np.asarray(placement.counts, dtype=np.int64)
     total = int(counts.sum())
 
-    gap_sq, cells = _candidate_cells(frame, fire_xy, r_max)
-    biomass = np.where(cells >= 0, frame.biomass[cells], 0.0)
+    gap_sq, cells = frame.disks(fire_xy, r_max * (1.0 + 1e-9))
     # (fire, occupied candidate) pairs; those at the fire's smallest gap go first.
     occupied = (cells >= 0) & (counts[cells] > 0)
     fire, k = np.nonzero(occupied)
@@ -262,8 +218,8 @@ def run_campaign(
     nearest_cell = pairs.gap_sq == np.min(gap_sq, axis=1, initial=np.inf, where=occupied)[fire]
     first, second = pairs.take(nearest_cell), pairs.take(~nearest_cell)
     # What an undetected fire adds: its catalog record, or nothing when stalled.
-    escaped_burned = np.where(stalled, 0.0, [r.burned_km2 for r in baseline])
-    escaped_carbon = np.where(stalled, 0.0, [r.carbon_ton for r in baseline])
+    escaped_burned = np.where(stalled, 0.0, base_burned)
+    escaped_carbon = np.where(stalled, 0.0, base_carbon)
 
     nearest_sq = np.full(n_fires, np.inf)
     burned_sum = np.zeros(n_fires)
@@ -295,7 +251,7 @@ def run_campaign(
             trial_burned = escaped_burned.copy()
             trial_burned[hit] = burned
             trial_carbon = escaped_carbon.copy()
-            trial_carbon[hit] = carbon_emission_ton(burned, _biomass_means(gap_sq[hit], biomass[hit], dist))
+            trial_carbon[hit] = carbon_emission_ton(burned, frame.disk_biomass(gap_sq[hit], cells[hit], dist))
             burned_sum += trial_burned
             carbon_sum += trial_carbon
             time_sum[hit] += np.divide(dist, u_p[hit], out=np.zeros_like(dist), where=dist != 0.0)
@@ -322,16 +278,16 @@ def run_campaign(
             )
         )
 
-    base_carbon = sum(r.carbon_ton for r in baseline)
+    baseline_carbon = sum(base_carbon.tolist())
     total_carbon = sum(o.carbon_ton for o in outcomes)
-    reduction = base_carbon - total_carbon
+    reduction = baseline_carbon - total_carbon
     revenue = reduction * econ.carbon_price_usd_per_ton
     device_cost = placement.deployed * econ.device_cost_usd
     totals = CampaignTotals(
         burned_km2=sum(o.burned_km2 for o in outcomes),
         carbon_ton=total_carbon,
-        baseline_burned_km2=sum(r.burned_km2 for r in baseline),
-        baseline_carbon_ton=base_carbon,
+        baseline_burned_km2=sum(base_burned.tolist()),
+        baseline_carbon_ton=baseline_carbon,
         carbon_reduction_ton=reduction,
         carbon_revenue_usd=revenue,
         device_cost_usd=device_cost,

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 SECONDS_PER_DAY = 86400.0
 
@@ -81,7 +81,10 @@ def devices_per_carrier_exception(t: RadioTiming, period_s: float) -> int:
     exception reports."""
     if period_s <= 0:
         raise ValidationError("period_s must be > 0")
-    slots = int(period_s * 1000.0 // report_duration_ms(t))
+    try:
+        slots = int(period_s * 1000.0 // report_duration_ms(t))
+    except (OverflowError, ValueError):  # an infinite or NaN slot count
+        raise NumericError(f"report slots in a {period_s} s period are not finite") from None
     return slots * t.subcarriers
 
 
@@ -100,7 +103,11 @@ def traffic_total_bytes(k_sensors: int, t_obs_s: float, m: TrafficModel) -> int:
     exception traffic, round(sessions) reports for periodic traffic."""
     if m.kind == "exception":
         return k_sensors * m.payload_bytes
-    return round(periodic_sessions(k_sensors, t_obs_s, m)) * m.payload_bytes
+    sessions = periodic_sessions(k_sensors, t_obs_s, m)
+    try:
+        return round(sessions) * m.payload_bytes
+    except (OverflowError, ValueError):  # an infinite or NaN session count
+        raise NumericError(f"{sessions} periodic sessions cannot be counted") from None
 
 
 def devices_per_carrier_periodic(
@@ -122,7 +129,13 @@ def devices_per_carrier_periodic(
     if sessions_per_device == 0.0:
         warnings.warn("zero session rate supports unboundedly many devices; returning cap")
         return cap
-    return min(cap, math.floor(slots / sessions_per_device))
+    try:
+        return min(cap, math.floor(slots / sessions_per_device))
+    except OverflowError:  # slots or the quotient beyond the float range
+        raise NumericError(
+            f"{slots} report slots per carrier over {sessions_per_device} sessions per device "
+            "overflow a float"
+        ) from None
 
 
 def bandwidth_required_hz(k_sensors: int, t: RadioTiming, m: TrafficModel) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnservableLocationError, ValidationError
+from .errors import NumericError, UnservableLocationError, ValidationError
 
 EARTH_RADIUS_KM = 6371.0
 GEO_ALTITUDE_KM = 35786.0
@@ -102,11 +102,14 @@ def elevation_deg(p: GeoPoint, sat: SatelliteConfig) -> float:
 def _slant_range_km(psi: float, sat: SatelliteConfig) -> float:
     """slant_range_km of a point at geocentric angle psi (radians)."""
     r_orbit = EARTH_RADIUS_KM + sat.altitude_km
-    return math.sqrt(
-        EARTH_RADIUS_KM**2
-        + r_orbit**2
-        - 2.0 * EARTH_RADIUS_KM * r_orbit * math.cos(psi)
-    )
+    try:
+        return math.sqrt(
+            EARTH_RADIUS_KM**2
+            + r_orbit**2
+            - 2.0 * EARTH_RADIUS_KM * r_orbit * math.cos(psi)
+        )
+    except OverflowError:
+        raise NumericError(f"slant range overflows at altitude {sat.altitude_km} km") from None
 
 
 def _elevation_deg(psi: float, p: GeoPoint, sat: SatelliteConfig) -> float:

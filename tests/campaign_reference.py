@@ -7,13 +7,16 @@ detected or escaped fire. `locate_kdtree` finds the containing cell through
 a KD-tree over the cell centres. `gap_sq`, `intersecting_mask`,
 `biomass_avg_full` and `locate_full` scan every cell, as GridFrame did before
 its x-band lookup. `simulate_fire` resolves one fire against given sensor
-positions with the same rule. Property tests check the fast paths against
-these; nothing at runtime imports this module.
+positions with the same rule, and `FireRecord` holds its outcome. The
+baseline of `run_campaign_kdtree` comes from `biomass_avg_full` too, so no
+part of it runs the code under test. Property tests check the fast paths
+against these; nothing at runtime imports this module.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,13 +25,22 @@ from firesat.campaign import (
     CampaignResult,
     CampaignTotals,
     FireOutcome,
-    FireRecord,
-    baseline_outcomes,
     carbon_emission_ton,
     scatter_sensors,
 )
 from firesat.errors import ValidationError
 from firesat.grid import FireEvent, GridFrame, RegionGrid
+
+
+@dataclass(frozen=True)
+class FireRecord:
+    """Outcome of one fire under one sensor scatter."""
+
+    detected: bool
+    degenerate: bool
+    detection_time_h: float | None
+    burned_km2: float
+    carbon_ton: float
 
 
 def gap_sq(frame: GridFrame, cx: float, cy: float) -> np.ndarray:
@@ -83,9 +95,14 @@ def _resolve_fire(event, nearest_km, u_p, r_max, frame, fire_xy) -> FireRecord:
         return FireRecord(True, False, time_h, burned, carbon)
     if u_p == 0.0:
         return FireRecord(False, True, None, 0.0, 0.0)
+    return _escaped(event, frame, fire_xy)
+
+
+def _escaped(event, frame, fire_xy) -> FireRecord:
+    """An undetected fire: it burns its cataloged area."""
     burned = event.recorded_area_km2
     radius = math.sqrt(burned / math.pi)
-    carbon = carbon_emission_ton(burned, biomass_avg_full(frame, fx, fy, radius))
+    carbon = carbon_emission_ton(burned, biomass_avg_full(frame, *fire_xy, radius))
     return FireRecord(False, False, None, burned, carbon)
 
 
@@ -110,7 +127,7 @@ def simulate_fire(event: FireEvent, sensors: np.ndarray, grid: RegionGrid) -> Fi
 
 def run_campaign_kdtree(grid, placement, catalog, econ, trials=20, seed=0, scheme="") -> CampaignResult:
     frame = grid.frame
-    baseline = baseline_outcomes(catalog, grid)
+    baseline = [_escaped(e, frame, frame.project(e.ignition)) for e in catalog]
 
     n_fires = len(catalog)
     fire_xy = np.array([frame.project(e.ignition) for e in catalog]).reshape(n_fires, 2)

@@ -295,6 +295,6 @@ def test_baseline_outcomes_use_recorded_area():
     frame = grid.frame
     point = frame_point(frame, 5)
     events = [FireEvent(0, point, 5, recorded_area_km2=77.0)]
-    records = baseline_outcomes(events, grid)
-    assert records[0].burned_km2 == 77.0
-    assert records[0].carbon_ton == pytest.approx(carbon_emission_ton(77.0, 1.0), rel=1e-12)
+    burned, carbon = baseline_outcomes(events, grid)
+    assert burned.tolist() == [77.0]
+    assert carbon[0] == pytest.approx(carbon_emission_ton(77.0, 1.0), rel=1e-12)

@@ -11,7 +11,7 @@ from firesat.capacity import (
     spectrum_cost_usd,
     traffic_total_bytes,
 )
-from firesat.errors import ValidationError
+from firesat.errors import NumericError, ValidationError
 
 TIMING = RadioTiming()
 EXCEPTION = TrafficModel(kind="exception")
@@ -111,6 +111,24 @@ class TestBandwidth:
         # devices x duration never exceeds period x subcarriers
         n = devices_per_carrier_exception(TIMING, 10.0)
         assert n * report_duration_ms(TIMING) <= 10.0 * 1000.0 * TIMING.subcarriers
+
+
+class TestOverflow:
+    """Extreme but finite inputs whose counts leave the float range."""
+
+    def test_infinite_slot_count(self):
+        with pytest.raises(NumericError, match="report slots in a 1e[+]308 s period are not finite"):
+            devices_per_carrier_exception(TIMING, 1e308)
+
+    def test_slots_beyond_float_range(self):
+        wide = RadioTiming(carrier_bw_khz=1e308)
+        with pytest.raises(NumericError, match="overflow a float"):
+            devices_per_carrier_periodic(wide, PERIODIC, 10.0)
+
+    def test_infinite_session_count(self):
+        m = TrafficModel(kind="periodic", sessions_per_day_coeff=1e308)
+        with pytest.raises(NumericError, match="inf periodic sessions cannot be counted"):
+            traffic_total_bytes(10**5, 10.0, m)
 
 
 class TestSpectrumCost:

@@ -1,10 +1,12 @@
-"""`plan` and `simulate` on corrupted region and fire files: each run exits
-0, 2 or 3, a failed run prints one error line, and no run leaves a
-half-written output behind."""
+"""`plan` and `simulate` on corrupted region and fire files, and every
+command that reads the config on extreme config values: each run exits 0, 2
+or 3, a failed run prints one error line, and no run leaves a half-written
+output behind."""
 
 import contextlib
 import io
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from firesat.cli import main
+from firesat.config import RunConfig
 from firesat.geo import GeoPoint
 from firesat.grid import FireEvent, RegionGrid
 from firesat.ingest import write_fires_catalog_csv, write_regions_csv
@@ -95,3 +98,48 @@ def test_corrupted_inputs_fail_cleanly(clean_files, target, data):
             if code:
                 assert len(err.splitlines()) == 1 and "error: " in err
                 assert written == []
+
+
+# Every config key read as a number, and the values each is set to in turn;
+# None drops the key.
+NUMERIC_KEYS = [f.metadata["key"] for f in fields(RunConfig) if not f.type.startswith("Path")]
+EXTREME_VALUES = ["nan", "inf", "1e308", "-1e308", "0", "-1", "word", None]
+CONFIG_COMMANDS = (
+    ["linkbudget", "--lat", "37", "--lon", "-120"],
+    ["capacity"],
+    ["plan"],
+    ["simulate"],
+)
+
+
+def config_with(text: str, key: str, value: str | None) -> str:
+    """`text` with `key` set to `value`, or without `key` when value is None."""
+    lines = [line for line in text.splitlines() if line.partition("=")[0].strip() != key]
+    if value is not None:
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(clean_files, tmp_path_factory) -> Path:
+    """The clean data files, beside which each test writes its config."""
+    root = tmp_path_factory.mktemp("config_fuzz")
+    for name, content in clean_files.items():
+        (root / name).write_bytes(content)
+    return root
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_extreme_config_values_fail_cleanly(fuzz_root, key):
+    base = config_with(config_with(sample_config_text(), "plan.budget", "20"), "campaign.trials", "2")
+    config = fuzz_root / f"{key}.cfg"
+    for i, value in enumerate(EXTREME_VALUES):
+        config.write_text(config_with(base, key, value))
+        for argv in CONFIG_COMMANDS:
+            out = fuzz_root / f"out_{key}_{i}_{argv[0]}"
+            out.mkdir()
+            code, err = run([*argv, "--config", str(config), "--out", str(out)])
+            case = f"{key} = {value}: {argv[0]} exited {code}: {err}"
+            assert code in (0, 2, 3), case
+            assert code == 0 or (len(err.splitlines()) == 1 and "error: " in err), case
+            assert not [p.name for p in out.iterdir() if p.name.startswith(".")], case

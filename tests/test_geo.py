@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from firesat.errors import UnservableLocationError, ValidationError
+from firesat.errors import NumericError, UnservableLocationError, ValidationError
 from firesat.geo import (
     GEO_ALTITUDE_KM,
     GeoPoint,
@@ -106,6 +106,10 @@ class TestSlantRange:
         sat = make_sat()
         ranges = [slant_range_km(GeoPoint(0.0, -125.0 + psi), sat) for psi in range(0, 82, 3)]
         assert all(b > a for a, b in zip(ranges, ranges[1:]))
+
+    def test_overflowing_altitude_is_numeric_error(self):
+        with pytest.raises(NumericError, match="slant range overflows at altitude 1e[+]308 km"):
+            slant_range_km(GeoPoint(37.0, -120.0), make_sat(altitude=1e308))
 
 
 class TestElevation:
