@@ -2,7 +2,8 @@
 
 Ascending power series below the cancellation limit of float64, Hankel
 asymptotic expansion (optimally truncated) above it, with J3 obtained from
-the stable upward recurrence when the asymptotic branch is active.
+the stable upward recurrence when the asymptotic branch is active. j1_j3
+gives both orders from one pass over the two series.
 """
 
 from __future__ import annotations
@@ -15,14 +16,23 @@ _SERIES_LIMIT = 15.0
 _MAX_TERMS = 200
 
 
+# Denominators k (n + k) of the ascending series' term ratio, for n in {1, 3}.
+_SERIES_DENOMS = {n: [float(k * (n + k)) for k in range(_MAX_TERMS)] for n in (1, 3)}
+
+
 def _jn_series(n: int, x: float) -> float:
     """Ascending series sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!)."""
     half = x / 2.0
     term = half**n / math.factorial(n)
-    total = term
-    quarter_sq = half * half
-    for k in range(1, _MAX_TERMS):
-        term *= -quarter_sq / (k * (n + k))
+    return _jn_series_from(n, x, term, term, -(half * half), 1)
+
+
+def _jn_series_from(n: int, x: float, term: float, total: float, neg_q: float, start: int) -> float:
+    """The series of J_n(x) continued from term number `start`, given the
+    term before it, the partial sum up to that term and -(x/2)^2."""
+    denoms = _SERIES_DENOMS[n]
+    for k in range(start, _MAX_TERMS):
+        term *= neg_q / denoms[k]
         total += term
         if abs(term) <= 1e-17 * abs(total):
             return total
@@ -78,3 +88,35 @@ def j3(x: float) -> float:
         j_2 = (2.0 / ax) * j_1 - j_0
         val = (4.0 / ax) * j_2 - j_1
     return -val if x < 0 else val
+
+
+def j1_j3(x: float) -> tuple[float, float]:
+    """(j1(x), j3(x)), equal to the two calls bit for bit.
+
+    Within the series limit both ascending series run in one loop over the
+    same (x/2)^2 and each stops at its own convergence test; the one still
+    running then finishes alone. Beyond it, the asymptotic j1 and j3.
+    """
+    ax = abs(x)
+    if not ax <= _SERIES_LIMIT:  # NaN too, as in j1 and j3
+        return j1(x), j3(x)
+    half = ax / 2.0
+    neg_q = -(half * half)
+    t1 = s1 = half  # half**1 / 1!
+    t3 = s3 = half**3 / 6  # half**3 / 3!
+    d1, d3 = _SERIES_DENOMS[1], _SERIES_DENOMS[3]
+    for k in range(1, _MAX_TERMS):
+        t1 *= neg_q / d1[k]
+        s1 += t1
+        t3 *= neg_q / d3[k]
+        s3 += t3
+        if abs(t1) <= 1e-17 * abs(s1):
+            if abs(t3) > 1e-17 * abs(s3):
+                s3 = _jn_series_from(3, ax, t3, s3, neg_q, k + 1)
+            break
+        if abs(t3) <= 1e-17 * abs(s3):
+            s1 = _jn_series_from(1, ax, t1, s1, neg_q, k + 1)
+            break
+    else:
+        raise NumericError(f"Bessel series for J1({ax}) did not converge")
+    return (-s1, -s3) if x < 0 else (s1, s3)

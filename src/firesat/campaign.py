@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import write_csv, write_json
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 # GridFrame stays reachable as campaign.GridFrame, where perfbench/tracing.py
 # wraps its biomass_avg.
 from .grid import FireEvent, GridFrame, RegionGrid  # noqa: F401
@@ -197,7 +197,10 @@ def run_campaign(
     frame = grid.frame
     if not catalog:
         warnings.warn("empty fire catalog; campaign totals are zero")
-    base_burned, base_carbon = baseline_outcomes(catalog, grid)
+    # A huge cell area overflows a burned area or its carbon to inf; the
+    # totals below keep it, so they are checked once instead.
+    with np.errstate(over="ignore"):
+        base_burned, base_carbon = baseline_outcomes(catalog, grid)
 
     n_fires = len(catalog)
     fire_xy = np.array([frame.project(e.ignition) for e in catalog]).reshape(n_fires, 2)
@@ -251,9 +254,10 @@ def run_campaign(
             trial_burned = escaped_burned.copy()
             trial_burned[hit] = burned
             trial_carbon = escaped_carbon.copy()
-            trial_carbon[hit] = carbon_emission_ton(burned, frame.disk_biomass(gap_sq[hit], cells[hit], dist))
-            burned_sum += trial_burned
-            carbon_sum += trial_carbon
+            with np.errstate(over="ignore"):  # an inf reaches the checked totals
+                trial_carbon[hit] = carbon_emission_ton(burned, frame.disk_biomass(gap_sq[hit], cells[hit], dist))
+                burned_sum += trial_burned
+                carbon_sum += trial_carbon
             time_sum[hit] += np.divide(dist, u_p[hit], out=np.zeros_like(dist), where=dist != 0.0)
             detected_count += detected
             degenerate |= stalled & ~detected
@@ -278,15 +282,23 @@ def run_campaign(
             )
         )
 
+    burned_total = sum(o.burned_km2 for o in outcomes)
+    baseline_burned = sum(base_burned.tolist())
     baseline_carbon = sum(base_carbon.tolist())
     total_carbon = sum(o.carbon_ton for o in outcomes)
+    # Every term is non-negative, so an inf in any fire's burned area or
+    # carbon, or an overflowing sum of them, leaves one of these inf.
+    if not all(map(math.isfinite, (burned_total, baseline_burned, baseline_carbon, total_carbon))):
+        raise NumericError(
+            f"burned area or carbon overflows a float at grid.cell_area_km2 = {grid.cell_area_km2}"
+        )
     reduction = baseline_carbon - total_carbon
     revenue = reduction * econ.carbon_price_usd_per_ton
     device_cost = placement.deployed * econ.device_cost_usd
     totals = CampaignTotals(
-        burned_km2=sum(o.burned_km2 for o in outcomes),
+        burned_km2=burned_total,
         carbon_ton=total_carbon,
-        baseline_burned_km2=sum(base_burned.tolist()),
+        baseline_burned_km2=baseline_burned,
         baseline_carbon_ton=baseline_carbon,
         carbon_reduction_ton=reduction,
         carbon_revenue_usd=revenue,

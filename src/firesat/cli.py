@@ -180,10 +180,12 @@ def cmd_simulate(args) -> int:
         _run_sweep(cfg, grid, catalog, schemes, budgets, out)
         return EXIT_OK
 
-    for scheme in schemes:
-        _, result = _run_scheme_campaign(
-            cfg, grid, catalog, scheme, cfg.budget, cfg.device_cost_case_a_usd
-        )
+    # Every campaign runs before any file is written, so a failing one leaves none.
+    results = [
+        _run_scheme_campaign(cfg, grid, catalog, scheme, cfg.budget, cfg.device_cost_case_a_usd)[1]
+        for scheme in schemes
+    ]
+    for scheme, result in zip(schemes, results):
         camp.write_campaign_json(result, out / f"campaign_{scheme}.json")
         camp.write_fires_csv(result, out / f"fires_{scheme}.csv")
         t = result.totals

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 from .capacity import RadioTiming, TrafficModel
@@ -136,14 +137,28 @@ class RunConfig:
         )
 
     def timing(self, rus_per_report: int | None = None) -> RadioTiming:
-        return RadioTiming(
+        """The radio timing, at the configured RU count unless one is given.
+
+        One validated RadioTiming per distinct RU count, kept on this config.
+        """
+        rus = self.rus_per_report if rus_per_report is None else rus_per_report
+        try:
+            return self._timings[rus]
+        except KeyError:
+            pass
+        timing = self._timings[rus] = RadioTiming(
             rtt_ms=self.rtt_ms,
             ru_time_ms=self.ru_time_ms,
             ru_bw_khz=self.ru_bw_khz,
             carrier_bw_khz=self.carrier_bw_khz,
-            rus_per_report=self.rus_per_report if rus_per_report is None else rus_per_report,
+            rus_per_report=rus,
             tx_attempts=self.tx_attempts,
         )
+        return timing
+
+    @cached_property
+    def _timings(self) -> dict[int, RadioTiming]:
+        return {}
 
     def traffic(self, kind: str) -> TrafficModel:
         return TrafficModel(

@@ -12,25 +12,20 @@ sampler below.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from . import bessel
 from .atomic import read_csv, write_csv
 from .errors import NumericError, ValidationError
-# snr_db shares one geocentric angle through the private helpers; the public
-# elevation_deg and slant_range_km stay importable from this module.
-from .geo import (
-    GeoPoint,
-    SatelliteConfig,
-    _elevation_deg,
-    _geocentric_angle_rad,
-    _slant_range_km,
-    elevation_deg,
-    great_circle_km,
-    slant_range_km,
-)
+from .geo import GeoPoint, SatelliteConfig, _view
+
+# snr_db calls none of these; they stay importable from this module only
+# because perfbench/tracing.py wraps them here by name.
+from .geo import elevation_deg, great_circle_km, slant_range_km  # noqa: F401
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -66,6 +61,24 @@ class DeviceConfig:
             raise ValidationError("carrier_hz must be > 0")
         if not 0.0 < self.off_boresight_deg <= 180.0:
             raise ValidationError("off_boresight_deg must be in (0, 180]")
+
+    # Terms of snr_db that depend on the device alone. Each is the left-hand
+    # prefix of the expression it stands in for, so results stay bit-equal.
+
+    @cached_property
+    def antenna_gain(self) -> float:
+        """antenna_gain_dbi at the configured off-boresight angle."""
+        return antenna_gain_dbi(self.off_boresight_deg, self.g_t_max_dbi)
+
+    @cached_property
+    def eirp_dbm(self) -> float:
+        """tx_power_dbm + antenna_gain, the first two terms of the SNR sum."""
+        return self.tx_power_dbm + self.antenna_gain
+
+    @cached_property
+    def four_pi_f_hz(self) -> float:
+        """4 pi carrier_hz, the leading factor of the path loss."""
+        return 4.0 * math.pi * self.carrier_hz
 
 
 @dataclass(frozen=True)
@@ -119,22 +132,22 @@ class McsTable:
         if any(a < b for a, b in zip(rus, rus[1:])):
             raise ValidationError("RU counts must be non-increasing with MCS level")
         object.__setattr__(self, "rows", rows)
+        # Lookups only; not fields, so equality and asdict see the rows alone.
+        object.__setattr__(self, "_thresholds", tuple(r.min_snr_db for r in rows))
+        object.__setattr__(self, "_ru_by_level", {r.mcs_level: r.ru_per_20_bytes for r in rows})
 
     def level_for_snr(self, snr_db: float) -> int | None:
         """Highest MCS level whose threshold the SNR meets; None when below all."""
-        level = None
-        for row in self.rows:
-            if snr_db >= row.min_snr_db:
-                level = row.mcs_level
-            else:
-                break
-        return level
+        if snr_db != snr_db:  # NaN meets no threshold
+            return None
+        i = bisect_right(self._thresholds, snr_db)
+        return self.rows[i - 1].mcs_level if i else None
 
     def ru_for_level(self, mcs_level: int) -> int:
-        for row in self.rows:
-            if row.mcs_level == mcs_level:
-                return row.ru_per_20_bytes
-        raise ValidationError(f"MCS level {mcs_level} not in table")
+        try:
+            return self._ru_by_level[mcs_level]
+        except KeyError:
+            raise ValidationError(f"MCS level {mcs_level} not in table") from None
 
 
 # Default table. Anchors: -0.45 dB supports MCS 5 (3 RUs per 20-byte report)
@@ -214,17 +227,39 @@ def beam_rolloff_factor(d_km: float, beam_radius_km: float) -> float:
     u = BEAM_APERTURE_COEFF / beam_radius_km * d_km
     if u < 1e-6:
         return 1.0
-    inner = bessel.j1(u) / (2.0 * u) + 36.0 * bessel.j3(u) / u**3
+    j1, j3 = bessel.j1_j3(u)
+    inner = j1 / (2.0 * u) + 36.0 * j3 / u**3
     return inner * inner
 
 
 def fspl_db(distance_km: float, carrier_hz: float) -> float:
     """Free-space path loss as a positive dB value."""
-    if distance_km <= 0 or carrier_hz <= 0:
+    if carrier_hz <= 0:
         raise ValidationError("distance_km and carrier_hz must be > 0")
-    return 20.0 * math.log10(
-        4.0 * math.pi * carrier_hz * (distance_km * 1e3) / SPEED_OF_LIGHT_M_S
-    )
+    return _fspl_db(distance_km, 4.0 * math.pi * carrier_hz)
+
+
+def _fspl_db(distance_km: float, four_pi_f_hz: float) -> float:
+    """fspl_db, given 4 pi carrier_hz."""
+    if distance_km <= 0:
+        raise ValidationError("distance_km and carrier_hz must be > 0")
+    return 20.0 * math.log10(four_pi_f_hz * (distance_km * 1e3) / SPEED_OF_LIGHT_M_S)
+
+
+def _link_terms(
+    device: DeviceConfig, sat: SatelliteConfig, location: GeoPoint
+) -> tuple[float, float, float, float, float]:
+    """The terms of snr_db that do not depend on the beam composition mode:
+    (elevation_deg, beam centre distance, slant range, rolloff factor, fspl_db).
+
+    Raises in snr_db's order: a point below the horizon, then an
+    overflowing slant range, then a rejected rolloff or path loss input.
+    """
+    elev, d_beam, slant = _view(location, sat)
+    # Looked up in this module on every call, so a replaced or wrapped
+    # beam_rolloff_factor is the one used.
+    factor = beam_rolloff_factor(d_beam, sat.beam_radius_km)
+    return elev, d_beam, slant, factor, _fspl_db(slant, device.four_pi_f_hz)
 
 
 def snr_db(
@@ -243,39 +278,31 @@ def snr_db(
     """
     if mode not in ("linear", "db-scaled"):
         raise ValidationError(f"unknown beam composition mode {mode!r}")
-    psi = _geocentric_angle_rad(location, sat)
-    elev = _elevation_deg(psi, location, sat)  # raises when below horizon
-    d_beam = great_circle_km(location, sat.beam_center)
-    slant = _slant_range_km(psi, sat)
-    gain_t = antenna_gain_dbi(device.off_boresight_deg, device.g_t_max_dbi)
-    factor = beam_rolloff_factor(d_beam, sat.beam_radius_km)
+    elev, d_beam, slant, factor, loss = _link_terms(device, sat, location)
     if mode == "linear":
         gain_beam = sat.g_s_max_dbi + (10.0 * math.log10(factor) if factor > 0.0 else -math.inf)
     else:
         gain_beam = sat.g_s_max_dbi * factor
-    loss = fspl_db(slant, device.carrier_hz)
-    snr = (
-        device.tx_power_dbm
-        + gain_t
-        + gain_beam
-        - loss
-        + device.other_losses_db
-        - device.noise_power_dbm
-    )
-    return LinkResult(
-        antenna_gain_dbi=gain_t,
-        beam_gain_dbi=gain_beam,
-        fspl_db=loss,
-        snr_db=snr,
-        mcs_level=mcs_table.level_for_snr(snr),
-        tx_power_dbm=device.tx_power_dbm,
-        other_losses_db=device.other_losses_db,
-        noise_power_dbm=device.noise_power_dbm,
-        mode=mode,
-        elevation_deg=elev,
-        slant_range_km=slant,
-        beam_center_distance_km=d_beam,
-    )
+    # tx_power_dbm + antenna gain + gain_beam - loss + other - noise, left to right.
+    snr = device.eirp_dbm + gain_beam - loss + device.other_losses_db - device.noise_power_dbm
+    # Each field set as the generated frozen __init__ sets it, without that
+    # call's keyword binding; the instance keeps its shared-key layout,
+    # which filling result.__dict__ would give up (64 bytes more a result).
+    result = object.__new__(LinkResult)
+    put = object.__setattr__
+    put(result, "antenna_gain_dbi", device.antenna_gain)
+    put(result, "beam_gain_dbi", gain_beam)
+    put(result, "fspl_db", loss)
+    put(result, "snr_db", snr)
+    put(result, "mcs_level", mcs_table.level_for_snr(snr))
+    put(result, "tx_power_dbm", device.tx_power_dbm)
+    put(result, "other_losses_db", device.other_losses_db)
+    put(result, "noise_power_dbm", device.noise_power_dbm)
+    put(result, "mode", mode)
+    put(result, "elevation_deg", elev)
+    put(result, "slant_range_km", slant)
+    put(result, "beam_center_distance_km", d_beam)
+    return result
 
 
 def fading_params(elevation: float) -> FadingParams:
@@ -299,13 +326,20 @@ _HYP_LOG_SWITCH = 600.0
 
 
 def _hyp1f1_m1(m: float, z: float) -> float:
-    """Confluent hypergeometric 1F1(m, 1, z) by its ascending series."""
+    """Confluent hypergeometric 1F1(m, 1, z) by its ascending series.
+
+    Callers pass m > 0 and z >= 0, so every term and partial sum is >= 0
+    and the convergence test needs no abs. kk is k + 1 as a float, counted
+    exactly, and kk * kk is exact too, as the integer (k + 1)**2 was.
+    """
     term = 1.0
     total = 1.0
+    kk = 0.0
     for k in range(_HYP_SERIES_CAP):
-        term *= (m + k) * z / ((k + 1) * (k + 1))
+        kk += 1.0
+        term *= (m + k) * z / (kk * kk)
         total += term
-        if abs(term) <= 1e-15 * abs(total):
+        if term <= 1e-15 * total:
             return total
     raise NumericError(f"1F1({m}, 1, {z}) series did not converge")
 

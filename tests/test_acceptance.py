@@ -26,6 +26,9 @@ from firesat.campaign import EconomicsParams, run_campaign
 from firesat.cli import main as cli_main
 from firesat.config import load_config
 from firesat.fire_model import (
+    biomass_factor,
+    lightning_human_factor,
+    moisture_factor,
     p_biomass,
     p_lightning_human,
     p_moisture,
@@ -233,12 +236,19 @@ def test_criterion_6_fire_model_invariants(dataset, cfg):
     theta = rng.uniform(-0.2, 1.0, n)
     lightning = rng.uniform(0.0, 3.0, n)
     p_h = rng.uniform(0.0, 1.0, n)
-    for i in range(n):
-        pb = p_biomass(float(biomass[i]), TEST_PARAMS)
-        pm = p_moisture(float(theta[i]), TEST_PARAMS)
-        plh = p_lightning_human(float(lightning[i]), float(p_h[i]), TEST_PARAMS)
-        assert 0.0 <= pb <= 1.0 and 0.0 <= pm <= 1.0 and 0.0 <= plh <= 1.0
-        assert 0.0 <= pb * pm * plh <= 1.0
+    # All draws through the column forms; the scalar entry points must give
+    # the same bits on a prefix of them.
+    pb = biomass_factor(biomass, TEST_PARAMS)
+    pm = moisture_factor(theta, TEST_PARAMS)
+    plh = lightning_human_factor(lightning, p_h, TEST_PARAMS)
+    for factor in (pb, pm, plh, pb * pm * plh):
+        assert factor.shape == (n,)
+        assert bool(((0.0 <= factor) & (factor <= 1.0)).all())
+    for i in range(1000):
+        assert repr(p_biomass(float(biomass[i]), TEST_PARAMS)) == repr(float(pb[i]))
+        assert repr(p_moisture(float(theta[i]), TEST_PARAMS)) == repr(float(pm[i]))
+        scalar = p_lightning_human(float(lightning[i]), float(p_h[i]), TEST_PARAMS)
+        assert repr(scalar) == repr(float(plh[i]))
 
     # Marginal-gain identity on random small instances.
     from firesat.fire_model import ignition_and_miss

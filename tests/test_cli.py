@@ -399,6 +399,22 @@ class TestNoTraceback:
         assert "numeric error: burned area overflows" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("argv", [["--budget", "20", "--trials", "2"], ["--budget", "1000", "--trials", "2"]])
+    def test_overflowing_carbon_exits_3(self, tmp_path, capsys, argv):
+        # A 1e308 km2 cell lets the uniform scheme's burned areas and carbon
+        # sum past the float range; numpy's overflow warning stays silent.
+        config = self.config_with(tmp_path)
+        config.write_text(config.read_text().replace(
+            "grid.cell_area_km2 = 100.0", "grid.cell_area_km2 = 1e308"))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(config), "--out", str(out), *argv) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "numeric error: burned area or carbon overflows a float "
+            "at grid.cell_area_km2 = 1e+308\n"
+        )
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize(
         "error",
         [

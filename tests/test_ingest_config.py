@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import pytest
 
 from firesat.config import load_config, parse_kv_file
@@ -221,3 +223,17 @@ class TestConfig:
     def test_relative_paths_resolve_against_config_dir(self):
         cfg = load_config(SAMPLE_CONFIG)
         assert cfg.regions_csv.parent == SAMPLE_CONFIG.parent
+
+    def test_timing_is_one_validated_instance_per_ru_count(self):
+        cfg = load_config(SAMPLE_CONFIG)
+        fresh = load_config(SAMPLE_CONFIG)
+        assert cfg.timing() is cfg.timing(cfg.rus_per_report)
+        five = cfg.timing(rus_per_report=5)
+        assert cfg.timing(5) is five
+        assert five == replace(fresh.timing(), rus_per_report=5)
+        assert five.rus_per_report == 5 and cfg.timing().rus_per_report == cfg.rus_per_report
+        for _ in range(2):  # a rejected count is never kept
+            with pytest.raises(ValidationError, match="rus_per_report"):
+                cfg.timing(0)
+        # The memo is no field: equality, hashing and asdict see the config alone.
+        assert cfg == fresh and hash(cfg) == hash(fresh) and asdict(cfg) == asdict(fresh)
