@@ -3,7 +3,7 @@
 Ascending power series below the cancellation limit of float64, Hankel
 asymptotic expansion (optimally truncated) above it, with J3 obtained from
 the stable upward recurrence when the asymptotic branch is active. j1_j3
-gives both orders from one pass over the two series.
+gives both orders from one pass; j1 and j3 take one element of it.
 """
 
 from __future__ import annotations
@@ -18,25 +18,6 @@ _MAX_TERMS = 200
 
 # Denominators k (n + k) of the ascending series' term ratio, for n in {1, 3}.
 _SERIES_DENOMS = {n: [float(k * (n + k)) for k in range(_MAX_TERMS)] for n in (1, 3)}
-
-
-def _jn_series(n: int, x: float) -> float:
-    """Ascending series sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!)."""
-    half = x / 2.0
-    term = half**n / math.factorial(n)
-    return _jn_series_from(n, x, term, term, -(half * half), 1)
-
-
-def _jn_series_from(n: int, x: float, term: float, total: float, neg_q: float, start: int) -> float:
-    """The series of J_n(x) continued from term number `start`, given the
-    term before it, the partial sum up to that term and -(x/2)^2."""
-    denoms = _SERIES_DENOMS[n]
-    for k in range(start, _MAX_TERMS):
-        term *= neg_q / denoms[k]
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total
-    raise NumericError(f"Bessel series for J{n}({x}) did not converge")
 
 
 def _j01_asymptotic(n: int, x: float) -> float:
@@ -68,55 +49,43 @@ def _j01_asymptotic(n: int, x: float) -> float:
 
 def j1(x: float) -> float:
     """Bessel function of the first kind, order 1."""
-    ax = abs(x)
-    if ax <= _SERIES_LIMIT:
-        val = _jn_series(1, ax)
-    else:
-        val = _j01_asymptotic(1, ax)
-    return -val if x < 0 else val
+    return j1_j3(x)[0]
 
 
 def j3(x: float) -> float:
     """Bessel function of the first kind, order 3."""
-    ax = abs(x)
-    if ax <= _SERIES_LIMIT:
-        val = _jn_series(3, ax)
-    else:
-        # Upward recurrence J_{n+1} = (2n/x) J_n - J_{n-1}, stable for n < x.
-        j_0 = _j01_asymptotic(0, ax)
-        j_1 = _j01_asymptotic(1, ax)
-        j_2 = (2.0 / ax) * j_1 - j_0
-        val = (4.0 / ax) * j_2 - j_1
-    return -val if x < 0 else val
+    return j1_j3(x)[1]
 
 
 def j1_j3(x: float) -> tuple[float, float]:
-    """(j1(x), j3(x)), equal to the two calls bit for bit.
+    """(J1(x), J3(x)) from one pass.
 
-    Within the series limit both ascending series run in one loop over the
-    same (x/2)^2 and each stops at its own convergence test; the one still
-    running then finishes alone. Beyond it, the asymptotic j1 and j3.
+    Within the series limit both ascending series
+    sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!) run in one loop over the same
+    (x/2)^2 until each has met its convergence test. A term within 1e-17 of
+    its sum is under half an ulp of it, so the later terms of the series
+    that met its test first leave its sum unchanged.
     """
     ax = abs(x)
-    if not ax <= _SERIES_LIMIT:  # NaN too, as in j1 and j3
-        return j1(x), j3(x)
-    half = ax / 2.0
-    neg_q = -(half * half)
-    t1 = s1 = half  # half**1 / 1!
-    t3 = s3 = half**3 / 6  # half**3 / 3!
-    d1, d3 = _SERIES_DENOMS[1], _SERIES_DENOMS[3]
-    for k in range(1, _MAX_TERMS):
-        t1 *= neg_q / d1[k]
-        s1 += t1
-        t3 *= neg_q / d3[k]
-        s3 += t3
-        if abs(t1) <= 1e-17 * abs(s1):
-            if abs(t3) > 1e-17 * abs(s3):
-                s3 = _jn_series_from(3, ax, t3, s3, neg_q, k + 1)
-            break
-        if abs(t3) <= 1e-17 * abs(s3):
-            s1 = _jn_series_from(1, ax, t1, s1, neg_q, k + 1)
-            break
-    else:
-        raise NumericError(f"Bessel series for J1({ax}) did not converge")
+    if ax <= _SERIES_LIMIT:
+        half = ax / 2.0
+        neg_q = -(half * half)
+        t1 = s1 = half  # half**1 / 1!
+        t3 = s3 = half**3 / 6  # half**3 / 3!
+        d1, d3 = _SERIES_DENOMS[1], _SERIES_DENOMS[3]
+        for k in range(1, _MAX_TERMS):
+            t1 *= neg_q / d1[k]
+            s1 += t1
+            t3 *= neg_q / d3[k]
+            s3 += t3
+            if abs(t1) <= 1e-17 * abs(s1) and abs(t3) <= 1e-17 * abs(s3):
+                break
+        else:
+            raise NumericError(f"Bessel series for J1/J3({ax}) did not converge")
+    else:  # NaN too
+        # Upward recurrence J_{n+1} = (2n/x) J_n - J_{n-1}, stable for n < x.
+        j_0 = _j01_asymptotic(0, ax)
+        s1 = _j01_asymptotic(1, ax)
+        j_2 = (2.0 / ax) * s1 - j_0
+        s3 = (4.0 / ax) * j_2 - s1
     return (-s1, -s3) if x < 0 else (s1, s3)

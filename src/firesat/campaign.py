@@ -197,9 +197,10 @@ def run_campaign(
     frame = grid.frame
     if not catalog:
         warnings.warn("empty fire catalog; campaign totals are zero")
-    # A huge cell area overflows a burned area or its carbon to inf; the
-    # totals below keep it, so they are checked once instead.
-    with np.errstate(over="ignore"):
+    # A huge cell area or recorded area overflows a burned area or its carbon
+    # to inf, or its carbon to nan over a zero biomass mean; the totals below
+    # keep either, so they are checked once instead.
+    with np.errstate(over="ignore", invalid="ignore"):
         base_burned, base_carbon = baseline_outcomes(catalog, grid)
 
     n_fires = len(catalog)
@@ -254,7 +255,7 @@ def run_campaign(
             trial_burned = escaped_burned.copy()
             trial_burned[hit] = burned
             trial_carbon = escaped_carbon.copy()
-            with np.errstate(over="ignore"):  # an inf reaches the checked totals
+            with np.errstate(over="ignore", invalid="ignore"):  # the totals are checked
                 trial_carbon[hit] = carbon_emission_ton(burned, frame.disk_biomass(gap_sq[hit], cells[hit], dist))
                 burned_sum += trial_burned
                 carbon_sum += trial_carbon
@@ -286,11 +287,14 @@ def run_campaign(
     baseline_burned = sum(base_burned.tolist())
     baseline_carbon = sum(base_carbon.tolist())
     total_carbon = sum(o.carbon_ton for o in outcomes)
-    # Every term is non-negative, so an inf in any fire's burned area or
-    # carbon, or an overflowing sum of them, leaves one of these inf.
+    # Every term is non-negative or nan, so an inf or nan in any fire's
+    # burned area or carbon, or an overflowing sum of them, leaves one of
+    # these inf or nan.
     if not all(map(math.isfinite, (burned_total, baseline_burned, baseline_carbon, total_carbon))):
+        largest = max((e.recorded_area_km2 for e in catalog), default=0.0)
         raise NumericError(
             f"burned area or carbon overflows a float at grid.cell_area_km2 = {grid.cell_area_km2}"
+            f" and largest recorded_area_km2 = {largest}"
         )
     reduction = baseline_carbon - total_carbon
     revenue = reduction * econ.carbon_price_usd_per_ton

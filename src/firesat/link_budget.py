@@ -285,24 +285,11 @@ def snr_db(
         gain_beam = sat.g_s_max_dbi * factor
     # tx_power_dbm + antenna gain + gain_beam - loss + other - noise, left to right.
     snr = device.eirp_dbm + gain_beam - loss + device.other_losses_db - device.noise_power_dbm
-    # Each field set as the generated frozen __init__ sets it, without that
-    # call's keyword binding; the instance keeps its shared-key layout,
-    # which filling result.__dict__ would give up (64 bytes more a result).
-    result = object.__new__(LinkResult)
-    put = object.__setattr__
-    put(result, "antenna_gain_dbi", device.antenna_gain)
-    put(result, "beam_gain_dbi", gain_beam)
-    put(result, "fspl_db", loss)
-    put(result, "snr_db", snr)
-    put(result, "mcs_level", mcs_table.level_for_snr(snr))
-    put(result, "tx_power_dbm", device.tx_power_dbm)
-    put(result, "other_losses_db", device.other_losses_db)
-    put(result, "noise_power_dbm", device.noise_power_dbm)
-    put(result, "mode", mode)
-    put(result, "elevation_deg", elev)
-    put(result, "slant_range_km", slant)
-    put(result, "beam_center_distance_km", d_beam)
-    return result
+    return LinkResult(
+        device.antenna_gain, gain_beam, loss, snr, mcs_table.level_for_snr(snr),
+        device.tx_power_dbm, device.other_losses_db, device.noise_power_dbm,
+        mode, elev, slant, d_beam,
+    )
 
 
 def fading_params(elevation: float) -> FadingParams:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -411,7 +412,38 @@ class TestNoTraceback:
         err = capsys.readouterr().err
         assert err == (
             "numeric error: burned area or carbon overflows a float "
-            "at grid.cell_area_km2 = 1e+308\n"
+            "at grid.cell_area_km2 = 1e+308 and largest recorded_area_km2 = 538.807332\n"
+        )
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("zero_biomass", [False, True])
+    def test_overflowing_recorded_area_exits_3(self, tmp_path, capsys, zero_biomass):
+        # A 1.7e308 km2 recorded area times 1.2 is inf, so its baseline carbon
+        # is inf, or nan (inf * 0) where every cell's biomass is 0; numpy
+        # stays silent on both.
+        fires = tmp_path / "fires.csv"
+        fires.write_text("fire_id,lat,lon,recorded_area_km2\n0,32.444966,-124.693438,1.7e308\n")
+        files = {"fires.csv": fires}
+        if zero_biomass:
+            header, *rows = (DATA_DIR / "regions.csv").read_text().splitlines()
+            regions = tmp_path / "regions.csv"
+            regions.write_text("\n".join([header] + [
+                ",".join(f[:3] + ["0.0"] + f[4:]) for f in (r.split(",") for r in rows)]) + "\n")
+            files["regions.csv"] = regions
+        config = self.config_with(tmp_path, **files)
+        if zero_biomass:
+            config.write_text(config.read_text().replace(
+                "grid.cell_area_km2 = 100.0", "grid.cell_area_km2 = 1e308"))
+        area = "1e+308" if zero_biomass else "100.0"
+        out = tmp_path / "out"
+        argv = ["--budget", "20", "--trials", "2", "--scheme", "uniform"]
+        # Uniform placement weighs biomass, so an all-zero grid gets no sensors.
+        no_sensors = pytest.warns(UserWarning, match="no region has positive biomass")
+        with no_sensors if zero_biomass else contextlib.nullcontext():
+            assert run("simulate", "--config", str(config), "--out", str(out), *argv) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: burned area or carbon overflows a float "
+            f"at grid.cell_area_km2 = {area} and largest recorded_area_km2 = 1.7e+308\n"
         )
         assert not any(out.iterdir())
 

@@ -129,6 +129,14 @@ def test_j1_j3_equals_two_reference_series(u, negative):
     assert repr((bessel.j1(x), bessel.j3(x))) == repr(expected)
 
 
+def test_j1_j3_equals_reference_on_a_dense_sweep():
+    # Near a zero of J1 or J3 a sum is small against its terms, and the
+    # series that meets its test first can still take a term above half an
+    # ulp of the other's sum; random draws rarely land there, a sweep does.
+    for u in np.linspace(0.0, 15.0, 30001)[1:].tolist():
+        assert repr(bessel.j1_j3(u)) == repr((ref.j1(u), ref.j3(u))), u
+
+
 @pytest.mark.parametrize(
     "x", [0.0, -0.0, 5e-324, 1e-300, 1e-8, 15.0, -15.0, 15.000000000000002, math.nan, math.inf]
 )
