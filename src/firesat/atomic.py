@@ -85,7 +85,6 @@ class CsvColumns:
     holds the physical line each data row starts on, the breaking row's last.
     """
 
-    path: object
     columns: tuple
     error: ValidationError | None
     head: tuple
@@ -165,7 +164,7 @@ def read_csv(path, header: list[str], types: tuple, malformed: str = "") -> CsvC
         else np.concatenate(part) if part else np.empty(0)
         for t, part in zip(types, parts)
     )
-    return CsvColumns(path, columns, error, head, np.concatenate(lines))
+    return CsvColumns(columns, error, head, np.concatenate(lines))
 
 
 def _columns(rows: list[list[str]], types: tuple) -> list:

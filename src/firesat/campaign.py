@@ -34,6 +34,18 @@ class EconomicsParams:
         if min(self.carbon_price_usd_per_ton, self.device_cost_usd, self.bandwidth_cost_usd) < 0:
             raise ValidationError("economic parameters must be >= 0")
 
+    def money(self, reduction_ton: float, deployed: int) -> tuple[float, float, float]:
+        """Carbon revenue, device cost and savings, in USD, of a carbon
+        reduction by `deployed` sensors; NumericError unless all are finite."""
+        revenue = reduction_ton * self.carbon_price_usd_per_ton
+        device_cost = deployed * self.device_cost_usd
+        savings = revenue - device_cost - self.bandwidth_cost_usd
+        # An inf or nan revenue or cost leaves the savings inf or nan.
+        if not math.isfinite(savings):
+            raise NumericError(f"savings overflow a float: carbon revenue {revenue} USD, device "
+                               f"cost {device_cost} USD, bandwidth cost {self.bandwidth_cost_usd} USD")
+        return revenue, device_cost, savings
+
 
 @dataclass(frozen=True)
 class FireOutcome:
@@ -297,8 +309,7 @@ def run_campaign(
             f" and largest recorded_area_km2 = {largest}"
         )
     reduction = baseline_carbon - total_carbon
-    revenue = reduction * econ.carbon_price_usd_per_ton
-    device_cost = placement.deployed * econ.device_cost_usd
+    revenue, device_cost, savings = econ.money(reduction, placement.deployed)
     totals = CampaignTotals(
         burned_km2=burned_total,
         carbon_ton=total_carbon,
@@ -308,7 +319,7 @@ def run_campaign(
         carbon_revenue_usd=revenue,
         device_cost_usd=device_cost,
         bandwidth_cost_usd=econ.bandwidth_cost_usd,
-        savings_usd=revenue - device_cost - econ.bandwidth_cost_usd,
+        savings_usd=savings,
     )
     return CampaignResult(scheme=scheme, seed=seed, trials=trials, budget=placement.budget,
                           sensors_deployed=placement.deployed, fires=tuple(outcomes), totals=totals)

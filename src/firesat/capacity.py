@@ -153,10 +153,16 @@ def bandwidth_required_hz(k_sensors: int, t: RadioTiming, m: TrafficModel) -> fl
             "a report does not fit in the latency period; no finite bandwidth suffices"
         )
     carriers = math.ceil(k_sensors / per_carrier)
-    return carriers * t.carrier_bw_khz * 1000.0
+    bandwidth = carriers * t.carrier_bw_khz * 1000.0
+    if not math.isfinite(bandwidth):
+        raise NumericError(f"{carriers} carriers of {t.carrier_bw_khz} kHz: bandwidth not finite")
+    return bandwidth
 
 
 def spectrum_cost_usd(bandwidth_hz: float, usd_per_hz: float) -> float:
     if bandwidth_hz < 0 or usd_per_hz < 0:
         raise ValidationError("bandwidth_hz and usd_per_hz must be >= 0")
-    return bandwidth_hz * usd_per_hz
+    cost = bandwidth_hz * usd_per_hz
+    if not math.isfinite(cost):
+        raise NumericError(f"{bandwidth_hz} Hz at {usd_per_hz} USD/Hz: spectrum cost not finite")
+    return cost

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -29,6 +29,12 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 SCHEMES = ("optimized", "uniform")
+BOTH = "both"
+
+
+def _each(choice: str, names: tuple[str, ...]) -> tuple[str, ...]:
+    """The names a --scheme or --mode choice stands for: all of them for BOTH."""
+    return names if choice == BOTH else (choice,)
 
 
 def default_config_path() -> Path:
@@ -63,9 +69,8 @@ def cmd_plan(args) -> int:
     out = _out_dir(args)
     grid = ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
     rows, cols = grid.frame.rows_cols()
-    schemes = SCHEMES if args.scheme == "both" else (args.scheme,)
     summary: dict = {"budget": cfg.budget, "t_hours": cfg.t_hours, "schemes": {}}
-    for scheme in schemes:
+    for scheme in _each(args.scheme, SCHEMES):
         placement = _placement_for(scheme, grid, cfg.budget, cfg)
         utility = system_utility(grid, placement.counts, cfg.t_hours, cfg.fire_params())
         pl.write_placement_csv(placement, out / f"placement_{scheme}.csv")
@@ -92,20 +97,17 @@ def cmd_linkbudget(args) -> int:
     out = _out_dir(args)
     location = GeoPoint(args.lat, args.lon)
     table = cfg.mcs_table()
-    modes = ("linear", "db-scaled") if args.mode == "both" else (args.mode,)
     payload: dict = {"location": {"lat": location.lat, "lon": location.lon}}
-    for mode in modes:
+    snr: dict = {}
+    for mode in _each(args.mode, lb.MODES):
         result = lb.snr_db(cfg.device(), cfg.satellite(), location, mode, table)
         key = mode.replace("-", "_")
         payload[key] = asdict(result)
+        snr[key] = result.snr_db
         print(f"{mode}: snr={result.snr_db:.4f} dB mcs={result.mcs_level}")
     if args.reference_snr_db is not None:
         payload["reference_snr_db"] = args.reference_snr_db
-        payload["deviation_db"] = {
-            k: payload[k]["snr_db"] - args.reference_snr_db
-            for k in payload
-            if k in ("linear", "db_scaled")
-        }
+        payload["deviation_db"] = {k: v - args.reference_snr_db for k, v in snr.items()}
     write_json(out / "linkbudget.json", payload)
     print(f"wrote {out / 'linkbudget.json'}")
     return EXIT_OK
@@ -155,17 +157,18 @@ def cmd_capacity(args) -> int:
     return EXIT_OK
 
 
-def _run_scheme_campaign(cfg: RunConfig, grid, catalog, scheme: str, budget: int, device_cost: float):
+def _run_scheme_campaign(cfg: RunConfig, grid, catalog, scheme: str, budget: int):
+    """The placement, the economics at device cost case A, and the campaign result."""
     placement = _placement_for(scheme, grid, budget, cfg)
     econ = camp.EconomicsParams(
         carbon_price_usd_per_ton=cfg.carbon_price_usd_per_ton,
-        device_cost_usd=device_cost,
+        device_cost_usd=cfg.device_cost_case_a_usd,
         bandwidth_cost_usd=_bandwidth_cost(cfg, placement.deployed),
     )
     result = camp.run_campaign(
         grid, placement, catalog, econ, trials=cfg.trials, seed=cfg.seed, scheme=scheme
     )
-    return placement, result
+    return placement, econ, result
 
 
 def cmd_simulate(args) -> int:
@@ -174,17 +177,14 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     grid = ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
     catalog = ingest_fires(cfg.fires_csv, grid)
-    schemes = SCHEMES if args.scheme == "both" else (args.scheme,)
+    schemes = _each(args.scheme, SCHEMES)
 
     if budgets is not None:
         _run_sweep(cfg, grid, catalog, schemes, budgets, out)
         return EXIT_OK
 
     # Every campaign runs before any file is written, so a failing one leaves none.
-    results = [
-        _run_scheme_campaign(cfg, grid, catalog, scheme, cfg.budget, cfg.device_cost_case_a_usd)[1]
-        for scheme in schemes
-    ]
+    results = [_run_scheme_campaign(cfg, grid, catalog, s, cfg.budget)[2] for s in schemes]
     for scheme, result in zip(schemes, results):
         camp.write_campaign_json(result, out / f"campaign_{scheme}.json")
         camp.write_fires_csv(result, out / f"fires_{scheme}.csv")
@@ -225,17 +225,12 @@ def _run_sweep(cfg: RunConfig, grid, catalog, schemes, budgets, out: Path) -> No
     baseline_written = False
     for budget in budgets:
         for scheme in schemes:
-            placement, result = _run_scheme_campaign(
-                cfg, grid, catalog, scheme, budget, cfg.device_cost_case_a_usd
-            )
+            placement, econ, result = _run_scheme_campaign(cfg, grid, catalog, scheme, budget)
             utility = system_utility(grid, placement.counts, cfg.t_hours, cfg.fire_params())
             t = result.totals
             # Case B differs only in the device-cost term.
-            savings_b = (
-                t.carbon_revenue_usd
-                - placement.deployed * cfg.device_cost_case_b_usd
-                - t.bandwidth_cost_usd
-            )
+            case_b = replace(econ, device_cost_usd=cfg.device_cost_case_b_usd)
+            savings_b = case_b.money(t.carbon_reduction_ton, placement.deployed)[2]
             fig3a.append([budget, scheme, utility])
             fig4b.append([budget, scheme, t.burned_km2])
             fig4c.append([budget, scheme, t.carbon_ton])
@@ -304,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         if scheme:
-            p.add_argument("--scheme", choices=["optimized", "uniform", "both"], default="both")
+            p.add_argument("--scheme", choices=[*SCHEMES, BOTH], default=BOTH)
         if mode:
-            p.add_argument("--mode", choices=["linear", "db-scaled", "both"], default="both")
+            p.add_argument("--mode", choices=[*lb.MODES, BOTH], default=BOTH)
 
     p_plan = sub.add_parser("plan", help="solve both placement schemes and report utility")
     common(p_plan, scheme=True)

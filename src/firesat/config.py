@@ -50,7 +50,10 @@ def _key(name: str, default=_REQUIRED):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration; each field names the config key it is read from."""
+    """Resolved run configuration; each field names the config key it is read from.
+
+    Each model config is built from the fields of the same names (`_build`).
+    """
 
     regions_csv: Path = _key("paths.regions")
     fires_csv: Path = _key("paths.fires")
@@ -106,35 +109,21 @@ class RunConfig:
             if p is not None and not Path(p).is_file():
                 raise ValidationError(f"configured file does not exist: {p}")
 
+    def _build(self, cls, **given):
+        """A `cls` whose fields take the values of this config's fields of the
+        same names, apart from those in `given`."""
+        own = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
+        return cls(**own, **given)
+
     def fire_params(self) -> FireModelParams:
-        return FireModelParams(
-            theta_wilt=self.theta_wilt,
-            theta_field=self.theta_field,
-            b_low=self.b_low,
-            b_up=self.b_up,
-            beta_e=self.beta_e,
-            l_low=self.l_low,
-            l_up=self.l_up,
-        )
+        return self._build(FireModelParams)
 
     def satellite(self) -> SatelliteConfig:
-        return SatelliteConfig(
-            sub_satellite_lon=self.sub_satellite_lon,
-            beam_center=GeoPoint(self.beam_center_lat, self.beam_center_lon),
-            beam_radius_km=self.beam_radius_km,
-            g_s_max_dbi=self.g_s_max_dbi,
-            altitude_km=self.altitude_km,
-        )
+        beam_center = GeoPoint(self.beam_center_lat, self.beam_center_lon)
+        return self._build(SatelliteConfig, beam_center=beam_center)
 
     def device(self) -> DeviceConfig:
-        return DeviceConfig(
-            tx_power_dbm=self.tx_power_dbm,
-            g_t_max_dbi=self.g_t_max_dbi,
-            off_boresight_deg=self.off_boresight_deg,
-            carrier_hz=self.carrier_hz,
-            noise_power_dbm=self.noise_power_dbm,
-            other_losses_db=self.other_losses_db,
-        )
+        return self._build(DeviceConfig)
 
     def timing(self, rus_per_report: int | None = None) -> RadioTiming:
         """The radio timing, at the configured RU count unless one is given.
@@ -146,14 +135,7 @@ class RunConfig:
             return self._timings[rus]
         except KeyError:
             pass
-        timing = self._timings[rus] = RadioTiming(
-            rtt_ms=self.rtt_ms,
-            ru_time_ms=self.ru_time_ms,
-            ru_bw_khz=self.ru_bw_khz,
-            carrier_bw_khz=self.carrier_bw_khz,
-            rus_per_report=rus,
-            tx_attempts=self.tx_attempts,
-        )
+        timing = self._timings[rus] = self._build(RadioTiming, rus_per_report=rus)
         return timing
 
     @cached_property
@@ -161,12 +143,7 @@ class RunConfig:
         return {}
 
     def traffic(self, kind: str) -> TrafficModel:
-        return TrafficModel(
-            kind=kind,
-            payload_bytes=self.payload_bytes,
-            reference_period_s=self.reference_period_s,
-            sessions_per_day_coeff=self.sessions_per_day,
-        )
+        return self._build(TrafficModel, kind=kind, sessions_per_day_coeff=self.sessions_per_day)
 
     def mcs_table(self) -> McsTable:
         if self.mcs_table_csv is None:

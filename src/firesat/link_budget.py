@@ -33,6 +33,9 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 # a * d with a = 2.07123 / beam_radius.
 BEAM_APERTURE_COEFF = 2.07123
 
+# How snr_db may combine the beam rolloff with the peak satellite gain.
+MODES = ("linear", "db-scaled")
+
 
 @dataclass(frozen=True)
 class DeviceConfig:
@@ -243,7 +246,11 @@ def _fspl_db(distance_km: float, four_pi_f_hz: float) -> float:
     """fspl_db, given 4 pi carrier_hz."""
     if distance_km <= 0:
         raise ValidationError("distance_km and carrier_hz must be > 0")
-    return 20.0 * math.log10(four_pi_f_hz * (distance_km * 1e3) / SPEED_OF_LIGHT_M_S)
+    ratio = four_pi_f_hz * (distance_km * 1e3) / SPEED_OF_LIGHT_M_S
+    if ratio == math.inf:
+        raise NumericError(f"free-space path loss over {distance_km} km overflows a float "
+                           f"at 4 pi carrier_hz = {four_pi_f_hz} Hz")
+    return 20.0 * math.log10(ratio)
 
 
 def _link_terms(
@@ -276,7 +283,7 @@ def snr_db(
     (g_s_max + 10 log10(factor), the physically standard reading) while
     "db-scaled" multiplies the dBi figure itself (g_s_max * factor).
     """
-    if mode not in ("linear", "db-scaled"):
+    if mode not in MODES:
         raise ValidationError(f"unknown beam composition mode {mode!r}")
     elev, d_beam, slant, factor, loss = _link_terms(device, sat, location)
     if mode == "linear":

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,36 @@ class TestNoTraceback:
             "numeric error: burned area or carbon overflows a float "
             "at grid.cell_area_km2 = 1e+308 and largest recorded_area_km2 = 538.807332\n"
         )
+        assert not any(out.iterdir())
+
+    SIMULATE = ["simulate", "--budget", "1000", "--trials", "2"]
+
+    @pytest.mark.parametrize(
+        "key, argv, message",
+        [
+            ("econ.carbon_price_usd_per_ton", SIMULATE, "savings overflow a float: carbon revenue inf USD"),
+            ("econ.device_cost_case_a_usd", SIMULATE, ", device cost inf USD"),
+            ("econ.usd_per_hz", SIMULATE, " Hz at 1e+308 USD/Hz: spectrum cost not finite"),
+            ("radio.carrier_bw_khz", SIMULATE, "1 carriers of 1e+308 kHz: bandwidth not finite"),
+            ("econ.usd_per_hz", ["capacity"], "41760000.0 Hz at 1e+308 USD/Hz: spectrum cost not finite"),
+            ("econ.device_cost_case_b_usd", ["simulate", "--sweep", "100,1000", "--trials", "2"],
+             ", device cost inf USD"),
+            ("device.carrier_hz", ["linkbudget", "--lat", "37", "--lon", "-120"],
+             "free-space path loss over 37288.55212658563 km overflows a float at 4 pi carrier_hz = inf Hz"),
+        ],
+        ids=["simulate-carbon-price", "simulate-device-cost-a", "simulate-usd-per-hz",
+             "simulate-carrier-bw", "capacity-usd-per-hz", "sweep-device-cost-b", "linkbudget-carrier"],
+    )
+    def test_overflowing_money_or_path_loss_exits_3(self, tmp_path, capsys, key, argv, message):
+        # Each product overflows where it is formed, before any file is written.
+        config = self.config_with(tmp_path)
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = 1e308", config.read_text(), flags=re.M)
+        assert text != config.read_text()
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert run(*argv, "--config", str(config), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1 and message in err, err
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("zero_biomass", [False, True])

@@ -1,10 +1,12 @@
 """`plan` and `simulate` on corrupted region and fire files, and every
 command that reads the config on extreme config values: each run exits 0, 2
-or 3, a failed run prints one error line, and no run leaves a half-written
-output behind."""
+or 3, a failed run prints one error line, no run leaves a half-written
+output behind, and no output of a run that exits 0 holds a non-finite number."""
 
 import contextlib
+import csv
 import io
+import json
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -129,6 +131,18 @@ def fuzz_root(clean_files, tmp_path_factory) -> Path:
     return root
 
 
+def non_finite(path: Path) -> set[str]:
+    """The non-finite numbers written in a JSON or CSV output file."""
+    found: set[str] = set()
+    with open(path, newline="") as f:
+        if path.suffix == ".json":
+            json.load(f, parse_constant=found.add)  # called for Infinity, -Infinity, NaN
+        else:
+            found.update(cell for row in csv.reader(f) for cell in row)
+            found &= {"inf", "-inf", "nan"}
+    return found
+
+
 @pytest.mark.parametrize("key", NUMERIC_KEYS)
 def test_extreme_config_values_fail_cleanly(fuzz_root, key):
     base = config_with(config_with(sample_config_text(), "plan.budget", "20"), "campaign.trials", "2")
@@ -143,3 +157,5 @@ def test_extreme_config_values_fail_cleanly(fuzz_root, key):
             assert code in (0, 2, 3), case
             assert code == 0 or (len(err.splitlines()) == 1 and "error: " in err), case
             assert not [p.name for p in out.iterdir() if p.name.startswith(".")], case
+            if code == 0:
+                assert not {p.name: non_finite(p) for p in out.iterdir() if non_finite(p)}, case

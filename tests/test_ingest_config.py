@@ -1,9 +1,15 @@
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, replace
+from operator import attrgetter
 
 import pytest
 
-from firesat.config import load_config, parse_kv_file
+from firesat.campaign import EconomicsParams
+from firesat.capacity import RadioTiming, TrafficModel
+from firesat.config import _REQUIRED, RunConfig, load_config, parse_kv_file
 from firesat.errors import ValidationError
+from firesat.fire_model import FireModelParams
+from firesat.geo import SatelliteConfig
+from firesat.link_budget import DeviceConfig
 from firesat.ingest import (
     ingest_fires,
     ingest_regions,
@@ -237,3 +243,81 @@ class TestConfig:
                 cfg.timing(0)
         # The memo is no field: equality, hashing and asdict see the config alone.
         assert cfg == fresh and hash(cfg) == hash(fresh) and asdict(cfg) == asdict(fresh)
+
+
+# Each RunConfig builder, and the config key and value that feed each field
+# of the model it builds. Every value differs from every other and from the
+# sample config's, and each model is valid.
+BUILDERS = {
+    "fire_params": (RunConfig.fire_params, {
+        "theta_wilt": ("fire.theta_wilt", 0.11),
+        "theta_field": ("fire.theta_field", 0.42),
+        "b_low": ("fire.b_low", 0.13),
+        "b_up": ("fire.b_up", 1.7),
+        "beta_e": ("fire.beta_e", 0.29),
+        "l_low": ("fire.l_low", 0.03),
+        "l_up": ("fire.l_up", 0.77),
+    }),
+    "satellite": (RunConfig.satellite, {
+        "sub_satellite_lon": ("satellite.sub_satellite_lon", -120.5),
+        "beam_center.lat": ("satellite.beam_center_lat", 36.5),
+        "beam_center.lon": ("satellite.beam_center_lon", -119.5),
+        "beam_radius_km": ("satellite.beam_radius_km", 900.5),
+        "g_s_max_dbi": ("satellite.g_s_max_dbi", 27.5),
+        "altitude_km": ("satellite.altitude_km", 35000.5),
+    }),
+    "device": (RunConfig.device, {
+        "tx_power_dbm": ("device.tx_power_dbm", 21.5),
+        "g_t_max_dbi": ("device.g_t_max_dbi", 6.5),
+        "off_boresight_deg": ("device.off_boresight_deg", 45.5),
+        "carrier_hz": ("device.carrier_hz", 1.6e9),
+        "noise_power_dbm": ("device.noise_power_dbm", -160.5),
+        "other_losses_db": ("device.other_losses_db", -8.5),
+    }),
+    "timing": (RunConfig.timing, {
+        "rtt_ms": ("radio.rtt_ms", 480.0),
+        "ru_time_ms": ("radio.ru_time_ms", 31.0),
+        "ru_bw_khz": ("radio.ru_bw_khz", 2.5),
+        "carrier_bw_khz": ("radio.carrier_bw_khz", 250.0),
+        "rus_per_report": ("radio.rus_per_report", 5),
+        "tx_attempts": ("radio.tx_attempts", 2),
+    }),
+    "traffic": (lambda cfg: cfg.traffic("periodic"), {
+        "kind": (None, "periodic"),  # the builder's argument
+        "payload_bytes": ("traffic.payload_bytes", 44),
+        "reference_period_s": ("traffic.reference_period_s", 12.5),
+        "sessions_per_day_coeff": ("traffic.sessions_per_day", 9.5),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builder_takes_every_field_from_its_config_key(name):
+    values = [value for _, feeds in BUILDERS.values() for _, value in feeds.values()]
+    assert len(set(values)) == len(values)
+    assert not set(values) & set(asdict(load_config(SAMPLE_CONFIG)).values())
+    build, feeds = BUILDERS[name]
+    cfg = load_config(SAMPLE_CONFIG, {key: value for key, value in feeds.values() if key})
+    model = build(cfg)
+    assert {f.name for f in fields(model)} == {attr.split(".")[0] for attr in feeds}
+    for attr, (key, value) in feeds.items():
+        assert attrgetter(attr)(model) == value, f"{key} does not reach {attr}"
+
+
+# Model fields fed by a RunConfig field of another name.
+RENAMED = {"sessions_per_day_coeff": "sessions_per_day", "device_cost_usd": "device_cost_case_a_usd"}
+
+
+def test_config_defaults_equal_model_defaults():
+    config_default = {
+        f.name: f.metadata["default"] for f in fields(RunConfig) if f.metadata["default"] is not _REQUIRED
+    }
+    pairs = [
+        (f"{model.__name__}.{f.name}", f.default, config_default[RENAMED.get(f.name, f.name)])
+        for model in (FireModelParams, SatelliteConfig, DeviceConfig, RadioTiming, TrafficModel,
+                      EconomicsParams)
+        for f in fields(model)
+        if f.default is not MISSING and RENAMED.get(f.name, f.name) in config_default
+    ]
+    assert len(pairs) == 17  # fire 5, satellite 1, radio 6, traffic 3, economics 2
+    assert [p for p in pairs if p[1] != p[2]] == []

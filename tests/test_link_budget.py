@@ -7,7 +7,7 @@ import scipy.special as sp
 import scipy.stats
 
 from firesat import link_budget as lb
-from firesat.errors import UnservableLocationError, ValidationError
+from firesat.errors import NumericError, UnservableLocationError, ValidationError
 from firesat.geo import GeoPoint, elevation_deg, slant_range_km
 
 CENTER_DEVICE = GeoPoint(37.2, -122.1)
@@ -81,6 +81,11 @@ class TestFspl:
     def test_doubling_distance(self):
         delta = lb.fspl_db(2000.0, 1.5e9) - lb.fspl_db(1000.0, 1.5e9)
         assert delta == pytest.approx(6.020599913279624, abs=1e-12)
+
+    @pytest.mark.parametrize("distance_km, carrier_hz", [(37000.0, 1e308), (1e300, 1e10)])
+    def test_overflow_raises(self, distance_km, carrier_hz):
+        with pytest.raises(NumericError, match="free-space path loss over .* overflows a float"):
+            lb.fspl_db(distance_km, carrier_hz)
 
 
 class TestSnr:
