@@ -75,28 +75,28 @@ def read_json(path) -> dict:
 
 @dataclass(frozen=True)
 class CsvColumns:
-    """Typed columns of a CSV's data rows, up to the first row that breaks
+    """Typed columns of the CSV at `path`, up to the first row that breaks
     the header's width or its field types.
 
-    An int field gives a list of ints, a float field a float64 array. The
-    breaking row's error waits in `error`, and `head` holds that row's values
-    before its bad field, so that a caller checking rows of its own reports
-    a fault in an earlier row first: the first offending row wins. `lines`
-    holds the physical line each data row starts on, the breaking row's last.
+    A float field gives a float64 array; an int or str field a list. The
+    breaking row's error waits in `error`, so that a caller checking rows of
+    its own reports a fault in an earlier row first: the first offending row
+    wins. `lines` holds the physical line each data row starts on, which
+    `fault` names.
     """
 
+    path: object
     columns: tuple
     error: ValidationError | None
-    head: tuple
     lines: np.ndarray
 
     def rows(self):
-        """Each row's values as Python ints and floats."""
+        """Each row's values as Python ints, floats and strs."""
         return zip(*(c if isinstance(c, list) else c.tolist() for c in self.columns))
 
-    def line(self, row: int) -> int:
-        """Physical line on which data row `row` starts."""
-        return int(self.lines[row])
+    def fault(self, row: int, message) -> ValidationError:
+        """The error for a fault in data row `row`, named by path and line."""
+        return ValidationError(f"{self.path}:{int(self.lines[row])}: {message}")
 
     def raise_error(self) -> None:
         if self.error is not None:
@@ -105,7 +105,7 @@ class CsvColumns:
 
 def read_csv(path, header: list[str], types: tuple, malformed: str = "") -> CsvColumns:
     """Columns of a CSV whose header is `header`, each converted by its type
-    in `types` (int or float).
+    in `types` (int, float or str).
 
     Blank lines hold no row. The first row whose field count differs from the
     header's, or whose field its type rejects, ends the columns; its error
@@ -114,7 +114,7 @@ def read_csv(path, header: list[str], types: tuple, malformed: str = "") -> CsvC
     """
     parts: list[list] = [[] for _ in types]
     lines: list[np.ndarray] = []
-    error, head = None, ()
+    error = None
     try:
         with open(path, newline="") as f:
             reader = csv.reader(f)
@@ -144,27 +144,23 @@ def read_csv(path, header: list[str], types: tuple, malformed: str = "") -> CsvC
                 try:
                     chunk = _columns(rows, types)
                 except ValueError:
-                    bad, head, text = _first_bad_row(rows, types, malformed)
+                    bad, text = _first_bad_row(rows, types, malformed)
                     error = ValidationError(f"{path}:{starts[bad]}: {text}")
-                    start = starts[bad]
                     del rows[bad:], starts[bad:]
                     chunk = _columns(rows, types)
                 for part, column in zip(parts, chunk):
                     part.append(column)
                 lines.append(np.array(starts, dtype=np.int64))
-                if error is not None:
-                    lines.append(np.array([start], dtype=np.int64))
-                    break
-                if start == chunk_start:  # no record left: end of file
+                if error is not None or start == chunk_start:  # fault or end of file
                     break
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: cannot decode as text: {exc}") from None
     columns = tuple(
-        list(chain.from_iterable(part)) if t is int
-        else np.concatenate(part) if part else np.empty(0)
+        (np.concatenate(part) if part else np.empty(0)) if t is float
+        else list(chain.from_iterable(part))
         for t, part in zip(types, parts)
     )
-    return CsvColumns(columns, error, head, np.concatenate(lines))
+    return CsvColumns(path, columns, error, np.concatenate(lines))
 
 
 def _columns(rows: list[list[str]], types: tuple) -> list:
@@ -173,21 +169,18 @@ def _columns(rows: list[list[str]], types: tuple) -> list:
     if set(map(len, rows)) - {len(types)}:
         raise ValueError("field count")
     return [
-        list(map(t, column)) if t is int else np.fromiter(map(t, column), np.float64, len(rows))
+        np.fromiter(map(t, column), np.float64, len(rows)) if t is float else list(map(t, column))
         for t, column in zip(types, zip(*rows))
     ]
 
 
 def _first_bad_row(rows: list[list[str]], types: tuple, malformed: str):
-    """Index of the first row of `rows` that `_columns` rejects, its values
-    before the bad field, and the error text."""
+    """Index of the first row of `rows` that `_columns` rejects, and its error text."""
     for i, row in enumerate(rows):
         if len(row) != len(types):
-            return i, (), f"expected {len(types)} fields, got {len(row)}"
-        head = []
+            return i, f"expected {len(types)} fields, got {len(row)}"
         try:
-            for t, value in zip(types, row):
-                head.append(t(value))
+            _columns([row], types)
         except ValueError as exc:
-            return i, tuple(head), f"{malformed}{exc}"
+            return i, f"{malformed}{exc}"
     raise AssertionError("no bad row")

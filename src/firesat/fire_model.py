@@ -193,21 +193,17 @@ def ignition_and_miss(
     """Per-region (ignition probability, single-sensor miss probability) at time t.
 
     The miss probability q satisfies p_detection(n) == 1 - q**n; it drives the
-    placement optimizers. Both are computed once per (t, params) and kept in
-    grid.memo: the grid's columns are read-only and params is frozen, so a
-    later call returns the same floats.
+    placement optimizers. The returned tuples are computed once per
+    (t, params) and kept in grid.memo: the grid's columns are read-only and
+    params is frozen, so a later call returns the same floats.
     """
     key = ("ignition_and_miss", type(t), t, params)
-    columns = grid.memo.get(key)
-    if columns is None:
+    pq = grid.memo.get(key)
+    if pq is None:
         area = grid.cell_area_km2
-        q = [
+        q = tuple(
             max(0.0, area - burned_area_km2(u, t)) / area
             for u in grid.spread_rate.tolist()
-        ]
-        columns = (ignition_probabilities(grid, params), np.array(q))
-        for column in columns:
-            column.flags.writeable = False
-        grid.memo[key] = columns
-    p, q = columns
-    return tuple(p.tolist()), tuple(q.tolist())
+        )
+        pq = grid.memo[key] = (tuple(ignition_probabilities(grid, params).tolist()), q)
+    return pq

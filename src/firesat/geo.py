@@ -26,6 +26,11 @@ def _normalize_lon(lon: float) -> float:
     return lon
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GeoPoint:
     """A point on the Earth's surface (degrees)."""
@@ -59,6 +64,8 @@ class SatelliteConfig:
     altitude_km: float = GEO_ALTITUDE_KM
 
     def __post_init__(self):
+        for name in ("sub_satellite_lon", "altitude_km", "beam_radius_km", "g_s_max_dbi"):
+            _require_finite(name, getattr(self, name))
         if self.altitude_km <= 0:
             raise ValidationError("altitude_km must be > 0")
         if self.beam_radius_km <= 0:

@@ -18,11 +18,13 @@ REGION_FIELDS = ["id", *COLUMNS]
 
 FIRE_FIELDS = ["fire_id", "lat", "lon", "recorded_area_km2"]
 
+MALFORMED = "malformed row: "  # before the reason a field does not parse
+
 
 def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
     """Load a region grid from CSV; ids must cover 0..N-1 exactly once."""
-    table = read_csv(path, REGION_FIELDS, (int,) + (float,) * len(COLUMNS), "malformed row: ")
-    order = _region_order(path, table)
+    table = read_csv(path, REGION_FIELDS, (int,) + (float,) * len(COLUMNS), MALFORMED)
+    order = _region_order(table)
     columns = [column[order] for column in table.columns[1:]]
     try:
         return RegionGrid(**dict(zip(COLUMNS, columns)), cell_area_km2=cell_area_km2)
@@ -30,22 +32,22 @@ def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _region_order(path, table: CsvColumns) -> np.ndarray:
+def _region_order(table: CsvColumns) -> np.ndarray:
     """Row of each region id from 0 up; an earlier row's fault is raised first."""
     row_of: dict[int, int] = {}
     for row, rid in enumerate(table.columns[0]):
         if row_of.setdefault(rid, row) != row:
-            raise ValidationError(f"{path}:{table.line(row)}: duplicate region id {rid}")
+            raise table.fault(row, f"duplicate region id {rid}")
     table.raise_error()
     n = len(row_of)
     if not n:
-        raise ValidationError(f"{path}: no region rows found")
+        raise ValidationError(f"{table.path}: no region rows found")
     try:
         return np.fromiter(map(row_of.__getitem__, range(n)), np.intp, n)
     except KeyError:
         missing = [i for i in range(n) if i not in row_of]
         raise ValidationError(
-            f"{path}: region ids not contiguous; missing {missing[:5]}"
+            f"{table.path}: region ids not contiguous; missing {missing[:5]}"
         ) from None
 
 
@@ -56,29 +58,23 @@ def write_regions_csv(grid: RegionGrid, path) -> None:
 
 def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
     """Load a fire catalog; each ignition is assigned to its containing cell."""
-    table = read_csv(path, FIRE_FIELDS, (int, float, float, float), "malformed row: ")
+    table = read_csv(path, FIRE_FIELDS, (int, float, float, str), MALFORMED)
     frame = grid.frame
     events: list[FireEvent] = []
     seen: set[int] = set()
-
-    def point(row: int, lat: float, lon: float) -> GeoPoint:
-        try:
-            return GeoPoint(lat, lon)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{table.line(row)}: {exc}") from exc
-
     for row, (fid, lat, lon, area) in enumerate(table.rows()):
-        ignition = point(row, lat, lon)
-        if fid in seen:
-            raise ValidationError(f"{path}:{table.line(row)}: duplicate fire id {fid}")
-        seen.add(fid)
-        try:
+        try:  # in order: the point, the area's text, the id, the cell and area
+            ignition = GeoPoint(lat, lon)
+            try:
+                area = float(area)
+            except ValueError as exc:
+                raise ValidationError(f"{MALFORMED}{exc}") from None
+            if fid in seen:
+                raise ValidationError(f"duplicate fire id {fid}")
+            seen.add(fid)
             events.append(FireEvent(fid, ignition, frame.locate(ignition), area))
         except ValidationError as exc:
-            raise ValidationError(f"{path}:{table.line(row)}: {exc}") from exc
-    if len(table.head) == FIRE_FIELDS.index("recorded_area_km2"):
-        # Only the area was bad: a row's point is checked before its area is read.
-        point(len(events), *table.head[1:])
+            raise table.fault(row, exc) from exc
     table.raise_error()
     return events
 

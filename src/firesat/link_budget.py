@@ -21,7 +21,7 @@ import numpy as np
 from . import bessel
 from .atomic import read_csv, write_csv
 from .errors import NumericError, ValidationError
-from .geo import GeoPoint, SatelliteConfig, _view
+from .geo import GeoPoint, SatelliteConfig, _require_finite, _view
 
 # snr_db calls none of these; they stay importable from this module only
 # because perfbench/tracing.py wraps them here by name.
@@ -60,6 +60,8 @@ class DeviceConfig:
     other_losses_db: float
 
     def __post_init__(self):
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         if self.carrier_hz <= 0:
             raise ValidationError("carrier_hz must be > 0")
         if not 0.0 < self.off_boresight_deg <= 180.0:
@@ -77,11 +79,6 @@ class DeviceConfig:
     def eirp_dbm(self) -> float:
         """tx_power_dbm + antenna_gain, the first two terms of the SNR sum."""
         return self.tx_power_dbm + self.antenna_gain
-
-    @cached_property
-    def four_pi_f_hz(self) -> float:
-        """4 pi carrier_hz, the leading factor of the path loss."""
-        return 4.0 * math.pi * self.carrier_hz
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,7 @@ def load_mcs_table(path) -> McsTable:
         try:
             rows.append(McsRow(*values))
         except ValidationError as exc:
-            raise ValidationError(f"{path}:{table.line(row)}: {exc}") from exc
+            raise table.fault(row, exc) from exc
     table.raise_error()
     return McsTable(tuple(rows))
 
@@ -237,15 +234,9 @@ def beam_rolloff_factor(d_km: float, beam_radius_km: float) -> float:
 
 def fspl_db(distance_km: float, carrier_hz: float) -> float:
     """Free-space path loss as a positive dB value."""
-    if carrier_hz <= 0:
+    if distance_km <= 0 or carrier_hz <= 0:
         raise ValidationError("distance_km and carrier_hz must be > 0")
-    return _fspl_db(distance_km, 4.0 * math.pi * carrier_hz)
-
-
-def _fspl_db(distance_km: float, four_pi_f_hz: float) -> float:
-    """fspl_db, given 4 pi carrier_hz."""
-    if distance_km <= 0:
-        raise ValidationError("distance_km and carrier_hz must be > 0")
+    four_pi_f_hz = 4.0 * math.pi * carrier_hz
     ratio = four_pi_f_hz * (distance_km * 1e3) / SPEED_OF_LIGHT_M_S
     if ratio == math.inf:
         raise NumericError(f"free-space path loss over {distance_km} km overflows a float "
@@ -266,7 +257,7 @@ def _link_terms(
     # Looked up in this module on every call, so a replaced or wrapped
     # beam_rolloff_factor is the one used.
     factor = beam_rolloff_factor(d_beam, sat.beam_radius_km)
-    return elev, d_beam, slant, factor, _fspl_db(slant, device.four_pi_f_hz)
+    return elev, d_beam, slant, factor, fspl_db(slant, device.carrier_hz)
 
 
 def snr_db(

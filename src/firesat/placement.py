@@ -188,9 +188,7 @@ def read_placement_csv(path, budget: int | None = None) -> Placement:
     ids, counts = table.columns
     for row, rid in enumerate(ids):
         if rid != row:
-            raise ValidationError(
-                f"{path}:{table.line(row)}: region ids must be consecutive from 0"
-            )
+            raise table.fault(row, "region ids must be consecutive from 0")
     table.raise_error()
     try:
         return Placement(tuple(counts), sum(counts) if budget is None else budget)

@@ -113,6 +113,12 @@ CONFIG_COMMANDS = (
     ["simulate"],
 )
 
+# (key, value, command) runs that must warn, and the warning they give.
+EXPECTED_WARNINGS = {
+    ("traffic.sessions_per_day", "0", "capacity"):
+        "^zero session rate supports unboundedly many devices; returning cap$",
+}
+
 
 def config_with(text: str, key: str, value: str | None) -> str:
     """`text` with `key` set to `value`, or without `key` when value is None."""
@@ -152,7 +158,9 @@ def test_extreme_config_values_fail_cleanly(fuzz_root, key):
         for argv in CONFIG_COMMANDS:
             out = fuzz_root / f"out_{key}_{i}_{argv[0]}"
             out.mkdir()
-            code, err = run([*argv, "--config", str(config), "--out", str(out)])
+            warning = EXPECTED_WARNINGS.get((key, value, argv[0]))
+            with pytest.warns(UserWarning, match=warning) if warning else contextlib.nullcontext():
+                code, err = run([*argv, "--config", str(config), "--out", str(out)])
             case = f"{key} = {value}: {argv[0]} exited {code}: {err}"
             assert code in (0, 2, 3), case
             assert code == 0 or (len(err.splitlines()) == 1 and "error: " in err), case

@@ -76,6 +76,23 @@ class TestPrecedence:
             f"{path}:2: malformed row: could not convert string to float: 'x'"
         )
 
+    FIRE = "fire_id,lat,lon,recorded_area_km2\n0,37.156387,-118.339823,117.386489\n"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,37.39624,-118.432896,abc", "malformed row: could not convert string to float: 'abc'"),
+            ("0,100.0,-118.432896,39.436035", "latitude 100.0 outside [-90, 90]"),
+            ("0,37.39624,-118.432896,39.436035,1", "expected 4 fields, got 5"),
+        ],
+        ids=["area", "point", "width"],
+    )
+    def test_fire_row_fault_wins_over_its_repeated_id(self, tmp_path, row, message):
+        grid = ingest_regions(DATA_DIR / "regions.csv")
+        path = tmp_path / "fires.csv"
+        path.write_text(self.FIRE + row + "\n")
+        assert error_of(ingest_fires, path, grid) == f"{path}:3: {message}"
+
     def test_earlier_duplicate_wins_over_later_malformed_row(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + GOOD + GOOD + "x" + GOOD)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import link_budget_reference as ref
 from firesat import bessel, geo
 from firesat import link_budget as lb
+from firesat.errors import ValidationError
 from firesat.geo import GeoPoint, SatelliteConfig
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -24,7 +25,7 @@ points = st.builds(GeoPoint, lats, lons)
 altitudes = st.one_of(
     st.floats(1e-3, 1e6, **finite),
     st.floats(2e4, 5e4, **finite),
-    st.sampled_from([geo.GEO_ALTITUDE_KM, 1e308, math.inf, 1e-300, 5e-324]),
+    st.sampled_from([geo.GEO_ALTITUDE_KM, 1e308, 1e-300, 5e-324]),
 )
 satellites = st.builds(
     SatelliteConfig,
@@ -109,6 +110,33 @@ def test_snr_db_equals_reference_on_seeded_draws():
             assert outcome(lb.snr_db, device, sat, location, mode) == outcome(
                 ref.snr_db, device, sat, location, mode
             )
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["sub_satellite_lon", "altitude_km", "beam_radius_km", "g_s_max_dbi"])
+def test_non_finite_satellite_number_rejected(satellite, field, value):
+    # Accepted, an inf or nan altitude or beam radius gives a nan or -inf SNR.
+    with pytest.raises(ValidationError, match=rf"^{field} must be finite, got {value}$"):
+        replace(satellite, **{field: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", [f.name for f in fields(lb.DeviceConfig)])
+def test_non_finite_device_number_rejected(device, field, value):
+    # Accepted, a nan carrier gives a nan SNR.
+    with pytest.raises(ValidationError, match=rf"^{field} must be finite, got {value}$"):
+        replace(device, **{field: value})
+
+
+def test_finite_out_of_range_messages_kept(satellite, device):
+    with pytest.raises(ValidationError, match=r"^altitude_km must be > 0$"):
+        replace(satellite, altitude_km=0.0)
+    with pytest.raises(ValidationError, match=r"^beam_radius_km must be > 0$"):
+        replace(satellite, beam_radius_km=-1.0)
+    with pytest.raises(ValidationError, match=r"^carrier_hz must be > 0$"):
+        replace(device, carrier_hz=0.0)
+    with pytest.raises(ValidationError, match=r"^off_boresight_deg must be in \(0, 180\]$"):
+        replace(device, off_boresight_deg=181.0)
 
 
 def test_unservable_point_reported_before_overflowing_slant_range(device):
