@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Before the reason a field does not parse, in the error of its row.
+MALFORMED = "malformed row: "
+
 # Data rows parsed and converted at a time: bounds the row strings alive at
 # once, which parsing a whole file at once would hold all together.
 _CHUNK_ROWS = 1024
@@ -103,14 +106,14 @@ class CsvColumns:
             raise self.error
 
 
-def read_csv(path, header: list[str], types: tuple, malformed: str = "") -> CsvColumns:
+def read_csv(path, header: list[str], types: tuple) -> CsvColumns:
     """Columns of a CSV whose header is `header`, each converted by its type
     in `types` (int, float or str).
 
     Blank lines hold no row. The first row whose field count differs from the
     header's, or whose field its type rejects, ends the columns; its error
     names the line it starts on, and a rejected field's message follows
-    `malformed`.
+    MALFORMED.
     """
     parts: list[list] = [[] for _ in types]
     lines: list[np.ndarray] = []
@@ -144,7 +147,7 @@ def read_csv(path, header: list[str], types: tuple, malformed: str = "") -> CsvC
                 try:
                     chunk = _columns(rows, types)
                 except ValueError:
-                    bad, text = _first_bad_row(rows, types, malformed)
+                    bad, text = _first_bad_row(rows, types)
                     error = ValidationError(f"{path}:{starts[bad]}: {text}")
                     del rows[bad:], starts[bad:]
                     chunk = _columns(rows, types)
@@ -174,7 +177,7 @@ def _columns(rows: list[list[str]], types: tuple) -> list:
     ]
 
 
-def _first_bad_row(rows: list[list[str]], types: tuple, malformed: str):
+def _first_bad_row(rows: list[list[str]], types: tuple):
     """Index of the first row of `rows` that `_columns` rejects, and its error text."""
     for i, row in enumerate(rows):
         if len(row) != len(types):
@@ -182,5 +185,5 @@ def _first_bad_row(rows: list[list[str]], types: tuple, malformed: str):
         try:
             _columns([row], types)
         except ValueError as exc:
-            return i, f"{malformed}{exc}"
+            return i, f"{MALFORMED}{exc}"
     raise AssertionError("no bad row")

@@ -3,7 +3,7 @@
 Ascending power series below the cancellation limit of float64, Hankel
 asymptotic expansion (optimally truncated) above it, with J3 obtained from
 the stable upward recurrence when the asymptotic branch is active. j1_j3
-gives both orders from one pass; j1 and j3 take one element of it.
+gives both orders from one pass.
 """
 
 from __future__ import annotations
@@ -45,16 +45,6 @@ def _j01_asymptotic(n: int, x: float) -> float:
     return math.sqrt(2.0 / (math.pi * x)) * (
         p_sum * math.cos(chi) - q_sum * math.sin(chi)
     )
-
-
-def j1(x: float) -> float:
-    """Bessel function of the first kind, order 1."""
-    return j1_j3(x)[0]
-
-
-def j3(x: float) -> float:
-    """Bessel function of the first kind, order 3."""
-    return j1_j3(x)[1]
 
 
 def j1_j3(x: float) -> tuple[float, float]:

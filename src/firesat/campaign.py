@@ -31,7 +31,7 @@ class EconomicsParams:
     bandwidth_cost_usd: float = 0.0
 
     def __post_init__(self):
-        if min(self.carbon_price_usd_per_ton, self.device_cost_usd, self.bandwidth_cost_usd) < 0:
+        if not all(getattr(self, f.name) >= 0 for f in fields(self)):  # NaN fails too
             raise ValidationError("economic parameters must be >= 0")
 
     def money(self, reduction_ton: float, deployed: int) -> tuple[float, float, float]:
@@ -99,7 +99,7 @@ def scatter_sensors(placement: Placement, grid: RegionGrid, seed) -> np.ndarray:
     if len(placement.counts) != len(grid):
         raise ValidationError("placement length does not match grid size")
     counts = np.asarray(placement.counts, dtype=np.int64)
-    total = int(counts.sum())
+    total = placement.deployed  # a Python int: an int64 sum could wrap
     if total == 0:
         return np.empty((0, 2))
     reps = np.repeat(np.arange(len(counts)), counts)
@@ -221,7 +221,7 @@ def run_campaign(
     stalled = u_p == 0.0
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
     counts = np.asarray(placement.counts, dtype=np.int64)
-    total = int(counts.sum())
+    total = placement.deployed  # a Python int: an int64 sum could wrap
 
     gap_sq, cells = frame.disks(fire_xy, r_max * (1.0 + 1e-9))
     # (fire, occupied candidate) pairs; those at the fire's smallest gap go first.
@@ -247,7 +247,10 @@ def run_campaign(
     try:
         # One buffer for every trial's draw: allocating it afresh each trial
         # costs page faults and leaves the heap fragmented.
-        unit = np.empty((total, 2))
+        try:
+            unit = np.empty((total, 2))
+        except ValueError:  # more rows than numpy can index
+            raise MemoryError from None
         for trial in range(trials):
             # The draws scatter_sensors turns into positions; each cell's
             # sensors are the rows after those of all lower-numbered cells.

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from .errors import NumericError, ValidationError
 
 SECONDS_PER_DAY = 86400.0
+# Most devices per carrier reported under periodic traffic.
+DEVICE_CAP = 10**12
 
 
 @dataclass(frozen=True)
@@ -32,9 +34,9 @@ class TrafficModel:
             raise ValidationError(f"unknown traffic kind {self.kind!r}")
         if not 20 <= self.payload_bytes <= 200:
             raise ValidationError("payload_bytes must be in [20, 200]")
-        if self.reference_period_s <= 0:
+        if not self.reference_period_s > 0:
             raise ValidationError("reference_period_s must be > 0")
-        if self.sessions_per_day_coeff < 0:
+        if not self.sessions_per_day_coeff >= 0:
             raise ValidationError("sessions_per_day_coeff must be >= 0")
 
 
@@ -54,10 +56,10 @@ class RadioTiming:
     tx_attempts: int = 1
 
     def __post_init__(self):
-        if self.rtt_ms < 0:
+        if not self.rtt_ms >= 0:
             raise ValidationError("rtt_ms must be >= 0")
         for name in ("ru_time_ms", "ru_bw_khz", "carrier_bw_khz"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0")
         if self.rus_per_report < 1 or self.tx_attempts < 1:
             raise ValidationError("rus_per_report and tx_attempts must be >= 1")
@@ -110,16 +112,12 @@ def traffic_total_bytes(k_sensors: int, t_obs_s: float, m: TrafficModel) -> int:
         raise NumericError(f"{sessions} periodic sessions cannot be counted") from None
 
 
-def devices_per_carrier_periodic(
-    t: RadioTiming,
-    m: TrafficModel,
-    period_s: float,
-    cap: int = 10**12,
-) -> int:
+def devices_per_carrier_periodic(t: RadioTiming, m: TrafficModel, period_s: float) -> int:
     """Devices one carrier can serve under periodic traffic: concurrent report
-    slots per period divided by each device's sessions per period.
+    slots per period divided by each device's sessions per period, at most
+    DEVICE_CAP.
 
-    A zero sessions coefficient means unbounded support; the configured cap is
+    A zero sessions coefficient means unbounded support; DEVICE_CAP is
     returned with an overflow warning.
     """
     if m.kind != "periodic":
@@ -128,9 +126,9 @@ def devices_per_carrier_periodic(
     sessions_per_device = m.sessions_per_day_coeff * (period_s / SECONDS_PER_DAY)
     if sessions_per_device == 0.0:
         warnings.warn("zero session rate supports unboundedly many devices; returning cap")
-        return cap
+        return DEVICE_CAP
     try:
-        return min(cap, math.floor(slots / sessions_per_device))
+        return min(DEVICE_CAP, math.floor(slots / sessions_per_device))
     except OverflowError:  # slots or the quotient beyond the float range
         raise NumericError(
             f"{slots} report slots per carrier over {sessions_per_device} sessions per device "

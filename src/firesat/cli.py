@@ -18,7 +18,7 @@ from . import campaign as camp
 from . import link_budget as lb
 from . import placement as pl
 from .atomic import read_json, write_csv, write_json
-from .config import RunConfig, load_config
+from .config import CONFIG_KEYS, RunConfig, load_config
 from .errors import NumericError, ValidationError
 from .fire_model import system_utility
 from .geo import GeoPoint
@@ -70,8 +70,9 @@ def cmd_plan(args) -> int:
     grid = ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
     rows, cols = grid.frame.rows_cols()
     summary: dict = {"budget": cfg.budget, "t_hours": cfg.t_hours, "schemes": {}}
-    for scheme in _each(args.scheme, SCHEMES):
-        placement = _placement_for(scheme, grid, cfg.budget, cfg)
+    # Every placement is solved before any file is written, so a failing one leaves none.
+    placements = {s: _placement_for(s, grid, cfg.budget, cfg) for s in _each(args.scheme, SCHEMES)}
+    for scheme, placement in placements.items():
         utility = system_utility(grid, placement.counts, cfg.t_hours, cfg.fire_params())
         pl.write_placement_csv(placement, out / f"placement_{scheme}.csv")
         pl.write_placement_json(placement, out / f"placement_{scheme}.json", scheme)
@@ -275,16 +276,8 @@ def cmd_report(args) -> int:
 
 
 def _overrides(args) -> dict:
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "budget", None) is not None:
-        overrides["plan.budget"] = args.budget
-    if getattr(args, "t_hours", None) is not None:
-        overrides["plan.t_hours"] = args.t_hours
-    if getattr(args, "trials", None) is not None:
-        overrides["campaign.trials"] = args.trials
-    return overrides
+    """The config values given on the command line: an override flag's dest is its key."""
+    return {k: v for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, scheme=False, mode=False):
         p.add_argument("--config", default=str(default_config_path()), help="config file path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", dest="seed", type=int, help="override config seed")
         if scheme:
             p.add_argument("--scheme", choices=[*SCHEMES, BOTH], default=BOTH)
         if mode:
@@ -305,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="solve both placement schemes and report utility")
     common(p_plan, scheme=True)
-    p_plan.add_argument("--budget", type=int, default=None, help="override sensor budget")
-    p_plan.add_argument("--t-hours", type=float, default=None, help="override detection deadline")
+    p_plan.add_argument("--budget", dest="plan.budget", type=int, help="override sensor budget")
+    p_plan.add_argument("--t-hours", dest="plan.t_hours", type=float, help="override detection deadline")
     p_plan.set_defaults(func=cmd_plan)
 
     p_link = sub.add_parser("linkbudget", help="uplink SNR and MCS at a location")
@@ -323,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capacity", help="bandwidth requirement and spectrum cost")
     common(p_cap)
-    p_cap.add_argument("--budget", type=int, default=None, help="override sensor count")
+    p_cap.add_argument("--budget", dest="plan.budget", type=int, help="override sensor count")
     p_cap.set_defaults(func=cmd_capacity)
 
     p_sim = sub.add_parser("simulate", help="seeded Monte Carlo fire-season campaign")
     common(p_sim, scheme=True)
-    p_sim.add_argument("--budget", type=int, default=None)
-    p_sim.add_argument("--t-hours", type=float, default=None)
-    p_sim.add_argument("--trials", type=int, default=None)
+    p_sim.add_argument("--budget", dest="plan.budget", type=int)
+    p_sim.add_argument("--t-hours", dest="plan.t_hours", type=float)
+    p_sim.add_argument("--trials", dest="campaign.trials", type=int)
     p_sim.add_argument(
         "--sweep",
         default=None,

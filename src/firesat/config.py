@@ -14,7 +14,7 @@ from pathlib import Path
 from .capacity import RadioTiming, TrafficModel
 from .errors import ValidationError
 from .fire_model import FireModelParams
-from .geo import GeoPoint, SatelliteConfig
+from .geo import GEO_ALTITUDE_KM, GeoPoint, SatelliteConfig
 from .link_budget import DEFAULT_MCS_TABLE, DeviceConfig, McsTable, load_mcs_table
 
 
@@ -69,7 +69,7 @@ class RunConfig:
     t_hours: float = _key("plan.t_hours", 4.0)
     budget: int = _key("plan.budget")
     sub_satellite_lon: float = _key("satellite.sub_satellite_lon", -125.0)
-    altitude_km: float = _key("satellite.altitude_km", 35786.0)
+    altitude_km: float = _key("satellite.altitude_km", GEO_ALTITUDE_KM)
     beam_center_lat: float = _key("satellite.beam_center_lat", 37.0)
     beam_center_lon: float = _key("satellite.beam_center_lon", -122.0)
     beam_radius_km: float = _key("satellite.beam_radius_km", 1000.0)
@@ -151,6 +151,9 @@ class RunConfig:
         return load_mcs_table(self.mcs_table_csv)
 
 
+# Every key a config file or an override may set.
+CONFIG_KEYS = frozenset(f.metadata["key"] for f in fields(RunConfig))
+
 # Parser of a config value by the annotation of its RunConfig field.
 _PARSE = {"float": float, "int": int, "Path": str, "Path | None": str}
 
@@ -162,9 +165,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ValidationError(f"config file not found: {path}")
     raw = parse_kv_file(path)
     overrides = overrides or {}
-    keys = {f.metadata["key"] for f in fields(RunConfig)}
     for source, given in ((str(path), raw), ("overrides", overrides)):
-        unknown = sorted(set(given) - keys)
+        unknown = sorted(set(given) - CONFIG_KEYS)
         if unknown:
             raise ValidationError(f"{source}: unknown config keys: {', '.join(unknown)}")
     kwargs: dict[str, object] = {}

@@ -88,23 +88,23 @@ class RegionGrid:
 
 
 class GridFrame:
-    """Planar view of a RegionGrid: cell centers in km, square cells."""
+    """Planar view of a RegionGrid: cell centers in km, square cells, km_per_deg_lon at ref_lat."""
 
     def __init__(self, grid: RegionGrid):
         lats = grid.lat
         lons = grid.lon
         self.ref_lat = 0.5 * (lats.min() + lats.max())
         self.ref_lon = 0.5 * (lons.min() + lons.max())
-        self._kx = KM_PER_DEG_LAT * math.cos(math.radians(self.ref_lat))
+        self.km_per_deg_lon = KM_PER_DEG_LAT * math.cos(math.radians(self.ref_lat))
         self.centers_xy = np.column_stack(
-            [(lons - self.ref_lon) * self._kx, (lats - self.ref_lat) * KM_PER_DEG_LAT]
+            [(lons - self.ref_lon) * self.km_per_deg_lon, (lats - self.ref_lat) * KM_PER_DEG_LAT]
         )
         self.side_km = math.sqrt(grid.cell_area_km2)
         self.biomass = grid.biomass
 
     def project(self, p: GeoPoint) -> tuple[float, float]:
         return (
-            (p.lon - self.ref_lon) * self._kx,
+            (p.lon - self.ref_lon) * self.km_per_deg_lon,
             (p.lat - self.ref_lat) * KM_PER_DEG_LAT,
         )
 

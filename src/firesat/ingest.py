@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .atomic import CsvColumns, read_csv, write_csv
+from .atomic import MALFORMED, CsvColumns, read_csv, write_csv
 from .errors import ValidationError
 from .geo import GeoPoint
 from .grid import COLUMNS, FireEvent, RegionGrid
@@ -18,12 +18,10 @@ REGION_FIELDS = ["id", *COLUMNS]
 
 FIRE_FIELDS = ["fire_id", "lat", "lon", "recorded_area_km2"]
 
-MALFORMED = "malformed row: "  # before the reason a field does not parse
-
 
 def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
     """Load a region grid from CSV; ids must cover 0..N-1 exactly once."""
-    table = read_csv(path, REGION_FIELDS, (int,) + (float,) * len(COLUMNS), MALFORMED)
+    table = read_csv(path, REGION_FIELDS, (int,) + (float,) * len(COLUMNS))
     order = _region_order(table)
     columns = [column[order] for column in table.columns[1:]]
     try:
@@ -57,8 +55,9 @@ def write_regions_csv(grid: RegionGrid, path) -> None:
 
 
 def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
-    """Load a fire catalog; each ignition is assigned to its containing cell."""
-    table = read_csv(path, FIRE_FIELDS, (int, float, float, str), MALFORMED)
+    """Load a fire catalog of at least one fire; each ignition is assigned to
+    its containing cell."""
+    table = read_csv(path, FIRE_FIELDS, (int, float, float, str))
     frame = grid.frame
     events: list[FireEvent] = []
     seen: set[int] = set()
@@ -76,6 +75,8 @@ def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
         except ValidationError as exc:
             raise table.fault(row, exc) from exc
     table.raise_error()
+    if not events:
+        raise ValidationError(f"{path}: no fire rows found")
     return events
 
 

@@ -91,11 +91,11 @@ class FadingParams:
     zeta: float
 
     def __post_init__(self):
-        if self.b <= 0:
+        if not self.b > 0:
             raise ValidationError("b must be > 0")
-        if self.m <= 0:
+        if not self.m > 0:
             raise ValidationError("m must be > 0")
-        if self.zeta < 0:
+        if not self.zeta >= 0:
             raise ValidationError("zeta must be >= 0")
 
 
@@ -220,9 +220,9 @@ def beam_rolloff_factor(d_km: float, beam_radius_km: float) -> float:
     factor = (J1(u)/(2u) + 36 J3(u)/u^3)^2 with u = (2.07123/r) d. The
     boresight limit is (1/4 + 3/4)^2 = 1, returned exactly for u < 1e-6.
     """
-    if d_km < 0:
+    if not d_km >= 0:
         raise ValidationError("d_km must be >= 0")
-    if beam_radius_km <= 0:
+    if not beam_radius_km > 0:
         raise ValidationError("beam_radius_km must be > 0")
     u = BEAM_APERTURE_COEFF / beam_radius_km * d_km
     if u < 1e-6:
@@ -234,7 +234,7 @@ def beam_rolloff_factor(d_km: float, beam_radius_km: float) -> float:
 
 def fspl_db(distance_km: float, carrier_hz: float) -> float:
     """Free-space path loss as a positive dB value."""
-    if distance_km <= 0 or carrier_hz <= 0:
+    if not (distance_km > 0 and carrier_hz > 0):
         raise ValidationError("distance_km and carrier_hz must be > 0")
     four_pi_f_hz = 4.0 * math.pi * carrier_hz
     ratio = four_pi_f_hz * (distance_km * 1e3) / SPEED_OF_LIGHT_M_S
@@ -343,7 +343,7 @@ def _log_hyp1f1_m1_large(m: float, z: float) -> float:
 
 def fading_pdf(x: float, p: FadingParams) -> float:
     """PDF of the shadowed-Rician channel power |h|^2 at x >= 0."""
-    if x < 0:
+    if not x >= 0:
         raise ValidationError("x must be >= 0")
     two_b = 2.0 * p.b
     alpha = (two_b * p.m) ** p.m / (two_b * (two_b * p.m + p.zeta) ** p.m)

@@ -171,6 +171,8 @@ def biomass_uniform(grid: RegionGrid, budget: int) -> Placement:
         warnings.warn("no region has positive biomass; placing no sensors")
         return Placement(tuple(counts.tolist()), budget)
     base, extra = divmod(budget, len(qualifying))
+    if base + (extra > 0) > np.iinfo(np.int64).max:
+        raise ValidationError(f"budget {budget}: a region's share does not fit an int64")
     counts[qualifying] = base
     counts[qualifying[:extra]] += 1
     return Placement(tuple(counts.tolist()), budget)

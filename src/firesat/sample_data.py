@@ -182,8 +182,7 @@ def build_sample_fires(grid: RegionGrid, seed: int = DEFAULT_SEED) -> list[FireE
 
     lats = grid.lat.tolist()
     lons = grid.lon.tolist()
-    ref_lat = 0.5 * (lats[0] + lats[-1])
-    km_per_deg_lon = KM_PER_DEG_LAT * math.cos(math.radians(ref_lat))
+    km_per_deg_lon = grid.frame.km_per_deg_lon
 
     events = []
     for k in range(N_FIRES):

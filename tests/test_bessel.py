@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from firesat.bessel import j1, j3
+from firesat.bessel import j1_j3
 
 # Frozen from scipy.special at development time.
 J1_REFERENCE = {
@@ -30,31 +30,32 @@ J3_REFERENCE = {
 
 @pytest.mark.parametrize("x,expected", sorted(J1_REFERENCE.items()))
 def test_j1_frozen_values(x, expected):
-    assert j1(x) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    assert j1_j3(x)[0] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 @pytest.mark.parametrize("x,expected", sorted(J3_REFERENCE.items()))
 def test_j3_frozen_values(x, expected):
-    assert j3(x) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    assert j1_j3(x)[1] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def test_against_scipy_sweep():
     xs = np.linspace(0.01, 40.0, 797)
     for x in xs:
-        assert j1(float(x)) == pytest.approx(float(sp.j1(x)), rel=1e-9, abs=1e-11)
-        assert j3(float(x)) == pytest.approx(float(sp.jn(3, x)), rel=1e-9, abs=1e-11)
+        j1, j3 = j1_j3(float(x))
+        assert j1 == pytest.approx(float(sp.j1(x)), rel=1e-9, abs=1e-11)
+        assert j3 == pytest.approx(float(sp.jn(3, x)), rel=1e-9, abs=1e-11)
 
 
 def test_odd_symmetry_and_origin():
-    assert j1(0.0) == 0.0
-    assert j3(0.0) == 0.0
+    assert j1_j3(0.0) == (0.0, 0.0)
     for x in (0.7, 3.3, 17.0):
-        assert j1(-x) == -j1(x)
-        assert j3(-x) == -j3(x)
+        j1, j3 = j1_j3(x)
+        assert j1_j3(-x) == (-j1, -j3)
 
 
 def test_small_argument_leading_order():
     # J1 ~ x/2 and J3 ~ x^3/48 near zero.
     x = 1e-8
-    assert j1(x) == pytest.approx(x / 2.0, rel=1e-12)
-    assert j3(x) == pytest.approx(x**3 / 48.0, rel=1e-10)
+    j1, j3 = j1_j3(x)
+    assert j1 == pytest.approx(x / 2.0, rel=1e-12)
+    assert j3 == pytest.approx(x**3 / 48.0, rel=1e-10)

@@ -260,6 +260,25 @@ class TestRunCampaign:
         with pytest.raises(ValidationError, match="^out of memory for 48 sensors: .* 768 bytes$"):
             run_campaign(grid, Placement((3,) * 16, 48), catalog, EconomicsParams(), trials=2)
 
+    def test_unindexable_draw_is_out_of_memory(self, monkeypatch):
+        # numpy refuses a shape past what it can index with ValueError, not MemoryError.
+        def too_big(shape, *args, **kwargs):
+            raise ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger than "
+                             "the maximum possible size.")
+
+        grid = small_grid()
+        catalog = self.make_catalog(grid, grid.frame)
+        monkeypatch.setattr(np, "empty", too_big)
+        with pytest.raises(ValidationError, match="^out of memory for 48 sensors: .* 768 bytes$"):
+            run_campaign(grid, Placement((3,) * 16, 48), catalog, EconomicsParams(), trials=2)
+
+    def test_negative_seed_is_not_out_of_memory(self):
+        grid = small_grid()
+        catalog = self.make_catalog(grid, grid.frame)
+        with pytest.raises(ValueError) as info:
+            run_campaign(grid, Placement((3,) * 16, 48), catalog, EconomicsParams(), trials=2, seed=-1)
+        assert not isinstance(info.value, ValidationError)
+
     def test_gather_out_of_memory_is_a_validation_error(self, monkeypatch):
         class NoGather(np.ndarray):
             def __getitem__(self, key):

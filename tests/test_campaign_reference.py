@@ -332,7 +332,7 @@ def test_stalled_fire_detected_only_by_a_sensor_on_its_ignition_point():
                     p_human=0.5, spread_rate=0.0)]
     grid = grid_of(regions, side * side)
     frame = grid.frame
-    assert frame.centers_xy.tolist() == [[0.0, 0.0]] and frame._kx == KM_PER_DEG_LAT
+    assert frame.centers_xy.tolist() == [[0.0, 0.0]] and frame.km_per_deg_lon == KM_PER_DEG_LAT
     placement = Placement((40,), budget=40)
     # Trial 0's sensors, computed as the campaign computes them.
     d = np.random.default_rng([seed, 0]).random((40, 2)) - 0.5

@@ -1,6 +1,7 @@
 import pytest
 
 from firesat.capacity import (
+    DEVICE_CAP,
     RadioTiming,
     TrafficModel,
     bandwidth_required_hz,
@@ -49,7 +50,7 @@ class TestDevicesPerCarrier:
     def test_zero_rate_returns_cap_with_warning(self):
         m = TrafficModel(kind="periodic", sessions_per_day_coeff=0.0)
         with pytest.warns(UserWarning):
-            assert devices_per_carrier_periodic(TIMING, m, 10.0, cap=999) == 999
+            assert devices_per_carrier_periodic(TIMING, m, 10.0) == DEVICE_CAP == 10**12
 
     def test_doubling_carrier_bandwidth_doubles_count(self):
         wide = RadioTiming(carrier_bw_khz=360.0)

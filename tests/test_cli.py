@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import math
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from firesat.cli import main
+from firesat.cli import build_parser, main
+from firesat.config import CONFIG_KEYS
 from firesat.sample_data import generate_sample_dataset
 
 from conftest import DATA_DIR
@@ -288,6 +290,17 @@ class TestDeterminism:
             assert runs[0][name] == runs[1][name], f"{name} differs between reruns"
 
 
+# Dests of the flags that set no config key.
+NON_OVERRIDE_DESTS = {"help", "config", "out", "scheme", "mode", "lat", "lon", "reference_snr_db", "sweep"}
+
+
+def test_override_flags_name_config_keys():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for p in commands.choices.values() for a in p._actions if a.option_strings}
+    assert dests - NON_OVERRIDE_DESTS <= CONFIG_KEYS
+    assert dests & CONFIG_KEYS == {"seed", "plan.budget", "plan.t_hours", "campaign.trials"}
+
+
 class TestValidationExitCodes:
     def test_missing_config(self, tmp_path):
         assert run("plan", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)) == 2
@@ -392,6 +405,42 @@ class TestNoTraceback:
         err = capsys.readouterr().err
         assert "error: out of memory for 1000000000000 sensors: " in err
         assert "needs 16000000000000 bytes" in err
+
+    def test_header_only_fires_exits_2(self, tmp_path, capsys):
+        fires = tmp_path / "fires.csv"
+        fires.write_text("fire_id,lat,lon,recorded_area_km2\n")
+        config = self.config_with(tmp_path, **{"fires.csv": fires})
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(config), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {fires}: no fire rows found\n"
+        assert not any(out.iterdir())
+
+    HUGE = str(10**23)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # The int64 sum of 10^20 sensor counts wraps; numpy cannot index the draw.
+            (["simulate", "--scheme", "uniform", "--budget", "99999999999999999999", "--trials", "1"],
+             "out of memory for 99999999999999999999 sensors: "
+             "each trial's draw needs 1599999999999999999984 bytes"),
+            (["plan", "--budget", HUGE], f"budget {HUGE}: a region's share does not fit an int64"),
+            (["simulate", "--scheme", "uniform", "--budget", HUGE],
+             f"budget {HUGE}: a region's share does not fit an int64"),
+        ],
+        ids=["simulate-1e20", "plan-1e23", "simulate-1e23"],
+    )
+    def test_huge_budget_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run(*argv, "--config", CONFIG, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
+
+    def test_huge_budget_optimized_plan_deploys_what_pays(self, tmp_path):
+        assert run("plan", "--scheme", "optimized", "--budget", self.HUGE,
+                   "--config", CONFIG, "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "plan_summary.json").read_text())
+        assert summary["schemes"]["optimized"]["deployed"] == 3381170
 
     @pytest.mark.parametrize("command", ["plan", "simulate"])
     def test_overflowing_deadline_exits_3(self, tmp_path, capsys, command):

@@ -129,6 +129,21 @@ class TestPrecedence:
         path.write_text("min_snr_db,mcs_level,ru_per_20_bytes\nnan,5,3\nx,1,1\n")
         assert error_of(load_mcs_table, path) == f"{path}:2: min_snr_db must be finite, got nan"
 
+    @pytest.mark.parametrize(
+        "reader, text, reason",
+        [
+            (read_placement_csv, "region_id,n_sensors\n0,1\n1,x\n",
+             "invalid literal for int() with base 10: 'x'"),
+            (load_mcs_table, "min_snr_db,mcs_level,ru_per_20_bytes\n-0.45,5,3\nx,6,2\n",
+             "could not convert string to float: 'x'"),
+        ],
+        ids=["placement", "mcs"],
+    )
+    def test_every_reader_names_a_malformed_row(self, tmp_path, reader, text, reason):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        assert error_of(reader, path) == f"{path}:3: malformed row: {reason}"
+
 
 class TestPhysicalLine:
     def test_blank_lines_count(self, tmp_path):

@@ -7,6 +7,8 @@ import scipy.special as sp
 import scipy.stats
 
 from firesat import link_budget as lb
+from firesat.campaign import EconomicsParams
+from firesat.capacity import RadioTiming, TrafficModel
 from firesat.errors import NumericError, UnservableLocationError, ValidationError
 from firesat.geo import GeoPoint, elevation_deg, slant_range_km
 
@@ -298,3 +300,36 @@ class TestFadingSampler:
         stat = float(((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum())
         dof = int(keep.sum()) - 1
         assert stat < scipy.stats.chi2.ppf(0.99, dof)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: lb.fspl_db(NAN, 2e9), "distance_km and carrier_hz must be > 0"),
+        (lambda: lb.fspl_db(1000.0, NAN), "distance_km and carrier_hz must be > 0"),
+        (lambda: lb.beam_rolloff_factor(NAN, 1000.0), "d_km must be >= 0"),
+        (lambda: lb.beam_rolloff_factor(10.0, NAN), "beam_radius_km must be > 0"),
+        (lambda: lb.fading_pdf(NAN, lb.fading_params(50.0)), "x must be >= 0"),
+        (lambda: lb.FadingParams(b=NAN, m=4.96, zeta=0.72), "b must be > 0"),
+        (lambda: lb.FadingParams(b=0.03, m=NAN, zeta=0.72), "m must be > 0"),
+        (lambda: lb.FadingParams(b=0.03, m=4.96, zeta=NAN), "zeta must be >= 0"),
+        (lambda: RadioTiming(rtt_ms=NAN), "rtt_ms must be >= 0"),
+        (lambda: RadioTiming(ru_time_ms=NAN), "ru_time_ms must be > 0"),
+        (lambda: RadioTiming(ru_bw_khz=NAN), "ru_bw_khz must be > 0"),
+        (lambda: RadioTiming(carrier_bw_khz=NAN), "carrier_bw_khz must be > 0"),
+        (lambda: TrafficModel(reference_period_s=NAN), "reference_period_s must be > 0"),
+        (lambda: TrafficModel(sessions_per_day_coeff=NAN), "sessions_per_day_coeff must be >= 0"),
+        # min() passes over a NaN that is not its first argument.
+        (lambda: EconomicsParams(200.0, NAN, 0.0), "economic parameters must be >= 0"),
+        (lambda: EconomicsParams(200.0, 10.0, NAN), "economic parameters must be >= 0"),
+    ],
+    ids=["fspl-distance", "fspl-carrier", "rolloff-d", "rolloff-radius", "fading-pdf-x",
+         "fading-b", "fading-m", "fading-zeta", "timing-rtt", "timing-ru-time", "timing-ru-bw",
+         "timing-carrier-bw", "traffic-period", "traffic-sessions", "econ-device", "econ-bandwidth"],
+)
+def test_nan_fails_public_bounds(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()

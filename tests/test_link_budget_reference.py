@@ -154,7 +154,6 @@ def test_j1_j3_equals_two_reference_series(u, negative):
     x = -u if negative else u
     expected = (ref.j1(x), ref.j3(x))
     assert repr(bessel.j1_j3(x)) == repr(expected)
-    assert repr((bessel.j1(x), bessel.j3(x))) == repr(expected)
 
 
 def test_j1_j3_equals_reference_on_a_dense_sweep():
