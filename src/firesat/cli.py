@@ -94,6 +94,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_linkbudget(args) -> int:
+    if args.reference_snr_db is not None and not math.isfinite(args.reference_snr_db):
+        raise ValidationError(f"--reference-snr-db must be finite, got {args.reference_snr_db}")
     cfg = load_config(args.config, _overrides(args))
     out = _out_dir(args)
     location = GeoPoint(args.lat, args.lon)
@@ -205,12 +207,18 @@ def _parse_sweep(text: str) -> list[int]:
         if not token:
             continue
         try:
-            value = float(token)
+            budget = int(token)
         except ValueError:
-            value = math.nan
-        if not value.is_integer():
-            raise ValidationError(f"--sweep: {token!r} is not a whole sensor budget")
-        budget = int(value)
+            try:
+                value = float(token)
+            except ValueError:
+                value = math.nan
+            if not value.is_integer():
+                raise ValidationError(f"--sweep: {token!r} is not a whole sensor budget")
+            # From 2**53 on, a float no longer tells whole numbers one apart.
+            if abs(value) >= 2**53:
+                raise ValidationError(f"--sweep: {token!r} is not below 2**53; write the budget in digits")
+            budget = int(value)
         if budget < 0:
             raise ValidationError(f"--sweep: budget {token!r} must be >= 0")
         if budget in budgets:

@@ -14,14 +14,13 @@ from pathlib import Path
 from .capacity import RadioTiming, TrafficModel
 from .errors import ValidationError
 from .fire_model import FireModelParams
-from .geo import GEO_ALTITUDE_KM, GeoPoint, SatelliteConfig
-from .link_budget import DEFAULT_MCS_TABLE, DeviceConfig, McsTable, load_mcs_table
+from .geo import GeoPoint, SatelliteConfig
+from .link_budget import DeviceConfig, McsTable, load_mcs_table
 
 
 def parse_kv_file(path) -> dict[str, str]:
     try:
-        with open(path) as f:
-            lines = f.read().split("\n")
+        lines = Path(path).read_text().split("\n")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: cannot decode as text: {exc}") from None
     result: dict[str, str] = {}
@@ -40,12 +39,9 @@ def parse_kv_file(path) -> dict[str, str]:
     return result
 
 
-_REQUIRED = object()
-
-
-def _key(name: str, default=_REQUIRED):
+def _key(name: str):
     """A RunConfig field read from config key `name`, parsed by the field's type."""
-    return field(metadata={"key": name, "default": default})
+    return field(metadata={"key": name})
 
 
 @dataclass(frozen=True)
@@ -57,44 +53,44 @@ class RunConfig:
 
     regions_csv: Path = _key("paths.regions")
     fires_csv: Path = _key("paths.fires")
-    mcs_table_csv: Path | None = _key("paths.mcs_table", "")
-    cell_area_km2: float = _key("grid.cell_area_km2", 100.0)
+    mcs_table_csv: Path = _key("paths.mcs_table")
+    cell_area_km2: float = _key("grid.cell_area_km2")
     theta_wilt: float = _key("fire.theta_wilt")
     theta_field: float = _key("fire.theta_field")
-    b_low: float = _key("fire.b_low", 0.2)
-    b_up: float = _key("fire.b_up", 1.0)
-    beta_e: float = _key("fire.beta_e", 0.35)
-    l_low: float = _key("fire.l_low", 0.02)
-    l_up: float = _key("fire.l_up", 0.85)
-    t_hours: float = _key("plan.t_hours", 4.0)
+    b_low: float = _key("fire.b_low")
+    b_up: float = _key("fire.b_up")
+    beta_e: float = _key("fire.beta_e")
+    l_low: float = _key("fire.l_low")
+    l_up: float = _key("fire.l_up")
+    t_hours: float = _key("plan.t_hours")
     budget: int = _key("plan.budget")
-    sub_satellite_lon: float = _key("satellite.sub_satellite_lon", -125.0)
-    altitude_km: float = _key("satellite.altitude_km", GEO_ALTITUDE_KM)
-    beam_center_lat: float = _key("satellite.beam_center_lat", 37.0)
-    beam_center_lon: float = _key("satellite.beam_center_lon", -122.0)
-    beam_radius_km: float = _key("satellite.beam_radius_km", 1000.0)
-    g_s_max_dbi: float = _key("satellite.g_s_max_dbi", 25.0)
-    tx_power_dbm: float = _key("device.tx_power_dbm", 23.0)
-    g_t_max_dbi: float = _key("device.g_t_max_dbi", 7.38)
-    off_boresight_deg: float = _key("device.off_boresight_deg", 50.0)
-    carrier_hz: float = _key("device.carrier_hz", 2e9)
-    noise_power_dbm: float = _key("device.noise_power_dbm", -167.42)
-    other_losses_db: float = _key("device.other_losses_db", -10.0)
-    rtt_ms: float = _key("radio.rtt_ms", 500.0)
-    ru_time_ms: float = _key("radio.ru_time_ms", 32.0)
-    ru_bw_khz: float = _key("radio.ru_bw_khz", 3.75)
-    carrier_bw_khz: float = _key("radio.carrier_bw_khz", 180.0)
-    rus_per_report: int = _key("radio.rus_per_report", 3)
-    tx_attempts: int = _key("radio.tx_attempts", 1)
-    payload_bytes: int = _key("traffic.payload_bytes", 20)
-    reference_period_s: float = _key("traffic.reference_period_s", 10.0)
-    sessions_per_day: float = _key("traffic.sessions_per_day", 11.2)
-    carbon_price_usd_per_ton: float = _key("econ.carbon_price_usd_per_ton", 200.0)
-    device_cost_case_a_usd: float = _key("econ.device_cost_case_a_usd", 10.0)
-    device_cost_case_b_usd: float = _key("econ.device_cost_case_b_usd", 100.0)
-    usd_per_hz: float = _key("econ.usd_per_hz", 0.6)
-    trials: int = _key("campaign.trials", 20)
-    seed: int = _key("seed", 1234)
+    sub_satellite_lon: float = _key("satellite.sub_satellite_lon")
+    altitude_km: float = _key("satellite.altitude_km")
+    beam_center_lat: float = _key("satellite.beam_center_lat")
+    beam_center_lon: float = _key("satellite.beam_center_lon")
+    beam_radius_km: float = _key("satellite.beam_radius_km")
+    g_s_max_dbi: float = _key("satellite.g_s_max_dbi")
+    tx_power_dbm: float = _key("device.tx_power_dbm")
+    g_t_max_dbi: float = _key("device.g_t_max_dbi")
+    off_boresight_deg: float = _key("device.off_boresight_deg")
+    carrier_hz: float = _key("device.carrier_hz")
+    noise_power_dbm: float = _key("device.noise_power_dbm")
+    other_losses_db: float = _key("device.other_losses_db")
+    rtt_ms: float = _key("radio.rtt_ms")
+    ru_time_ms: float = _key("radio.ru_time_ms")
+    ru_bw_khz: float = _key("radio.ru_bw_khz")
+    carrier_bw_khz: float = _key("radio.carrier_bw_khz")
+    rus_per_report: int = _key("radio.rus_per_report")
+    tx_attempts: int = _key("radio.tx_attempts")
+    payload_bytes: int = _key("traffic.payload_bytes")
+    reference_period_s: float = _key("traffic.reference_period_s")
+    sessions_per_day: float = _key("traffic.sessions_per_day")
+    carbon_price_usd_per_ton: float = _key("econ.carbon_price_usd_per_ton")
+    device_cost_case_a_usd: float = _key("econ.device_cost_case_a_usd")
+    device_cost_case_b_usd: float = _key("econ.device_cost_case_b_usd")
+    usd_per_hz: float = _key("econ.usd_per_hz")
+    trials: int = _key("campaign.trials")
+    seed: int = _key("seed")
 
     def __post_init__(self):
         if self.t_hours <= 0:
@@ -105,9 +101,10 @@ class RunConfig:
             raise ValidationError("campaign.trials must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        for p in (self.regions_csv, self.fires_csv, self.mcs_table_csv):
-            if p is not None and not Path(p).is_file():
-                raise ValidationError(f"configured file does not exist: {p}")
+        for f in fields(self):
+            p = getattr(self, f.name)
+            if f.type == "Path" and not p.is_file():
+                raise ValidationError(f"{f.metadata['key']}: configured file does not exist: {p}")
 
     def _build(self, cls, **given):
         """A `cls` whose fields take the values of this config's fields of the
@@ -146,8 +143,6 @@ class RunConfig:
         return self._build(TrafficModel, kind=kind, sessions_per_day_coeff=self.sessions_per_day)
 
     def mcs_table(self) -> McsTable:
-        if self.mcs_table_csv is None:
-            return DEFAULT_MCS_TABLE
         return load_mcs_table(self.mcs_table_csv)
 
 
@@ -155,7 +150,7 @@ class RunConfig:
 CONFIG_KEYS = frozenset(f.metadata["key"] for f in fields(RunConfig))
 
 # Parser of a config value by the annotation of its RunConfig field.
-_PARSE = {"float": float, "int": int, "Path": str, "Path | None": str}
+_PARSE = {"float": float, "int": int, "Path": str}
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -169,23 +164,20 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         unknown = sorted(set(given) - CONFIG_KEYS)
         if unknown:
             raise ValidationError(f"{source}: unknown config keys: {', '.join(unknown)}")
+    missing = sorted(CONFIG_KEYS - set(raw))
+    if missing:
+        raise ValidationError(f"{path}: missing required keys: {', '.join(missing)}")
     kwargs: dict[str, object] = {}
     for f in fields(RunConfig):
-        key, default = f.metadata["key"], f.metadata["default"]
-        if key in raw:
-            try:
-                value = _PARSE[f.type](raw[key])
-            except ValueError as exc:
-                raise ValidationError(f"{path}: bad value for {key}: {exc}") from exc
-        elif default is _REQUIRED:
-            raise ValidationError(f"{path}: missing required key {key}")
-        else:
-            value = default
+        key = f.metadata["key"]
+        try:
+            value = _PARSE[f.type](raw[key])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: bad value for {key}: {exc}") from exc
         value = overrides.get(key, value)
         if f.type == "float" and not math.isfinite(value):
             raise ValidationError(f"{key} must be finite, got {value}")
-        if f.type.startswith("Path"):
-            # Relative to the config file's directory; an empty optional path is unset.
-            value = path.parent / value if value or f.type == "Path" else None
+        if f.type == "Path":
+            value = path.parent / value  # relative to the config file's directory
         kwargs[f.name] = value
     return RunConfig(**kwargs)

@@ -83,6 +83,17 @@ class TestLinkBudget:
         assert "db_scaled" in payload
         assert abs(payload["deviation_db"]["linear"]) < 0.5
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_reference_snr_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        code = run(
+            "linkbudget", "--config", CONFIG, "--out", str(out),
+            "--lat", "37.2", "--lon", "-122.1", f"--reference-snr-db={value}",
+        )
+        assert code == 2
+        assert "error: --reference-snr-db must be finite" in capsys.readouterr().err
+        assert not (out / "linkbudget.json").exists()
+
     def test_recomposition_identity_in_output(self, tmp_path):
         out = tmp_path / "out"
         assert run(
@@ -179,6 +190,8 @@ class TestSimulate:
             ("nan", "'nan'"),
             ("inf", "'inf'"),
             (" , ", "' , '"),
+            ("1000,1e16", "'1e16'"),
+            ("9007199254740993.0", "'9007199254740993.0'"),
         ],
     )
     def test_bad_sweep_exits_2_naming_token(self, tmp_path, capsys, sweep, token):
@@ -390,6 +403,15 @@ class TestNoTraceback:
         assert run(*argv, "--config", str(config), "--out", str(tmp_path / "out")) == 2
         assert f"error: {bad}: cannot decode as text" in capsys.readouterr().err
 
+    def test_empty_mcs_table_path_exits_2(self, tmp_path, capsys):
+        config = self.config_with(tmp_path, **{"mcs_table.csv": ""})
+        assert "paths.mcs_table = \n" in config.read_text()
+        out = tmp_path / "out"
+        assert run("capacity", "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: paths.mcs_table: configured file does not exist: {tmp_path}\n"
+        assert not out.exists()
+
     def test_campaign_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         empty = np.empty
 
@@ -427,8 +449,17 @@ class TestNoTraceback:
             (["plan", "--budget", HUGE], f"budget {HUGE}: a region's share does not fit an int64"),
             (["simulate", "--scheme", "uniform", "--budget", HUGE],
              f"budget {HUGE}: a region's share does not fit an int64"),
+            # A --sweep budget keeps every digit, as --budget does.
+            (["simulate", "--scheme", "uniform", "--sweep", HUGE, "--trials", "1"],
+             f"budget {HUGE}: a region's share does not fit an int64"),
+            # Two budgets one apart past 2**53 stay distinct; the first's draw
+            # is past any address space, so numpy refuses it without allocating.
+            (["simulate", "--scheme", "uniform", "--sweep", "9007199254740993,9007199254740992",
+              "--trials", "1"],
+             "out of memory for 9007199254740993 sensors: "
+             "each trial's draw needs 144115188075855888 bytes"),
         ],
-        ids=["simulate-1e20", "plan-1e23", "simulate-1e23"],
+        ids=["simulate-1e20", "plan-1e23", "simulate-1e23", "sweep-1e23", "sweep-2**53+1"],
     )
     def test_huge_budget_exits_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

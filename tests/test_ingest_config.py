@@ -5,7 +5,8 @@ import pytest
 
 from firesat.campaign import EconomicsParams
 from firesat.capacity import RadioTiming, TrafficModel
-from firesat.config import _REQUIRED, RunConfig, load_config, parse_kv_file
+from firesat.cli import default_config_path
+from firesat.config import CONFIG_KEYS, RunConfig, load_config, parse_kv_file
 from firesat.errors import ValidationError
 from firesat.fire_model import FireModelParams
 from firesat.geo import SatelliteConfig
@@ -184,8 +185,20 @@ class TestConfig:
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "cfg.cfg"
         path.write_text("seed = 1\n")
-        with pytest.raises(ValidationError, match="missing required key"):
+        with pytest.raises(ValidationError, match="missing required key") as info:
             load_config(path)
+        assert str(info.value).endswith(f"keys: {', '.join(sorted(CONFIG_KEYS - {'seed'}))}")
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_every_key_is_required(self, tmp_path, key):
+        lines = SAMPLE_CONFIG.read_text().splitlines()
+        kept = [line for line in lines if line.partition("=")[0].strip() != key]
+        assert len(kept) == len(lines) - 1
+        path = tmp_path / "cfg.cfg"
+        path.write_text("\n".join(kept))
+        with pytest.raises(ValidationError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: missing required keys: {key}"
 
     def test_missing_file_rejected(self, tmp_path):
         lines = []
@@ -309,15 +322,15 @@ RENAMED = {"sessions_per_day_coeff": "sessions_per_day", "device_cost_usd": "dev
 
 
 def test_config_defaults_equal_model_defaults():
-    config_default = {
-        f.name: f.metadata["default"] for f in fields(RunConfig) if f.metadata["default"] is not _REQUIRED
-    }
+    """Library callers get the model defaults and the CLI the shipped config;
+    wherever a model declares a default, the two agree."""
+    shipped = asdict(load_config(default_config_path()))
     pairs = [
-        (f"{model.__name__}.{f.name}", f.default, config_default[RENAMED.get(f.name, f.name)])
+        (f"{model.__name__}.{f.name}", f.default, shipped[RENAMED.get(f.name, f.name)])
         for model in (FireModelParams, SatelliteConfig, DeviceConfig, RadioTiming, TrafficModel,
                       EconomicsParams)
         for f in fields(model)
-        if f.default is not MISSING and RENAMED.get(f.name, f.name) in config_default
+        if f.default is not MISSING and RENAMED.get(f.name, f.name) in shipped
     ]
     assert len(pairs) == 17  # fire 5, satellite 1, radio 6, traffic 3, economics 2
     assert [p for p in pairs if p[1] != p[2]] == []

@@ -12,6 +12,8 @@ from firesat.capacity import RadioTiming, TrafficModel
 from firesat.errors import NumericError, UnservableLocationError, ValidationError
 from firesat.geo import GeoPoint, elevation_deg, slant_range_km
 
+from conftest import DATA_DIR
+
 CENTER_DEVICE = GeoPoint(37.2, -122.1)
 EDGE_DEVICE = GeoPoint(33.5, -116.6)
 
@@ -175,6 +177,9 @@ class TestMcsTable:
         path = tmp_path / "mcs.csv"
         lb.write_mcs_table(lb.DEFAULT_MCS_TABLE, path)
         assert lb.load_mcs_table(path) == lb.DEFAULT_MCS_TABLE
+
+    def test_shipped_table_is_the_default(self):
+        assert lb.load_mcs_table(DATA_DIR / "mcs_table.csv") == lb.DEFAULT_MCS_TABLE
 
     def test_invalid_tables_rejected(self):
         with pytest.raises(ValidationError):
