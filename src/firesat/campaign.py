@@ -107,17 +107,38 @@ def scatter_sensors(placement: Placement, grid: RegionGrid, seed) -> np.ndarray:
     return grid.frame.centers_xy[reps] + offsets
 
 
+def _fire_state(grid: RegionGrid, catalog: list[FireEvent]) -> tuple[np.ndarray, ...]:
+    """The catalog's placement-independent arrays on the grid, read-only: the
+    projected ignitions, spread rates, the disks() rows (gap_sq, cells) of the
+    candidate cells within r_max, and the no-detection burned area and carbon.
+    Built once per catalog value and kept in grid.memo: the grid's columns are
+    read-only and each FireEvent is frozen."""
+    key = ("fire_state", tuple(catalog))
+    state = grid.memo.get(key)
+    if state is None:
+        frame = grid.frame
+        xy = np.array([frame.project(e.ignition) for e in catalog]).reshape(len(catalog), 2)
+        burned = np.array([e.recorded_area_km2 for e in catalog], dtype=np.float64)
+        radius = np.sqrt(burned / math.pi)
+        r_max = math.sqrt(grid.cell_area_km2 / math.pi)
+        # A huge cell area or recorded area overflows a carbon to inf, or to nan
+        # over a zero biomass mean; run_campaign checks its totals instead.
+        with np.errstate(over="ignore", invalid="ignore"):
+            carbon = carbon_emission_ton(burned, frame.disk_biomass(*frame.disks(xy, radius), radius))
+        state = grid.memo[key] = (xy, grid.spread_rate[[e.region_id for e in catalog]],
+                                  *frame.disks(xy, r_max * (1.0 + 1e-9)), burned, carbon)
+        for a in state:
+            a.flags.writeable = False
+    return state
+
+
 def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid) -> tuple[np.ndarray, np.ndarray]:
     """No-detection outcomes: every fire burns its cataloged area.
 
     Returns each fire's burned area and carbon, the latter over the mean
-    biomass of the cells its burned circle touches.
+    biomass of the cells its burned circle touches; both read-only.
     """
-    frame = grid.frame
-    xy = [frame.project(e.ignition) for e in catalog]
-    burned = np.array([e.recorded_area_km2 for e in catalog], dtype=np.float64)
-    radius = np.sqrt(burned / math.pi)
-    return burned, carbon_emission_ton(burned, frame.disk_biomass(*frame.disks(xy, radius), radius))
+    return _fire_state(grid, catalog)[4:]
 
 
 # About how many rows of a trial's draw the gather kernel takes at a time.
@@ -192,15 +213,15 @@ def run_campaign(
 
     A scattered sensor never leaves its cell's square, so only cells whose
     square reaches within r_max of a fire can detect it; those candidate
-    cells are found once. Each trial draws the same stream as scatter_sensors
-    and gathers in two phases: each fire's occupied candidates at its
-    smallest gap, then only those others whose square lies within the
-    nearest distance found plus _SLACK_KM. Positions and squared distances
-    use the same elementwise arithmetic as a KD-tree over all sensors, and a
-    minimum does not depend on order, so the nearest distance matches it bit
-    for bit whenever it is at most r_max. Detection is then resolved for all
-    fires at once; see GridFrame.disk_biomass for why the biomass mean is
-    exact.
+    cells are found once per (grid, catalog), by _fire_state. Each trial
+    draws the same stream as scatter_sensors and gathers in two phases: each
+    fire's occupied candidates at its smallest gap, then only those others
+    whose square lies within the nearest distance found plus _SLACK_KM.
+    Positions and squared distances use the same elementwise arithmetic as a
+    KD-tree over all sensors, and a minimum does not depend on order, so the
+    nearest distance matches it bit for bit whenever it is at most r_max.
+    Detection is then resolved for all fires at once; see
+    GridFrame.disk_biomass for why the biomass mean is exact.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -209,21 +230,13 @@ def run_campaign(
     frame = grid.frame
     if not catalog:
         warnings.warn("empty fire catalog; campaign totals are zero")
-    # A huge cell area or recorded area overflows a burned area or its carbon
-    # to inf, or its carbon to nan over a zero biomass mean; the totals below
-    # keep either, so they are checked once instead.
-    with np.errstate(over="ignore", invalid="ignore"):
-        base_burned, base_carbon = baseline_outcomes(catalog, grid)
-
+    fire_xy, u_p, gap_sq, cells, base_burned, base_carbon = _fire_state(grid, catalog)
     n_fires = len(catalog)
-    fire_xy = np.array([frame.project(e.ignition) for e in catalog]).reshape(n_fires, 2)
-    u_p = grid.spread_rate[[e.region_id for e in catalog]]
     stalled = u_p == 0.0
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
     counts = np.asarray(placement.counts, dtype=np.int64)
     total = placement.deployed  # a Python int: an int64 sum could wrap
 
-    gap_sq, cells = frame.disks(fire_xy, r_max * (1.0 + 1e-9))
     # (fire, occupied candidate) pairs; those at the fire's smallest gap go first.
     occupied = (cells >= 0) & (counts[cells] > 0)
     fire, k = np.nonzero(occupied)

@@ -97,7 +97,10 @@ def periodic_sessions(k_sensors: int, t_obs_s: float, m: TrafficModel) -> float:
         raise ValidationError("periodic_sessions requires a periodic traffic model")
     if k_sensors < 0 or t_obs_s < 0:
         raise ValidationError("k_sensors and t_obs_s must be >= 0")
-    return m.sessions_per_day_coeff * k_sensors * (t_obs_s / SECONDS_PER_DAY)
+    try:
+        return m.sessions_per_day_coeff * k_sensors * (t_obs_s / SECONDS_PER_DAY)
+    except OverflowError:  # a count beyond the float range
+        raise NumericError(f"{k_sensors} sensors overflow a float") from None
 
 
 def traffic_total_bytes(k_sensors: int, t_obs_s: float, m: TrafficModel) -> int:
@@ -150,7 +153,10 @@ def bandwidth_required_hz(k_sensors: int, t: RadioTiming, m: TrafficModel) -> fl
         raise ValidationError(
             "a report does not fit in the latency period; no finite bandwidth suffices"
         )
-    carriers = math.ceil(k_sensors / per_carrier)
+    try:
+        carriers = math.ceil(k_sensors / per_carrier)
+    except OverflowError:  # a count beyond the float range
+        raise NumericError(f"{k_sensors} sensors at {per_carrier} per carrier overflow a float") from None
     bandwidth = carriers * t.carrier_bw_khz * 1000.0
     if not math.isfinite(bandwidth):
         raise NumericError(f"{carriers} carriers of {t.carrier_bw_khz} kHz: bandwidth not finite")

@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, replace
+from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
 
@@ -209,14 +210,17 @@ def _parse_sweep(text: str) -> list[int]:
         try:
             budget = int(token)
         except ValueError:
+            # A decimal holds every digit of the token, where a float rounds it.
             try:
-                value = float(token)
-            except ValueError:
-                value = math.nan
-            if not value.is_integer():
+                value = Decimal(token)
+            except InvalidOperation:
+                value = Decimal("nan")
+            if not (value.is_finite() and value == value.to_integral_value()):
                 raise ValidationError(f"--sweep: {token!r} is not a whole sensor budget")
-            # From 2**53 on, a float no longer tells whole numbers one apart.
-            if abs(value) >= 2**53:
+            # Below 2**53 only, so that an exponent such as 1e999999999 never
+            # builds a huge int; a larger budget is written in digits. Unlike
+            # abs(), copy_abs() never rounds, so it cannot overflow.
+            if value.copy_abs() >= 2**53:
                 raise ValidationError(f"--sweep: {token!r} is not below 2**53; write the budget in digits")
             budget = int(value)
         if budget < 0:

@@ -106,7 +106,8 @@ def _warm_start(p: list[float], q: list[float], budget: int) -> list[int]:
     Bisection finds the smallest threshold lam, not below _THRESHOLD_FLOOR,
     at which the upper bounds of `_count_bounds` sum to at most `budget`; the
     lower bounds at that lam are the warm start. Only the bisection uses
-    numpy; the heap's gains stay Python floats.
+    numpy; the heap's gains stay Python floats. A bound sum meets `budget`
+    as a Python float, whose comparison with any int is exact.
     """
     q_arr = np.array(q)
     first = np.array(p) * (1.0 - q_arr)  # each region's first gain
@@ -117,7 +118,7 @@ def _warm_start(p: list[float], q: list[float], budget: int) -> list[int]:
     a = first[live]
     with np.errstate(divide="ignore"):
         log_q = np.log(q_arr[live])
-    if _count_bounds(_THRESHOLD_FLOOR, a, log_q)[1].sum() <= budget:
+    if float(_count_bounds(_THRESHOLD_FLOOR, a, log_q)[1].sum()) <= budget:
         lam = _THRESHOLD_FLOOR
     else:
         # Invariant: more than `budget` upper bounds at exp(lo_t), at most at
@@ -127,7 +128,7 @@ def _warm_start(p: list[float], q: list[float], budget: int) -> list[int]:
             mid = 0.5 * (lo_t + hi_t)
             if mid in (lo_t, hi_t):
                 break
-            if _count_bounds(math.exp(mid), a, log_q)[1].sum() > budget:
+            if float(_count_bounds(math.exp(mid), a, log_q)[1].sum()) > budget:
                 lo_t = mid
             else:
                 hi_t = mid

@@ -317,3 +317,32 @@ def test_baseline_outcomes_use_recorded_area():
     burned, carbon = baseline_outcomes(events, grid)
     assert burned.tolist() == [77.0]
     assert carbon[0] == pytest.approx(carbon_emission_ton(77.0, 1.0), rel=1e-12)
+
+
+def test_baseline_outcomes_are_read_only():
+    grid = small_grid()
+    events = [FireEvent(0, frame_point(grid.frame, 5), 5, recorded_area_km2=77.0)]
+    burned, carbon = baseline_outcomes(events, grid)
+    with pytest.raises(ValueError):
+        burned[0] = 1.0
+    with pytest.raises(ValueError):
+        carbon[0] = 1.0
+
+
+def test_catalog_state_is_kept_per_catalog_value():
+    # The placement-independent state is kept per catalog value: an equal
+    # catalog shares it, one that differs in a recorded area gets its own.
+    grid = small_grid()
+    frame = grid.frame
+    first = [FireEvent(0, frame_point(frame, 5), 5, 77.0), FireEvent(1, frame_point(frame, 10), 10, 3.0)]
+    second = [first[0], FireEvent(1, frame_point(frame, 10), 10, 250.0)]
+    placement = Placement((1,) * len(grid), budget=len(grid))
+    runs = [run_campaign(grid, placement, catalog, EconomicsParams(), trials=2, seed=7)
+            for catalog in (first, list(first), second)]
+    assert baseline_outcomes(list(first), grid)[0] is baseline_outcomes(first, grid)[0]
+    fresh = small_grid()
+    for got, want in zip(baseline_outcomes(second, grid), baseline_outcomes(second, fresh)):
+        assert got.tolist() == want.tolist()
+    assert baseline_outcomes(second, grid)[0].tolist() == [77.0, 250.0]
+    assert runs[0] == runs[1]
+    assert runs[2] == run_campaign(fresh, placement, second, EconomicsParams(), trials=2, seed=7)

@@ -131,6 +131,22 @@ class TestOverflow:
         with pytest.raises(NumericError, match="inf periodic sessions cannot be counted"):
             traffic_total_bytes(10**5, 10.0, m)
 
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda k: bandwidth_required_hz(k, TIMING, EXCEPTION),
+            lambda k: periodic_sessions(k, 10.0, PERIODIC),
+            lambda k: traffic_total_bytes(k, 10.0, PERIODIC),
+        ],
+        ids=["bandwidth", "periodic-sessions", "periodic-bytes"],
+    )
+    def test_sensor_count_beyond_float_range(self, count):
+        with pytest.raises(NumericError, match=f"^{10**400} sensors .*overflow a float$"):
+            count(10**400)
+
+    def test_exception_bytes_of_huge_count_stay_exact(self):
+        assert traffic_total_bytes(10**400, 10.0, EXCEPTION) == 20 * 10**400
+
 
 class TestSpectrumCost:
     def test_golden_costs(self):

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import pytest
 
 from firesat.cli import build_parser, main
 from firesat.config import CONFIG_KEYS
+from firesat.grid import GridFrame
 from firesat.sample_data import generate_sample_dataset
 
 from conftest import DATA_DIR
@@ -178,6 +180,39 @@ class TestSimulate:
             for row in body.splitlines()[1:]:
                 float(row.split(",")[-1])
 
+    # SHA-256 of each figure CSV of a two-budget sweep of both schemes. A change
+    # of the campaign model (ROADMAP item 2) re-records them on purpose; any
+    # other change must leave the sweep's bytes as they are.
+    SWEEP_SHA256 = {
+        "fig3a_utility.csv": "bae27d7f085207b427e715dd237cb22f04e664882f9064c0d840aa4a7e8b3722",
+        "fig4b_burned_area.csv": "c539faacc20f9dc4a150c5f2730980ee92f14eb95395a29c9e52f892a75dfb6a",
+        "fig4c_carbon.csv": "c059812d5aebef651d07ac244c53c7bb2b6be989d673facaf235e6bb8b46d01f",
+        "fig4d_savings.csv": "94ce2fd096f717f6cb162951c32d8565e1597f4b5e66583a6074fef924128df5",
+    }
+
+    def test_sweep_bytes_are_recorded(self, tmp_path):
+        out = tmp_path / "out"
+        code = run(
+            "simulate", "--config", CONFIG, "--out", str(out),
+            "--trials", "2", "--sweep", "1000,100000", "--scheme", "both",
+        )
+        assert code == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("fig*.csv")}
+        assert digests == self.SWEEP_SHA256
+
+    def test_sweep_builds_fire_geometry_once(self, tmp_path, monkeypatch):
+        # The catalog's candidate cells and its baseline disks are found once
+        # per (grid, catalog), not once per campaign.
+        calls = []
+        disks = GridFrame.disks
+        monkeypatch.setattr(GridFrame, "disks", lambda self, *a: calls.append(1) or disks(self, *a))
+        code = run(
+            "simulate", "--config", CONFIG, "--out", str(tmp_path / "out"),
+            "--trials", "1", "--sweep", "1000,2000,5000", "--scheme", "both",
+        )
+        assert code == 0
+        assert len(calls) == 2
+
 
     @pytest.mark.parametrize(
         "sweep,token",
@@ -192,6 +227,11 @@ class TestSimulate:
             (" , ", "' , '"),
             ("1000,1e16", "'1e16'"),
             ("9007199254740993.0", "'9007199254740993.0'"),
+            # A float would round either to a whole number.
+            ("1000.0000000000000001", "'1000.0000000000000001'"),
+            ("4503599627370496.5", "'4503599627370496.5'"),
+            ("snan", "'snan'"),
+            ("1e999999999", "'1e999999999'"),
         ],
     )
     def test_bad_sweep_exits_2_naming_token(self, tmp_path, capsys, sweep, token):
@@ -467,11 +507,34 @@ class TestNoTraceback:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(out.iterdir())
 
+    # Past the float range: no float64 can hold it.
+    HUGER = str(10**400)
+
     def test_huge_budget_optimized_plan_deploys_what_pays(self, tmp_path):
-        assert run("plan", "--scheme", "optimized", "--budget", self.HUGE,
+        for budget in (self.HUGE, self.HUGER):
+            assert run("plan", "--scheme", "optimized", "--budget", budget,
+                       "--config", CONFIG, "--out", str(tmp_path)) == 0
+            summary = json.loads((tmp_path / "plan_summary.json").read_text())
+            assert summary["schemes"]["optimized"]["deployed"] == 3381170
+
+    @pytest.mark.parametrize("budget", [["--budget", HUGER], ["--sweep", HUGER]], ids=["budget", "sweep"])
+    def test_huge_budget_optimized_simulate_deploys_what_pays(self, tmp_path, budget):
+        assert run("simulate", "--scheme", "optimized", *budget, "--trials", "1",
                    "--config", CONFIG, "--out", str(tmp_path)) == 0
-        summary = json.loads((tmp_path / "plan_summary.json").read_text())
-        assert summary["schemes"]["optimized"]["deployed"] == 3381170
+        if budget[0] == "--budget":
+            summary = json.loads((tmp_path / "campaign_optimized.json").read_text())
+            assert summary["sensors_deployed"] == 3381170
+            assert summary["budget"] == 10**400
+        else:
+            row = (tmp_path / "fig4d_savings.csv").read_text().splitlines()[1]
+            assert row.startswith(f"{self.HUGER},optimized,")
+
+    def test_huge_capacity_budget_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("capacity", "--budget", self.HUGER, "--config", CONFIG, "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            f"numeric error: {self.HUGER} sensors at 432 per carrier overflow a float\n")
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["plan", "simulate"])
     def test_overflowing_deadline_exits_3(self, tmp_path, capsys, command):
