@@ -5,7 +5,6 @@ from types import ModuleType as _ModuleType
 from .errors import FiresatError, NumericError, UnservableLocationError, ValidationError
 from .geo import (
     EARTH_RADIUS_KM,
-    GEO_ALTITUDE_KM,
     GeoPoint,
     SatelliteConfig,
     elevation_deg,
@@ -29,7 +28,6 @@ from .placement import (
     optimize_greedy,
 )
 from .link_budget import (
-    DEFAULT_MCS_TABLE,
     DeviceConfig,
     FadingParams,
     LinkResult,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -64,11 +65,17 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _finite(token: str) -> float:
+    if not math.isfinite(value := float(token)):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def read_json(path) -> dict:
-    """The JSON object in `path`; anything else is a ValidationError."""
+    """The JSON object in `path`, every number in it finite; anything else is a ValidationError."""
     try:
         with open(path) as f:
-            payload = json.load(f)
+            payload = json.load(f, parse_float=_finite, parse_constant=_finite)
     except ValueError as exc:  # also undecodable text
         raise ValidationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict):

@@ -26,9 +26,9 @@ from .placement import Placement
 class EconomicsParams:
     """Monetary coefficients for the savings computation."""
 
-    carbon_price_usd_per_ton: float = 200.0
-    device_cost_usd: float = 10.0
-    bandwidth_cost_usd: float = 0.0
+    carbon_price_usd_per_ton: float
+    device_cost_usd: float
+    bandwidth_cost_usd: float
 
     def __post_init__(self):
         if not all(getattr(self, f.name) >= 0 for f in fields(self)):  # NaN fails too
@@ -193,8 +193,8 @@ def run_campaign(
     placement: Placement,
     catalog: list[FireEvent],
     econ: EconomicsParams,
-    trials: int = 20,
-    seed: int = 0,
+    trials: int,
+    seed: int,
     scheme: str = "",
 ) -> CampaignResult:
     """Average fire outcomes over independent sensor scatters.

@@ -24,10 +24,10 @@ class TrafficModel:
     """Uplink traffic profile: event-triggered exception reports or scheduled
     periodic reports (sessions_per_day_coeff applies to the periodic kind)."""
 
-    kind: str = "exception"
-    payload_bytes: int = 20
-    reference_period_s: float = 10.0
-    sessions_per_day_coeff: float = 11.2
+    kind: str
+    payload_bytes: int
+    reference_period_s: float
+    sessions_per_day_coeff: float
 
     def __post_init__(self):
         if self.kind not in ("exception", "periodic"):
@@ -48,12 +48,12 @@ class RadioTiming:
     retransmission (two RTTs total).
     """
 
-    rtt_ms: float = 500.0
-    ru_time_ms: float = 32.0
-    ru_bw_khz: float = 3.75
-    carrier_bw_khz: float = 180.0
-    rus_per_report: int = 3
-    tx_attempts: int = 1
+    rtt_ms: float
+    ru_time_ms: float
+    ru_bw_khz: float
+    carrier_bw_khz: float
+    rus_per_report: int
+    tx_attempts: int
 
     def __post_init__(self):
         if not self.rtt_ms >= 0:
@@ -153,11 +153,11 @@ def bandwidth_required_hz(k_sensors: int, t: RadioTiming, m: TrafficModel) -> fl
         raise ValidationError(
             "a report does not fit in the latency period; no finite bandwidth suffices"
         )
+    carriers = -(-k_sensors // per_carrier)  # exact ceiling in integers
     try:
-        carriers = math.ceil(k_sensors / per_carrier)
-    except OverflowError:  # a count beyond the float range
+        bandwidth = carriers * t.carrier_bw_khz * 1000.0
+    except OverflowError:  # a carrier count beyond the float range
         raise NumericError(f"{k_sensors} sensors at {per_carrier} per carrier overflow a float") from None
-    bandwidth = carriers * t.carrier_bw_khz * 1000.0
     if not math.isfinite(bandwidth):
         raise NumericError(f"{carriers} carriers of {t.carrier_bw_khz} kHz: bandwidth not finite")
     return bandwidth

@@ -34,19 +34,16 @@ def _ramp(x: np.ndarray, low: float, up: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FireModelParams:
-    """Thresholds of the ignition model.
-
-    theta_wilt / theta_field carry no published defaults and must come from
-    the input dataset.
-    """
+    """Thresholds of the ignition model, from the config's `fire.*` keys. The input
+    dataset supplies theta_wilt / theta_field, which have no published values."""
 
     theta_wilt: float
     theta_field: float
-    b_low: float = 0.2
-    b_up: float = 1.0
-    beta_e: float = 0.35
-    l_low: float = 0.02
-    l_up: float = 0.85
+    b_low: float
+    b_up: float
+    beta_e: float
+    l_low: float
+    l_up: float
 
     def __post_init__(self):
         if not self.b_low < self.b_up:

@@ -13,7 +13,6 @@ from functools import cached_property
 from .errors import NumericError, UnservableLocationError, ValidationError
 
 EARTH_RADIUS_KM = 6371.0
-GEO_ALTITUDE_KM = 35786.0
 
 
 def _normalize_lon(lon: float) -> float:
@@ -61,7 +60,7 @@ class SatelliteConfig:
     beam_center: GeoPoint
     beam_radius_km: float
     g_s_max_dbi: float
-    altitude_km: float = GEO_ALTITUDE_KM
+    altitude_km: float
 
     def __post_init__(self):
         for name in ("sub_satellite_lon", "altitude_km", "beam_radius_km", "g_s_max_dbi"):

@@ -19,7 +19,7 @@ REGION_FIELDS = ["id", *COLUMNS]
 FIRE_FIELDS = ["fire_id", "lat", "lon", "recorded_area_km2"]
 
 
-def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
+def ingest_regions(path, cell_area_km2: float) -> RegionGrid:
     """Load a region grid from CSV; ids must cover 0..N-1 exactly once."""
     table = read_csv(path, REGION_FIELDS, (int,) + (float,) * len(COLUMNS))
     order = _region_order(table)

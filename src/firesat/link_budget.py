@@ -6,20 +6,20 @@ loss, and a lumped other-losses term. Small-scale fading follows the
 shadowed-Rician land-mobile-satellite model: a Nakagami-shadowed line-of-sight
 component plus a circular Gaussian scatter component. Deterministic SNR takes
 the fading power as 1; fading enters only through the explicit PDF and
-sampler below.
+sampler below. The MCS table is always read from a CSV file (`load_mcs_table`).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import bessel
-from .atomic import read_csv, write_csv
+from .atomic import read_csv
 from .errors import NumericError, ValidationError
 from .geo import GeoPoint, SatelliteConfig, _require_finite, _view
 
@@ -150,17 +150,6 @@ class McsTable:
             raise ValidationError(f"MCS level {mcs_level} not in table") from None
 
 
-# Default table. Anchors: -0.45 dB supports MCS 5 (3 RUs per 20-byte report)
-# and 5.55 dB supports MCS 11. Intermediate thresholds are spaced 1 dB apart
-# and the RU ladder between anchors is an assumption, not published data.
-DEFAULT_MCS_TABLE = McsTable(
-    tuple(
-        McsRow(level - 5.55, level, ru)
-        for level, ru in enumerate([8, 6, 5, 4, 4, 3, 3, 2, 2, 2, 2, 1, 1, 1])
-    )
-)
-
-
 def load_mcs_table(path) -> McsTable:
     table = read_csv(path, MCS_FIELDS, (float, int, int))
     rows = []
@@ -171,10 +160,6 @@ def load_mcs_table(path) -> McsTable:
             raise table.fault(row, exc) from exc
     table.raise_error()
     return McsTable(tuple(rows))
-
-
-def write_mcs_table(table: McsTable, path) -> None:
-    write_csv(path, MCS_FIELDS, map(astuple, table.rows))
 
 
 @dataclass(frozen=True)
@@ -264,8 +249,8 @@ def snr_db(
     device: DeviceConfig,
     sat: SatelliteConfig,
     location: GeoPoint,
-    mode: str = "linear",
-    mcs_table: McsTable = DEFAULT_MCS_TABLE,
+    mode: str,
+    mcs_table: McsTable,
 ) -> LinkResult:
     """Deterministic uplink SNR at a location, with unit fading power.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +24,12 @@ from .fire_model import FireModelParams, ignition_and_miss
 from .grid import RegionGrid
 
 
+def _whole(value) -> int | None:
+    """`value` as an int if its type is an integer type other than bool, else None."""
+    integer = type(value) is not bool and hasattr(type(value), "__index__")
+    return operator.index(value) if integer else None
+
+
 @dataclass(frozen=True)
 class Placement:
     """Integer sensor counts per region under a global budget."""
@@ -31,12 +38,15 @@ class Placement:
     budget: int
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
-        for i, n in enumerate(self.counts):
+        counts = tuple(map(_whole, self.counts))
+        for i, n in enumerate(counts):
+            if n is None:
+                raise ValidationError(f"region {i}: sensor count {self.counts[i]!r} is not an integer")
             if n < 0:
                 raise ValidationError(f"region {i}: sensor count {n} must be >= 0")
-        if self.budget < 0:
-            raise ValidationError("budget must be >= 0")
+        if _whole(self.budget) is None or self.budget < 0:
+            raise ValidationError(f"budget {self.budget!r} must be an integer >= 0")
+        object.__setattr__(self, "counts", counts)
         if sum(self.counts) > self.budget:
             raise ValidationError(
                 f"total sensors {sum(self.counts)} exceed budget {self.budget}"
@@ -214,8 +224,8 @@ def write_placement_json(placement: Placement, path, scheme: str = "") -> None:
 def read_placement_json(path) -> Placement:
     payload = read_json(path)
     try:
-        return Placement(tuple(payload["counts"]), int(payload["budget"]))
+        return Placement(tuple(payload["counts"]), payload["budget"])
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, ValidationError) as exc:
+    except (TypeError, ValidationError) as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -5,9 +5,9 @@ here, from a fixed seed, to resemble the shape of the problem: a 110 x 100
 grid of 10 km cells covering a 1100 x 1000 km area, a coarse state-border
 polygon outside of which biomass is zero, smooth environmental fields built
 from seeded Gaussian bumps, and 255 ignition points sampled over vegetated
-cells with weights tied to the ignition-probability surface. Soil constants
-for this dataset: wilting point 0.05, field capacity 0.35 (synthetic
-choices; the ignition model has no published values for them).
+cells with weights tied to the ignition-probability surface under the
+sample config's `fire.*` parameters. Its soil constants (`fire.theta_wilt`,
+`fire.theta_field`) are synthetic choices: the model has no published values.
 
 Regenerate with `python -m firesat.sample_data OUTDIR`; byte-identical
 output is part of the test suite.
@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .cli import default_config_path
+from .config import load_config
 from .fire_model import FireModelParams, ignition_probabilities
 from .geo import GeoPoint
 from .grid import KM_PER_DEG_LAT, FireEvent, RegionGrid
@@ -33,8 +35,6 @@ CELL_KM = 10.0
 LAT0 = 32.4  # southern grid edge
 LON0 = -124.75  # western grid edge
 N_FIRES = 255
-THETA_WILT = 0.05
-THETA_FIELD = 0.35
 
 # Coarse California-like border in grid km, (x east, y north), y=0 at LAT0.
 BORDER_XY = [
@@ -163,10 +163,11 @@ def build_sample_grid(seed: int = DEFAULT_SEED) -> RegionGrid:
     )
 
 
-def build_sample_fires(grid: RegionGrid, seed: int = DEFAULT_SEED) -> list[FireEvent]:
+def build_sample_fires(
+    grid: RegionGrid, params: FireModelParams, seed: int = DEFAULT_SEED
+) -> list[FireEvent]:
     """255 ignitions over vegetated cells, weighted by ignition probability."""
     rng = np.random.default_rng([seed, 7])
-    params = FireModelParams(theta_wilt=THETA_WILT, theta_field=THETA_FIELD)
     p_ign = np.array(ignition_probabilities(grid, params))
     vegetated = grid.biomass > 0.0
     weights = np.where(vegetated, p_ign + 0.002 * p_ign.max(), 0.0)
@@ -197,12 +198,14 @@ def build_sample_fires(grid: RegionGrid, seed: int = DEFAULT_SEED) -> list[FireE
     return events
 
 
-def generate_sample_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
+def generate_sample_dataset(
+    out_dir, params: FireModelParams, seed: int = DEFAULT_SEED
+) -> dict[str, Path]:
     """Write regions.csv and fires.csv into out_dir; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = build_sample_grid(seed)
-    fires = build_sample_fires(grid, seed)
+    fires = build_sample_fires(grid, params, seed)
     regions_path = out / "regions.csv"
     fires_path = out / "fires.csv"
     write_regions_csv(grid, regions_path)
@@ -212,6 +215,6 @@ def generate_sample_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path
 
 if __name__ == "__main__":
     target = sys.argv[1] if len(sys.argv) > 1 else "."
-    paths = generate_sample_dataset(target)
+    paths = generate_sample_dataset(target, load_config(default_config_path()).fire_params())
     for name, p in paths.items():
         print(f"wrote {name}: {p}")

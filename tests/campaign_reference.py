@@ -125,7 +125,7 @@ def simulate_fire(event: FireEvent, sensors: np.ndarray, grid: RegionGrid) -> Fi
     return _resolve_fire(event, nearest, u_p, r_max, frame, (fx, fy))
 
 
-def run_campaign_kdtree(grid, placement, catalog, econ, trials=20, seed=0, scheme="") -> CampaignResult:
+def run_campaign_kdtree(grid, placement, catalog, econ, trials, seed, scheme="") -> CampaignResult:
     frame = grid.frame
     baseline = [_escaped(e, frame, frame.project(e.ignition)) for e in catalog]
 

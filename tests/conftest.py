@@ -1,23 +1,40 @@
-"""Shared fixtures: published reference link parameters, packaged dataset paths,
-and grid builders that realize requested (ignition, miss) probabilities."""
+"""Shared fixtures: the shipped sample config and the model configs built
+from it, packaged dataset paths, and grid builders that realize requested
+(ignition, miss) probabilities."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import firesat
+from firesat.campaign import EconomicsParams
+from firesat.cli import default_config_path
+from firesat.config import RunConfig, load_config
 from firesat.fire_model import FireModelParams
-from firesat.geo import GeoPoint, SatelliteConfig
+from firesat.geo import SatelliteConfig
 from firesat.grid import COLUMNS, RegionGrid
 from firesat.link_budget import DeviceConfig
 
 DATA_DIR = Path(firesat.__file__).parent / "data"
 
-# Soil constants used by synthetic test grids (arbitrary valid values).
-TEST_PARAMS = FireModelParams(theta_wilt=0.1, theta_field=0.4)
+# The shipped sample config: the one source of every model value the tests use.
+CFG = load_config(default_config_path())
+
+# The sample config's fire model with the soil constants of the synthetic
+# test grids (arbitrary valid values).
+TEST_PARAMS = replace(CFG.fire_params(), theta_wilt=0.1, theta_field=0.4)
+
+# The config's carbon price and device cost (case A), with no bandwidth cost.
+ECON = EconomicsParams(CFG.carbon_price_usd_per_ton, CFG.device_cost_case_a_usd, 0.0)
+
+
+@pytest.fixture(scope="session")
+def cfg() -> RunConfig:
+    return CFG
 
 
 @pytest.fixture(scope="session")
@@ -27,24 +44,12 @@ def params() -> FireModelParams:
 
 @pytest.fixture(scope="session")
 def satellite() -> SatelliteConfig:
-    return SatelliteConfig(
-        sub_satellite_lon=-125.0,
-        beam_center=GeoPoint(37.0, -122.0),
-        beam_radius_km=1000.0,
-        g_s_max_dbi=25.0,
-    )
+    return CFG.satellite()
 
 
 @pytest.fixture(scope="session")
 def device() -> DeviceConfig:
-    return DeviceConfig(
-        tx_power_dbm=23.0,
-        g_t_max_dbi=7.38,
-        off_boresight_deg=50.0,
-        carrier_hz=2e9,
-        noise_power_dbm=-167.42,
-        other_losses_db=-10.0,
-    )
+    return CFG.device()
 
 
 def sample_config_text() -> str:

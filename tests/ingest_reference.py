@@ -32,7 +32,7 @@ def read_csv(path, header: list[str]):
         raise ValidationError(f"{path}: cannot decode as text: {exc}") from None
 
 
-def ingest_regions(path, cell_area_km2: float = 100.0) -> RegionGrid:
+def ingest_regions(path, cell_area_km2: float) -> RegionGrid:
     rows: dict[int, list[float]] = {}
     for row_no, row in read_csv(path, REGION_FIELDS):
         try:

@@ -18,7 +18,6 @@ from firesat.errors import NumericError, UnservableLocationError, ValidationErro
 from firesat.geo import EARTH_RADIUS_KM, GeoPoint, SatelliteConfig
 from firesat.link_budget import (
     BEAM_APERTURE_COEFF,
-    DEFAULT_MCS_TABLE,
     SPEED_OF_LIGHT_M_S,
     DeviceConfig,
     LinkResult,
@@ -154,8 +153,8 @@ def snr_db(
     device: DeviceConfig,
     sat: SatelliteConfig,
     location: GeoPoint,
-    mode: str = "linear",
-    mcs_table: McsTable = DEFAULT_MCS_TABLE,
+    mode: str,
+    mcs_table: McsTable,
 ) -> LinkResult:
     if mode not in ("linear", "db-scaled"):
         raise ValidationError(f"unknown beam composition mode {mode!r}")

@@ -2,12 +2,12 @@
 the previous file as it was and no temporary file behind."""
 
 import os
+import re
 from types import SimpleNamespace
 
 import pytest
 
-from firesat import link_budget as lb
-from firesat.atomic import atomic_write, write_csv, write_json
+from firesat.atomic import atomic_write, read_json, write_csv, write_json
 from firesat.campaign import (
     CampaignResult,
     CampaignTotals,
@@ -15,6 +15,7 @@ from firesat.campaign import (
     write_campaign_json,
     write_fires_csv,
 )
+from firesat.errors import ValidationError
 from firesat.grid import COLUMNS
 from firesat.ingest import write_fires_catalog_csv, write_regions_csv
 from firesat.placement import write_placement_csv, write_placement_json
@@ -67,9 +68,6 @@ FAILING_WRITES = {
     "write_fires_catalog_csv": lambda path: write_fires_catalog_csv(
         interrupted_after(), path
     ),
-    "write_mcs_table": lambda path: lb.write_mcs_table(
-        SimpleNamespace(rows=interrupted_after(lb.McsRow(0.0, 5, 3))), path
-    ),
 }
 
 
@@ -108,3 +106,14 @@ def test_file_mode_matches_plain_open(tmp_path):
     with atomic_write(atomic) as f:
         f.write("x")
     assert os.stat(atomic).st_mode == os.stat(plain).st_mode
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1E999"])
+def test_read_json_rejects_non_finite_numbers(tmp_path, token):
+    # Python's json module reads NaN and Infinity, which are not JSON, and
+    # turns a number past the float range into an infinity.
+    path = tmp_path / "in.json"
+    path.write_text(f'{{"a": [1, 2.5, {token}]}}')
+    message = f"{path}: not valid JSON: {token} is not a finite number"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        read_json(path)

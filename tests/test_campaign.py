@@ -18,7 +18,7 @@ from firesat.geo import GeoPoint
 from firesat.grid import FireEvent
 from firesat.placement import Placement
 
-from conftest import grid_of, region_for
+from conftest import ECON, grid_of, region_for
 
 from campaign_reference import simulate_fire
 
@@ -209,7 +209,7 @@ class TestRunCampaign:
         frame = grid.frame
         catalog = self.make_catalog(grid, frame)
         placement = Placement((4,) * 16, budget=64)
-        result = run_campaign(grid, placement, catalog, EconomicsParams(), trials=5, seed=8)
+        result = run_campaign(grid, placement, catalog, ECON, trials=5, seed=8)
         assert result.totals.burned_km2 == sum(o.burned_km2 for o in result.fires)
         assert result.totals.carbon_ton == sum(o.carbon_ton for o in result.fires)
 
@@ -229,15 +229,15 @@ class TestRunCampaign:
         frame = grid.frame
         catalog = self.make_catalog(grid, frame)
         placement = Placement((3,) * 16, budget=48)
-        a = run_campaign(grid, placement, catalog, EconomicsParams(), trials=4, seed=13)
-        b = run_campaign(grid, placement, catalog, EconomicsParams(), trials=4, seed=13)
+        a = run_campaign(grid, placement, catalog, ECON, trials=4, seed=13)
+        b = run_campaign(grid, placement, catalog, ECON, trials=4, seed=13)
         assert a == b
 
     def test_empty_catalog_warns(self):
         grid = small_grid()
         placement = Placement((1,) * 16, budget=16)
         with pytest.warns(UserWarning):
-            result = run_campaign(grid, placement, [], EconomicsParams(), trials=2, seed=1)
+            result = run_campaign(grid, placement, [], ECON, trials=2, seed=1)
         assert result.totals.burned_km2 == 0.0
 
     def test_more_sensors_burn_less_on_average(self):
@@ -246,8 +246,8 @@ class TestRunCampaign:
         catalog = self.make_catalog(grid, frame, n=12)
         small = Placement((2,) * 16, budget=32)
         big = Placement((12,) * 16, budget=192)
-        r_small = run_campaign(grid, small, catalog, EconomicsParams(), trials=20, seed=3)
-        r_big = run_campaign(grid, big, catalog, EconomicsParams(), trials=20, seed=3)
+        r_small = run_campaign(grid, small, catalog, ECON, trials=20, seed=3)
+        r_big = run_campaign(grid, big, catalog, ECON, trials=20, seed=3)
         assert r_big.totals.burned_km2 <= r_small.totals.burned_km2
 
     def test_draw_out_of_memory_is_a_validation_error(self, monkeypatch):
@@ -258,7 +258,7 @@ class TestRunCampaign:
         catalog = self.make_catalog(grid, grid.frame)
         monkeypatch.setattr(np, "empty", no_memory)
         with pytest.raises(ValidationError, match="^out of memory for 48 sensors: .* 768 bytes$"):
-            run_campaign(grid, Placement((3,) * 16, 48), catalog, EconomicsParams(), trials=2)
+            run_campaign(grid, Placement((3,) * 16, 48), catalog, ECON, trials=2, seed=0)
 
     def test_unindexable_draw_is_out_of_memory(self, monkeypatch):
         # numpy refuses a shape past what it can index with ValueError, not MemoryError.
@@ -270,13 +270,13 @@ class TestRunCampaign:
         catalog = self.make_catalog(grid, grid.frame)
         monkeypatch.setattr(np, "empty", too_big)
         with pytest.raises(ValidationError, match="^out of memory for 48 sensors: .* 768 bytes$"):
-            run_campaign(grid, Placement((3,) * 16, 48), catalog, EconomicsParams(), trials=2)
+            run_campaign(grid, Placement((3,) * 16, 48), catalog, ECON, trials=2, seed=0)
 
     def test_negative_seed_is_not_out_of_memory(self):
         grid = small_grid()
         catalog = self.make_catalog(grid, grid.frame)
         with pytest.raises(ValueError) as info:
-            run_campaign(grid, Placement((3,) * 16, 48), catalog, EconomicsParams(), trials=2, seed=-1)
+            run_campaign(grid, Placement((3,) * 16, 48), catalog, ECON, trials=2, seed=-1)
         assert not isinstance(info.value, ValidationError)
 
     def test_gather_out_of_memory_is_a_validation_error(self, monkeypatch):
@@ -289,14 +289,14 @@ class TestRunCampaign:
         catalog = self.make_catalog(grid, grid.frame)
         monkeypatch.setattr(np, "empty", lambda shape: empty(shape).view(NoGather))
         with pytest.raises(ValidationError, match="^out of memory for 48 sensors: "):
-            run_campaign(grid, Placement((3,) * 16, 48), catalog, EconomicsParams(), trials=2)
+            run_campaign(grid, Placement((3,) * 16, 48), catalog, ECON, trials=2, seed=0)
 
     def test_writers(self, tmp_path):
         grid = small_grid()
         frame = grid.frame
         catalog = self.make_catalog(grid, frame)
         placement = Placement((2,) * 16, budget=32)
-        result = run_campaign(grid, placement, catalog, EconomicsParams(), trials=2, seed=6)
+        result = run_campaign(grid, placement, catalog, ECON, trials=2, seed=6)
         write_campaign_json(result, tmp_path / "c.json")
         write_fires_csv(result, tmp_path / "f.csv")
         payload = json.loads((tmp_path / "c.json").read_text())
@@ -337,7 +337,7 @@ def test_catalog_state_is_kept_per_catalog_value():
     first = [FireEvent(0, frame_point(frame, 5), 5, 77.0), FireEvent(1, frame_point(frame, 10), 10, 3.0)]
     second = [first[0], FireEvent(1, frame_point(frame, 10), 10, 250.0)]
     placement = Placement((1,) * len(grid), budget=len(grid))
-    runs = [run_campaign(grid, placement, catalog, EconomicsParams(), trials=2, seed=7)
+    runs = [run_campaign(grid, placement, catalog, ECON, trials=2, seed=7)
             for catalog in (first, list(first), second)]
     assert baseline_outcomes(list(first), grid)[0] is baseline_outcomes(first, grid)[0]
     fresh = small_grid()
@@ -345,4 +345,4 @@ def test_catalog_state_is_kept_per_catalog_value():
         assert got.tolist() == want.tolist()
     assert baseline_outcomes(second, grid)[0].tolist() == [77.0, 250.0]
     assert runs[0] == runs[1]
-    assert runs[2] == run_campaign(fresh, placement, second, EconomicsParams(), trials=2, seed=7)
+    assert runs[2] == run_campaign(fresh, placement, second, ECON, trials=2, seed=7)

@@ -19,7 +19,7 @@ from firesat.geo import GeoPoint
 from firesat.grid import KM_PER_DEG_LAT, FireEvent, GridFrame
 from firesat.placement import Placement
 
-from conftest import grid_of
+from conftest import ECON, grid_of
 
 from campaign_reference import (
     biomass_avg_full,
@@ -165,8 +165,8 @@ def test_detecting_sensor_in_a_neighbour_cell():
     cx, cy = frame.centers_xy[0]
     catalog = [FireEvent(0, frame_point(frame, cx - 0.04 * side, cy), 0, 60.0)]
     placement = Placement((0, 400), budget=400)
-    fast = run_campaign(grid, placement, catalog, EconomicsParams(), trials=3, seed=5)
-    assert fast == run_campaign_kdtree(grid, placement, catalog, EconomicsParams(), trials=3, seed=5)
+    fast = run_campaign(grid, placement, catalog, ECON, trials=3, seed=5)
+    assert fast == run_campaign_kdtree(grid, placement, catalog, ECON, trials=3, seed=5)
     assert fast.fires[0].detection_rate > 0.0
 
 
@@ -307,8 +307,8 @@ def test_overlapping_cells_average_biomass_pairwise():
         x, y = frame.centers_xy.mean(axis=0) + np.asarray(offset) * side
         catalog.append(FireEvent(fid, frame_point(frame, x, y), 5, 50.0))
     placement = Placement((30,) * len(grid), budget=30 * len(grid))
-    fast = run_campaign(grid, placement, catalog, EconomicsParams(), trials=4, seed=2)
-    assert fast == run_campaign_kdtree(grid, placement, catalog, EconomicsParams(), trials=4, seed=2)
+    fast = run_campaign(grid, placement, catalog, ECON, trials=4, seed=2)
+    assert fast == run_campaign_kdtree(grid, placement, catalog, ECON, trials=4, seed=2)
     assert all(o.detection_rate == 1.0 for o in fast.fires)
 
 
@@ -348,8 +348,8 @@ def test_stalled_fire_detected_only_by_a_sensor_on_its_ignition_point():
     assert frame.project(on_sensor.ignition) == (x, y)
     elsewhere = FireEvent(1, GeoPoint(0.001, -0.002), 0, 20.0)
     catalog = [on_sensor, elsewhere]
-    fast = run_campaign(grid, placement, catalog, EconomicsParams(), trials=trials, seed=seed)
-    assert fast == run_campaign_kdtree(grid, placement, catalog, EconomicsParams(), trials=trials, seed=seed)
+    fast = run_campaign(grid, placement, catalog, ECON, trials=trials, seed=seed)
+    assert fast == run_campaign_kdtree(grid, placement, catalog, ECON, trials=trials, seed=seed)
     hit, miss = fast.fires
     assert (hit.detection_rate, hit.detection_time_h, hit.burned_km2, hit.degenerate) == (
         1 / trials, 0.0, 0.0, True
@@ -378,8 +378,8 @@ def test_many_blocks_and_a_fire_with_only_empty_candidates():
     candidates = [intersecting_mask(frame, *frame.project(e.ignition), r_max) for e in catalog]
     assert not np.asarray(counts)[candidates[0]].any()
     assert sum(np.asarray(counts)[c].sum() for c in candidates) > 3 * campaign._BLOCK_ROWS
-    fast = run_campaign(grid, placement, catalog, EconomicsParams(), trials=2, seed=9)
-    assert fast == run_campaign_kdtree(grid, placement, catalog, EconomicsParams(), trials=2, seed=9)
+    fast = run_campaign(grid, placement, catalog, ECON, trials=2, seed=9)
+    assert fast == run_campaign_kdtree(grid, placement, catalog, ECON, trials=2, seed=9)
     middle = fast.fires[0]
     assert (middle.detection_rate, middle.burned_km2, middle.degenerate) == (0.0, 80.0, False)
     assert all(o.detection_rate == 1.0 for o in fast.fires[1:])
@@ -403,7 +403,7 @@ def test_zero_sensor_campaign_equals_baseline(data):
     # One or two trials average a repeated value exactly.
     trials = data.draw(st.integers(1, 2))
     placement = Placement((0,) * len(grid), budget=data.draw(st.integers(0, 3)))
-    result = run_campaign(grid, placement, catalog, EconomicsParams(), trials=trials,
+    result = run_campaign(grid, placement, catalog, ECON, trials=trials,
                           seed=data.draw(st.integers(0, 2**32 - 1)))
     assert len(result.fires) == len(catalog)
     burned, carbon = baseline_outcomes(catalog, grid)
@@ -439,8 +439,8 @@ def test_neighbour_sensor_nearer_than_the_own_cells():
     assert frame.locate(fire.ignition) == 0
     placement = Placement((2, 400), budget=402)
     assert nearest_cells(grid, placement, fire, seed, trials) == [1] * trials
-    fast = run_campaign(grid, placement, [fire], EconomicsParams(), trials=trials, seed=seed)
-    assert fast == run_campaign_kdtree(grid, placement, [fire], EconomicsParams(), trials=trials, seed=seed)
+    fast = run_campaign(grid, placement, [fire], ECON, trials=trials, seed=seed)
+    assert fast == run_campaign_kdtree(grid, placement, [fire], ECON, trials=trials, seed=seed)
     assert fast.fires[0].detection_rate == 1.0
 
 
@@ -458,8 +458,8 @@ def test_empty_own_cell_nearest_sensor_in_the_farther_neighbour():
     assert cells.tolist() == [0, 1, 2] and gaps[0] < gaps[2]
     placement = Placement((1, 0, 400), budget=401)
     assert nearest_cells(grid, placement, fire, seed, trials) == [2] * trials
-    fast = run_campaign(grid, placement, [fire], EconomicsParams(), trials=trials, seed=seed)
-    assert fast == run_campaign_kdtree(grid, placement, [fire], EconomicsParams(), trials=trials, seed=seed)
+    fast = run_campaign(grid, placement, [fire], ECON, trials=trials, seed=seed)
+    assert fast == run_campaign_kdtree(grid, placement, [fire], ECON, trials=trials, seed=seed)
     assert fast.fires[0].detection_rate == 1.0
 
 
@@ -473,8 +473,8 @@ def test_fire_on_a_corner_of_four_occupied_cells():
     assert frame.cells_within(*frame.project(corner.ignition), 0.0)[0].tolist() == [0, 1, 2, 3]
     placement = Placement((3, 5, 2, 4), budget=14)
     assert len(set(nearest_cells(grid, placement, corner, seed, trials))) > 1
-    fast = run_campaign(grid, placement, [corner], EconomicsParams(), trials=trials, seed=seed)
-    assert fast == run_campaign_kdtree(grid, placement, [corner], EconomicsParams(), trials=trials, seed=seed)
+    fast = run_campaign(grid, placement, [corner], ECON, trials=trials, seed=seed)
+    assert fast == run_campaign_kdtree(grid, placement, [corner], ECON, trials=trials, seed=seed)
 
 
 def test_chunks_span_several_blocks_in_both_phases(monkeypatch):
@@ -499,8 +499,8 @@ def test_chunks_span_several_blocks_in_both_phases(monkeypatch):
         lower(nearest_sq, unit, side_km, pairs)
 
     monkeypatch.setattr(campaign, "_lower_nearest", counting)
-    fast = run_campaign(grid, placement, catalog, EconomicsParams(), trials=trials, seed=seed)
+    fast = run_campaign(grid, placement, catalog, ECON, trials=trials, seed=seed)
     monkeypatch.undo()
     assert len(gathered) == 2 * trials
     assert min(gathered) > 2 * campaign._BLOCK_ROWS
-    assert fast == run_campaign_kdtree(grid, placement, catalog, EconomicsParams(), trials=trials, seed=seed)
+    assert fast == run_campaign_kdtree(grid, placement, catalog, ECON, trials=trials, seed=seed)

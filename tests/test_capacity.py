@@ -1,9 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from firesat.capacity import (
     DEVICE_CAP,
-    RadioTiming,
-    TrafficModel,
     bandwidth_required_hz,
     devices_per_carrier_exception,
     devices_per_carrier_periodic,
@@ -14,9 +14,11 @@ from firesat.capacity import (
 )
 from firesat.errors import NumericError, ValidationError
 
-TIMING = RadioTiming()
-EXCEPTION = TrafficModel(kind="exception")
-PERIODIC = TrafficModel(kind="periodic")
+from conftest import CFG
+
+TIMING = CFG.timing()
+EXCEPTION = CFG.traffic("exception")
+PERIODIC = CFG.traffic("periodic")
 
 
 class TestReportDuration:
@@ -24,13 +26,13 @@ class TestReportDuration:
         assert report_duration_ms(TIMING) == 1096.0
 
     def test_zero_rtt(self):
-        assert report_duration_ms(RadioTiming(rtt_ms=0.0)) == 96.0
+        assert report_duration_ms(replace(TIMING, rtt_ms=0.0)) == 96.0
 
     def test_single_ru(self):
-        assert report_duration_ms(RadioTiming(rus_per_report=1)) == 1032.0
+        assert report_duration_ms(replace(TIMING, rus_per_report=1)) == 1032.0
 
     def test_retransmission_adds_attempt(self):
-        t = RadioTiming(tx_attempts=2)
+        t = replace(TIMING, tx_attempts=2)
         assert report_duration_ms(t) == 500.0 + 2 * (500.0 + 96.0)
 
 
@@ -48,12 +50,12 @@ class TestDevicesPerCarrier:
         assert devices_per_carrier_periodic(TIMING, PERIODIC, 10.0) == 333257
 
     def test_zero_rate_returns_cap_with_warning(self):
-        m = TrafficModel(kind="periodic", sessions_per_day_coeff=0.0)
+        m = replace(PERIODIC, sessions_per_day_coeff=0.0)
         with pytest.warns(UserWarning):
             assert devices_per_carrier_periodic(TIMING, m, 10.0) == DEVICE_CAP == 10**12
 
     def test_doubling_carrier_bandwidth_doubles_count(self):
-        wide = RadioTiming(carrier_bw_khz=360.0)
+        wide = replace(TIMING, carrier_bw_khz=360.0)
         assert devices_per_carrier_exception(wide, 10.0) == 2 * 432
         assert devices_per_carrier_periodic(wide, PERIODIC, 10.0) == 2 * 333257
 
@@ -90,6 +92,11 @@ class TestBandwidth:
     def test_zero_devices(self):
         assert bandwidth_required_hz(0, TIMING, EXCEPTION) == 0.0
 
+    def test_carrier_count_is_exact_past_float_precision(self):
+        # 17514414707169443 carriers of 180 kHz; a float quotient of the
+        # count by 432 rounds one carrier short.
+        assert bandwidth_required_hz(7566227153497199278, TIMING, EXCEPTION) == 3.1525946472905e21
+
     def test_step_wise_in_k(self):
         prev = 0.0
         for k in range(0, 2000, 100):
@@ -104,7 +111,7 @@ class TestBandwidth:
             bandwidth_required_hz(10, TIMING, PERIODIC)
 
     def test_report_longer_than_period_rejected(self):
-        tight = TrafficModel(kind="exception", reference_period_s=1.0)
+        tight = replace(EXCEPTION, reference_period_s=1.0)
         with pytest.raises(ValidationError, match="does not fit"):
             bandwidth_required_hz(10, TIMING, tight)
 
@@ -122,12 +129,12 @@ class TestOverflow:
             devices_per_carrier_exception(TIMING, 1e308)
 
     def test_slots_beyond_float_range(self):
-        wide = RadioTiming(carrier_bw_khz=1e308)
+        wide = replace(TIMING, carrier_bw_khz=1e308)
         with pytest.raises(NumericError, match="overflow a float"):
             devices_per_carrier_periodic(wide, PERIODIC, 10.0)
 
     def test_infinite_session_count(self):
-        m = TrafficModel(kind="periodic", sessions_per_day_coeff=1e308)
+        m = replace(PERIODIC, sessions_per_day_coeff=1e308)
         with pytest.raises(NumericError, match="inf periodic sessions cannot be counted"):
             traffic_total_bytes(10**5, 10.0, m)
 
@@ -164,17 +171,17 @@ class TestSpectrumCost:
 class TestValidation:
     def test_payload_bounds(self):
         with pytest.raises(ValidationError):
-            TrafficModel(payload_bytes=10)
+            replace(EXCEPTION, payload_bytes=10)
         with pytest.raises(ValidationError):
-            TrafficModel(payload_bytes=201)
+            replace(EXCEPTION, payload_bytes=201)
 
     def test_carrier_divisibility(self):
         with pytest.raises(ValidationError):
-            RadioTiming(carrier_bw_khz=100.0)
+            replace(TIMING, carrier_bw_khz=100.0)
 
     def test_subcarrier_count(self):
         assert TIMING.subcarriers == 48
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
-            TrafficModel(kind="bursty")
+            replace(EXCEPTION, kind="bursty")

@@ -3,16 +3,19 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import firesat
 from firesat.cli import build_parser, main
 from firesat.config import CONFIG_KEYS
 from firesat.grid import GridFrame
-from firesat.sample_data import generate_sample_dataset
 
 from conftest import DATA_DIR
 
@@ -143,6 +146,13 @@ class TestCapacity:
         assert run("capacity", "--config", CONFIG, "--out", str(out), "--budget", "1") == 0
         payload = json.loads((out / "capacity.json").read_text())
         assert payload["worst_case"]["bandwidth_hz"] == 180_000.0
+
+    def test_carrier_count_is_exact_past_float_precision(self, tmp_path):
+        # 17514414707169443 whole carriers; a float quotient gives one fewer.
+        out = tmp_path / "out"
+        assert run("capacity", "--config", CONFIG, "--out", str(out), "--budget", "7566227153497199278") == 0
+        payload = json.loads((out / "capacity.json").read_text())
+        assert payload["worst_case"]["bandwidth_hz"] == 3.1525946472905e21
 
 
 class TestSimulate:
@@ -304,7 +314,9 @@ class TestReport:
         payload = json.loads((out / "report.json").read_text())
         assert "capacity.json" in payload["sources"]
 
-    @pytest.mark.parametrize("body", ["{bad", "[1, 2]", "\"text\"", ""])
+    @pytest.mark.parametrize(
+        "body", ["{bad", "[1, 2]", "\"text\"", "", '{"a": NaN}', '{"a": [-Infinity]}', '{"a": 1e400}']
+    )
     def test_corrupt_source_exits_2_naming_file(self, tmp_path, capsys, body):
         out = tmp_path / "out"
         out.mkdir()
@@ -643,6 +655,10 @@ class TestNoTraceback:
 
 
 def test_sample_dataset_regenerates_byte_identical(tmp_path):
-    paths = generate_sample_dataset(tmp_path)
-    assert paths["regions"].read_bytes() == (DATA_DIR / "regions.csv").read_bytes()
-    assert paths["fires"].read_bytes() == (DATA_DIR / "fires.csv").read_bytes()
+    # Run as documented, so the fire-model parameters come from the sample config.
+    src = str(Path(firesat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "firesat.sample_data", str(tmp_path)], env=env,
+                   capture_output=True, check=True)
+    for name in ("regions.csv", "fires.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes()

@@ -20,8 +20,9 @@ from firesat.link_budget import load_mcs_table
 from firesat.placement import read_placement_csv
 
 import ingest_reference
-from conftest import DATA_DIR, sample_config_text
+from conftest import CFG, DATA_DIR, sample_config_text
 
+AREA = CFG.cell_area_km2
 HEADER = ",".join(REGION_FIELDS) + "\n"
 GOOD = "0,36.0,-120.0,1.0,0.1,0.0,0.5,0.5\n"
 
@@ -37,13 +38,13 @@ class TestFieldCount:
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + GOOD + "1,36.0,-120.0,1,000.5,0.1,0.0,0.5,0.5\n")
         # The reference loads it, every value after biomass shifted one column.
-        assert len(ingest_reference.ingest_regions(path)) == 2
-        assert error_of(ingest_regions, path) == f"{path}:3: expected 8 fields, got 9"
+        assert len(ingest_reference.ingest_regions(path, AREA)) == 2
+        assert error_of(ingest_regions, path, AREA) == f"{path}:3: expected 8 fields, got 9"
 
     def test_short_region_row_rejected(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + "0,36.0,-120.0\n")
-        assert error_of(ingest_regions, path) == f"{path}:2: expected 8 fields, got 3"
+        assert error_of(ingest_regions, path, AREA) == f"{path}:2: expected 8 fields, got 3"
 
     def test_extra_placement_field_rejected(self, tmp_path):
         path = tmp_path / "placement.csv"
@@ -67,7 +68,7 @@ class TestFieldCount:
 
 class TestPrecedence:
     def test_fire_point_checked_before_its_area(self, tmp_path):
-        grid = ingest_regions(DATA_DIR / "regions.csv")
+        grid = ingest_regions(DATA_DIR / "regions.csv", AREA)
         path = tmp_path / "fires.csv"
         path.write_text("fire_id,lat,lon,recorded_area_km2\n\n0,100.0,-120.0,abc\n")
         assert error_of(ingest_fires, path, grid) == f"{path}:3: latitude 100.0 outside [-90, 90]"
@@ -88,7 +89,7 @@ class TestPrecedence:
         ids=["area", "point", "width"],
     )
     def test_fire_row_fault_wins_over_its_repeated_id(self, tmp_path, row, message):
-        grid = ingest_regions(DATA_DIR / "regions.csv")
+        grid = ingest_regions(DATA_DIR / "regions.csv", AREA)
         path = tmp_path / "fires.csv"
         path.write_text(self.FIRE + row + "\n")
         assert error_of(ingest_fires, path, grid) == f"{path}:3: {message}"
@@ -96,12 +97,12 @@ class TestPrecedence:
     def test_earlier_duplicate_wins_over_later_malformed_row(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + GOOD + GOOD + "x" + GOOD)
-        assert error_of(ingest_regions, path) == f"{path}:3: duplicate region id 0"
+        assert error_of(ingest_regions, path, AREA) == f"{path}:3: duplicate region id 0"
 
     def test_earlier_malformed_row_wins_over_later_duplicate(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + GOOD + "x" + GOOD + GOOD)
-        assert error_of(ingest_regions, path) == (
+        assert error_of(ingest_regions, path, AREA) == (
             f"{path}:3: malformed row: invalid literal for int() with base 10: 'x0'"
         )
 
@@ -114,8 +115,8 @@ class TestPrecedence:
         rows[1] = "1,36.0,-120.0,bad,0.1,0.0,0.5,0.5\n"
         path.write_bytes((HEADER + "".join(rows)).encode() + b"\xff\n")
         expected = f"{path}:3: malformed row: could not convert string to float: 'bad'"
-        assert error_of(ingest_reference.ingest_regions, path) == expected
-        assert error_of(ingest_regions, path) == expected
+        assert error_of(ingest_reference.ingest_regions, path, AREA) == expected
+        assert error_of(ingest_regions, path, AREA) == expected
 
     def test_placement_gap_wins_over_a_later_malformed_row(self, tmp_path):
         path = tmp_path / "placement.csv"
@@ -149,8 +150,8 @@ class TestPhysicalLine:
     def test_blank_lines_count(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + GOOD + "\n\n" + "1,36.1,-120.0,oops,0.1,0.0,0.5,0.5\n")
-        assert error_of(ingest_regions, path).startswith(f"{path}:5: malformed row: ")
-        assert error_of(ingest_reference.ingest_regions, path).startswith(f"{path}:3: ")
+        assert error_of(ingest_regions, path, AREA).startswith(f"{path}:5: malformed row: ")
+        assert error_of(ingest_reference.ingest_regions, path, AREA).startswith(f"{path}:3: ")
 
     def test_quoted_line_breaks_count(self, tmp_path):
         path = tmp_path / "regions.csv"
@@ -158,19 +159,19 @@ class TestPhysicalLine:
             HEADER + '0,36.0,-120.0,"1.0\n\n",0.1,0.0,0.5,0.5\n'
             "1,36.1,-120.0,1.0,0.1,0.0,0.5,bad\n"
         )
-        assert error_of(ingest_regions, path).startswith(f"{path}:5: malformed row: ")
+        assert error_of(ingest_regions, path, AREA).startswith(f"{path}:5: malformed row: ")
 
     def test_row_with_quoted_line_break_named_by_its_first_line(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + GOOD + '1,36.1,-120.0,"1.0\nx",0.1,0.0,0.5,0.5\n')
-        assert error_of(ingest_regions, path) == (
+        assert error_of(ingest_regions, path, AREA) == (
             f"{path}:3: malformed row: could not convert string to float: '1.0\\nx'"
         )
 
     def test_duplicate_id_names_its_line(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + GOOD + "\r\n" + GOOD)
-        assert error_of(ingest_regions, path) == f"{path}:4: duplicate region id 0"
+        assert error_of(ingest_regions, path, AREA) == f"{path}:4: duplicate region id 0"
 
     def test_placement_gap_names_its_line(self, tmp_path):
         path = tmp_path / "placement.csv"
@@ -188,14 +189,14 @@ class TestPhysicalLine:
             os.write(write_end, text.encode())
             os.close(write_end)
             path = f"/dev/fd/{read_end}"
-            assert error_of(ingest_regions, path).startswith(f"{path}:5: malformed row: ")
+            assert error_of(ingest_regions, path, AREA).startswith(f"{path}:5: malformed row: ")
         finally:
             os.close(read_end)
 
     def test_oversized_field_names_its_line(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + GOOD + 'x"' + "a" * 140_000 + "\n")
-        assert error_of(ingest_regions, path).startswith(f"{path}:3: field larger than field limit")
+        assert error_of(ingest_regions, path, AREA).startswith(f"{path}:3: field larger than field limit")
 
 
 # Sizes around the reader's chunk of 1024 rows.
@@ -294,7 +295,7 @@ def region_files(draw):
 
 def outcome(fn, path):
     try:
-        return fn(path), None
+        return fn(path, AREA), None
     except ValidationError as exc:
         return None, str(exc)
 
@@ -338,9 +339,9 @@ class TestBlankRuns:
         rows = [f"{i},36.0,-120.{i},1.0,0.1,0.0,0.5,0.5\n" for i in range(6)]
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + "".join(rows[:3]) + self.RUN + "".join(rows[3:]))
-        grid = ingest_regions(path)
+        grid = ingest_regions(path, AREA)
         assert len(grid) == 6
-        assert grid.lon.tobytes() == ingest_reference.ingest_regions(path).lon.tobytes()
+        assert grid.lon.tobytes() == ingest_reference.ingest_regions(path, AREA).lon.tobytes()
 
     def test_placement_after_a_long_blank_run(self, tmp_path):
         path = tmp_path / "placement.csv"
@@ -353,6 +354,6 @@ def test_chunk_boundary_error_names_its_line(tmp_path):
     rows[1024] = rows[1024].replace("0.1", "?")
     path = tmp_path / "regions.csv"
     path.write_text(HEADER + "\n".join(rows) + "\n")
-    assert error_of(ingest_regions, path) == (
+    assert error_of(ingest_regions, path, AREA) == (
         f"{path}:1026: malformed row: could not convert string to float: '?'"
     )

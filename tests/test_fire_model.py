@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from firesat.ingest import ingest_regions
 from firesat.placement import Placement
 
 import fire_model_reference as ref
-from conftest import DATA_DIR, TEST_PARAMS, grid_from, region_for
+from conftest import CFG, TEST_PARAMS, grid_from, region_for
 
 probs = st.floats(0.0, 1.0)
 
@@ -143,11 +144,11 @@ class TestIgnitionAndMissCache:
         )
         first = ignition_and_miss(grid, 4.0, params)
         assert deadlines == [4.0] * 4
-        equal_params = FireModelParams(params.theta_wilt, params.theta_field)
+        equal_params = replace(params)
         assert ignition_and_miss(grid, 4.0, equal_params) == first
         assert len(deadlines) == 4
         assert ignition_and_miss(grid, 5.0, params) != first
-        assert ignition_and_miss(grid, 4.0, FireModelParams(0.05, 0.4)) != first
+        assert ignition_and_miss(grid, 4.0, replace(params, theta_wilt=0.05)) != first
         assert len(deadlines) == 12
         # A deadline of another type (numpy's powers differ from Python's) and
         # a fresh but equal grid each compute their own.
@@ -236,11 +237,11 @@ class TestSystemUtility:
 
 def test_params_invariants():
     with pytest.raises(ValidationError):
-        FireModelParams(theta_wilt=0.4, theta_field=0.1)
+        replace(TEST_PARAMS, theta_wilt=0.4, theta_field=0.1)
     with pytest.raises(ValidationError):
-        FireModelParams(theta_wilt=0.1, theta_field=0.4, b_low=1.0, b_up=0.2)
+        replace(TEST_PARAMS, b_low=1.0, b_up=0.2)
     with pytest.raises(ValidationError):
-        FireModelParams(theta_wilt=0.1, theta_field=0.4, beta_e=0.0)
+        replace(TEST_PARAMS, beta_e=0.0)
 
 
 def test_placement_type_invariants():
@@ -334,8 +335,8 @@ def test_column_form_matches_scalar_reference(data):
 
 
 def test_packaged_grid_ignition_matches_scalar_reference():
-    grid = ingest_regions(DATA_DIR / "regions.csv")
-    params = FireModelParams(theta_wilt=0.05, theta_field=0.35)
+    grid = ingest_regions(CFG.regions_csv, CFG.cell_area_km2)
+    params = CFG.fire_params()
     reference = [
         ref.p_ignition(*row, params)
         for row in zip(

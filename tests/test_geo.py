@@ -1,30 +1,26 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from firesat.errors import NumericError, UnservableLocationError, ValidationError
 from firesat.geo import (
-    GEO_ALTITUDE_KM,
     GeoPoint,
-    SatelliteConfig,
     elevation_deg,
     great_circle_km,
     slant_range_km,
 )
 from firesat.grid import RegionGrid
 
+from conftest import CFG
+
 CENTER_DEVICE = GeoPoint(37.2, -122.1)
 EDGE_DEVICE = GeoPoint(33.5, -116.6)
 BEAM_CENTER = GeoPoint(37.0, -122.0)
 
 
-def make_sat(sub_lon=-125.0, altitude=GEO_ALTITUDE_KM):
-    return SatelliteConfig(
-        sub_satellite_lon=sub_lon,
-        beam_center=BEAM_CENTER,
-        beam_radius_km=1000.0,
-        g_s_max_dbi=25.0,
-        altitude_km=altitude,
-    )
+def make_sat(sub_lon=-125.0, altitude=CFG.altitude_km):
+    return replace(CFG.satellite(), sub_satellite_lon=sub_lon, altitude_km=altitude)
 
 
 class TestGeoPoint:
@@ -93,7 +89,7 @@ class TestSlantRange:
     def test_nadir_equals_altitude(self):
         sat = make_sat()
         nadir = GeoPoint(0.0, -125.0)
-        assert slant_range_km(nadir, sat) == pytest.approx(GEO_ALTITUDE_KM, abs=1e-6)
+        assert slant_range_km(nadir, sat) == pytest.approx(CFG.altitude_km, abs=1e-6)
 
     @pytest.mark.parametrize(
         "point,expected",
@@ -137,9 +133,4 @@ def test_satellite_config_validation():
     with pytest.raises(ValidationError):
         make_sat(altitude=-1.0)
     with pytest.raises(ValidationError):
-        SatelliteConfig(
-            sub_satellite_lon=0.0,
-            beam_center=BEAM_CENTER,
-            beam_radius_km=0.0,
-            g_s_max_dbi=25.0,
-        )
+        replace(make_sat(0.0), beam_radius_km=0.0)

@@ -1,16 +1,16 @@
+import inspect
 from dataclasses import MISSING, asdict, fields, replace
 from operator import attrgetter
 
 import pytest
 
-from firesat.campaign import EconomicsParams
+from firesat.campaign import EconomicsParams, run_campaign
 from firesat.capacity import RadioTiming, TrafficModel
-from firesat.cli import default_config_path
 from firesat.config import CONFIG_KEYS, RunConfig, load_config, parse_kv_file
 from firesat.errors import ValidationError
 from firesat.fire_model import FireModelParams
 from firesat.geo import SatelliteConfig
-from firesat.link_budget import DeviceConfig
+from firesat.link_budget import DeviceConfig, snr_db
 from firesat.ingest import (
     ingest_fires,
     ingest_regions,
@@ -18,21 +18,21 @@ from firesat.ingest import (
     write_regions_csv,
 )
 
-from conftest import DATA_DIR
+from conftest import CFG, DATA_DIR
 
 SAMPLE_CONFIG = DATA_DIR / "sample_config.cfg"
 
 
 class TestRegionIngestion:
     def test_packaged_dataset_loads(self):
-        grid = ingest_regions(DATA_DIR / "regions.csv")
+        grid = ingest_regions(DATA_DIR / "regions.csv", CFG.cell_area_km2)
         assert len(grid) == 11000
 
     def test_round_trip(self, tmp_path):
-        grid = ingest_regions(DATA_DIR / "regions.csv")
+        grid = ingest_regions(DATA_DIR / "regions.csv", CFG.cell_area_km2)
         path = tmp_path / "copy.csv"
         write_regions_csv(grid, path)
-        again = ingest_regions(path)
+        again = ingest_regions(path, CFG.cell_area_km2)
         assert again == grid
         assert ingest_regions(path, cell_area_km2=50.0) != grid
         assert path.read_bytes() == (DATA_DIR / "regions.csv").read_bytes()
@@ -41,13 +41,13 @@ class TestRegionIngestion:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ValidationError):
-            ingest_regions(path)
+            ingest_regions(path, CFG.cell_area_km2)
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("id,lat,lon,biomass,soil_moisture,lightning,p_human,spread_rate\n")
         with pytest.raises(ValidationError):
-            ingest_regions(path)
+            ingest_regions(path, CFG.cell_area_km2)
 
     def test_duplicate_id_names_the_id(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -57,7 +57,7 @@ class TestRegionIngestion:
             "0,36.1,-120.0,1.0,0.1,0.0,0.5,0.5\n"
         )
         with pytest.raises(ValidationError, match="duplicate region id 0"):
-            ingest_regions(path)
+            ingest_regions(path, CFG.cell_area_km2)
 
     def test_gap_in_ids_rejected(self, tmp_path):
         path = tmp_path / "gap.csv"
@@ -67,7 +67,7 @@ class TestRegionIngestion:
             "2,36.1,-120.0,1.0,0.1,0.0,0.5,0.5\n"
         )
         with pytest.raises(ValidationError, match="not contiguous"):
-            ingest_regions(path)
+            ingest_regions(path, CFG.cell_area_km2)
 
     def test_error_reports_row_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -77,7 +77,7 @@ class TestRegionIngestion:
             "1,36.1,-120.0,oops,0.1,0.0,0.5,0.5\n"
         )
         with pytest.raises(ValidationError, match=":3:"):
-            ingest_regions(path)
+            ingest_regions(path, CFG.cell_area_km2)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -106,20 +106,20 @@ class TestRegionIngestion:
             "0,36.0,-120.0,1.0,0.1,0.0,0.5,0.5\n" + ",".join(row.values()) + "\n"
         )
         with pytest.raises(ValidationError) as info:
-            ingest_regions(path)
+            ingest_regions(path, CFG.cell_area_km2)
         assert str(info.value).startswith(f"{path}: region 1: {field} ")
 
 
 class TestFireIngestion:
     def test_packaged_catalog_loads(self):
-        grid = ingest_regions(DATA_DIR / "regions.csv")
+        grid = ingest_regions(DATA_DIR / "regions.csv", CFG.cell_area_km2)
         fires = ingest_fires(DATA_DIR / "fires.csv", grid)
         assert len(fires) == 255
         for f in fires[:20]:
             assert 0 <= f.region_id < len(grid)
 
     def test_round_trip(self, tmp_path):
-        grid = ingest_regions(DATA_DIR / "regions.csv")
+        grid = ingest_regions(DATA_DIR / "regions.csv", CFG.cell_area_km2)
         fires = ingest_fires(DATA_DIR / "fires.csv", grid)
         path = tmp_path / "fires.csv"
         write_fires_catalog_csv(fires, path)
@@ -127,14 +127,14 @@ class TestFireIngestion:
         assert ingest_fires(path, grid) == fires
 
     def test_outside_grid_rejected(self, tmp_path):
-        grid = ingest_regions(DATA_DIR / "regions.csv")
+        grid = ingest_regions(DATA_DIR / "regions.csv", CFG.cell_area_km2)
         path = tmp_path / "far.csv"
         path.write_text("fire_id,lat,lon,recorded_area_km2\n0,10.0,10.0,5.0\n")
         with pytest.raises(ValidationError, match=":2:"):
             ingest_fires(path, grid)
 
     def test_duplicate_fire_id_rejected(self, tmp_path):
-        grid = ingest_regions(DATA_DIR / "regions.csv")
+        grid = ingest_regions(DATA_DIR / "regions.csv", CFG.cell_area_km2)
         lat, lon = grid.lat[5000], grid.lon[5000]
         path = tmp_path / "dup.csv"
         path.write_text(
@@ -147,7 +147,7 @@ class TestFireIngestion:
 
     @pytest.mark.parametrize("area", ["nan", "inf", "-1.0"])
     def test_bad_recorded_area_rejected(self, tmp_path, area):
-        grid = ingest_regions(DATA_DIR / "regions.csv")
+        grid = ingest_regions(DATA_DIR / "regions.csv", CFG.cell_area_km2)
         path = tmp_path / "area.csv"
         path.write_text(f"fire_id,lat,lon,recorded_area_km2\n3,{grid.lat[5000]},{grid.lon[5000]},{area}\n")
         with pytest.raises(ValidationError) as info:
@@ -321,16 +321,21 @@ def test_builder_takes_every_field_from_its_config_key(name):
 RENAMED = {"sessions_per_day_coeff": "sessions_per_day", "device_cost_usd": "device_cost_case_a_usd"}
 
 
-def test_config_defaults_equal_model_defaults():
-    """Library callers get the model defaults and the CLI the shipped config;
-    wherever a model declares a default, the two agree."""
-    shipped = asdict(load_config(default_config_path()))
-    pairs = [
-        (f"{model.__name__}.{f.name}", f.default, shipped[RENAMED.get(f.name, f.name)])
+def test_no_model_default_restates_a_config_key():
+    """A value a config key sets is written in the config file alone: no model
+    field and no function argument it feeds declares a default."""
+    config_fields = {f.name for f in fields(RunConfig)}
+    fed = [
+        (f"{model.__name__}.{f.name}", f)
         for model in (FireModelParams, SatelliteConfig, DeviceConfig, RadioTiming, TrafficModel,
                       EconomicsParams)
         for f in fields(model)
-        if f.default is not MISSING and RENAMED.get(f.name, f.name) in shipped
+        if RENAMED.get(f.name, f.name) in config_fields
     ]
-    assert len(pairs) == 17  # fire 5, satellite 1, radio 6, traffic 3, economics 2
-    assert [p for p in pairs if p[1] != p[2]] == []
+    assert len(fed) == 28  # fire 7, satellite 4, device 6, radio 6, traffic 3, economics 2
+    assert [name for name, f in fed if f.default is not MISSING or f.default_factory is not MISSING] == []
+    for function, names in ((run_campaign, ("trials", "seed")), (ingest_regions, ("cell_area_km2",)),
+                            (snr_db, ("mcs_table",))):
+        parameters = inspect.signature(function).parameters
+        defaulted = [n for n in names if parameters[n].default is not inspect.Parameter.empty]
+        assert defaulted == [], f"{function.__name__} gives a default to {defaulted}"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,16 @@ import scipy.special as sp
 import scipy.stats
 
 from firesat import link_budget as lb
-from firesat.campaign import EconomicsParams
-from firesat.capacity import RadioTiming, TrafficModel
 from firesat.errors import NumericError, UnservableLocationError, ValidationError
 from firesat.geo import GeoPoint, elevation_deg, slant_range_km
 
-from conftest import DATA_DIR
+from conftest import CFG, ECON
 
 CENTER_DEVICE = GeoPoint(37.2, -122.1)
 EDGE_DEVICE = GeoPoint(33.5, -116.6)
+
+# The shipped MCS table, data/mcs_table.csv.
+MCS = CFG.mcs_table()
 
 # Published shadowed-Rician parameters at 50 degrees elevation.
 TABLE_FADING = lb.FadingParams(b=0.03, m=4.96, zeta=0.72)
@@ -94,13 +96,13 @@ class TestFspl:
 
 class TestSnr:
     def test_center_device_matches_published(self, device, satellite):
-        result = lb.snr_db(device, satellite, CENTER_DEVICE, mode="linear")
+        result = lb.snr_db(device, satellite, CENTER_DEVICE, "linear", MCS)
         assert result.snr_db == pytest.approx(5.55, abs=0.5)
         assert result.mcs_level == 11
 
     def test_edge_device_reports_both_modes(self, device, satellite):
-        linear = lb.snr_db(device, satellite, EDGE_DEVICE, mode="linear")
-        scaled = lb.snr_db(device, satellite, EDGE_DEVICE, mode="db-scaled")
+        linear = lb.snr_db(device, satellite, EDGE_DEVICE, "linear", MCS)
+        scaled = lb.snr_db(device, satellite, EDGE_DEVICE, "db-scaled", MCS)
         # Neither composition reproduces the published -0.45 dB; both must at
         # least be finite, ordered (the dB-scaled reading sits lower), and
         # carry a defined MCS.
@@ -111,7 +113,7 @@ class TestSnr:
     def test_recomposition_identity(self, device, satellite):
         for mode in ("linear", "db-scaled"):
             for point in (CENTER_DEVICE, EDGE_DEVICE, GeoPoint(40.0, -118.0)):
-                r = lb.snr_db(device, satellite, point, mode=mode)
+                r = lb.snr_db(device, satellite, point, mode, MCS)
                 recomposed = (
                     r.tx_power_dbm
                     + r.antenna_gain_dbi
@@ -124,7 +126,7 @@ class TestSnr:
 
     def test_zero_rolloff_drives_snr_to_minus_inf(self, device, satellite, monkeypatch):
         monkeypatch.setattr(lb, "beam_rolloff_factor", lambda d, r: 0.0)
-        result = lb.snr_db(device, satellite, CENTER_DEVICE, mode="linear")
+        result = lb.snr_db(device, satellite, CENTER_DEVICE, "linear", MCS)
         assert result.snr_db == -math.inf
         assert result.mcs_level is None
 
@@ -132,7 +134,7 @@ class TestSnr:
         # Move east along a parallel away from the beam center.
         snrs = []
         for dlon in np.linspace(0.0, 18.0, 25):
-            r = lb.snr_db(device, satellite, GeoPoint(37.0, -122.0 + float(dlon)))
+            r = lb.snr_db(device, satellite, GeoPoint(37.0, -122.0 + float(dlon)), "linear", MCS)
             if r.beam_center_distance_km > 2800.0:
                 break
             snrs.append(r.snr_db)
@@ -140,7 +142,7 @@ class TestSnr:
 
     def test_below_horizon_unservable(self, device, satellite):
         with pytest.raises(UnservableLocationError):
-            lb.snr_db(device, satellite, GeoPoint(10.0, 60.0))
+            lb.snr_db(device, satellite, GeoPoint(10.0, 60.0), "linear", MCS)
 
     def test_geometry_equals_the_public_geo_functions(self, device, satellite):
         # snr_db computes the geocentric angle once; the results stay bit-equal.
@@ -148,38 +150,30 @@ class TestSnr:
         points = [GeoPoint(0.0, satellite.sub_satellite_lon), GeoPoint(37.2, -122.1)]
         points += [GeoPoint(float(la), float(lo)) for la, lo in rng.uniform([-60, -180], [60, -70], (50, 2))]
         for p in points:
-            result = lb.snr_db(device, satellite, p)
+            result = lb.snr_db(device, satellite, p, "linear", MCS)
             assert result.elevation_deg == elevation_deg(p, satellite)
             assert result.slant_range_km == slant_range_km(p, satellite)
 
     def test_unknown_mode_rejected(self, device, satellite):
         with pytest.raises(ValidationError):
-            lb.snr_db(device, satellite, CENTER_DEVICE, mode="nonsense")
+            lb.snr_db(device, satellite, CENTER_DEVICE, "nonsense", MCS)
 
 
 class TestMcsTable:
     def test_anchors(self):
-        table = lb.DEFAULT_MCS_TABLE
+        table = MCS
         assert table.level_for_snr(-0.45) == 5
         assert table.level_for_snr(5.55) == 11
 
     def test_below_minimum_is_none(self):
-        assert lb.DEFAULT_MCS_TABLE.level_for_snr(-30.0) is None
+        assert MCS.level_for_snr(-30.0) is None
 
     def test_ru_anchor(self):
-        assert lb.DEFAULT_MCS_TABLE.ru_for_level(5) == 3
+        assert MCS.ru_for_level(5) == 3
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValidationError):
-            lb.DEFAULT_MCS_TABLE.ru_for_level(99)
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "mcs.csv"
-        lb.write_mcs_table(lb.DEFAULT_MCS_TABLE, path)
-        assert lb.load_mcs_table(path) == lb.DEFAULT_MCS_TABLE
-
-    def test_shipped_table_is_the_default(self):
-        assert lb.load_mcs_table(DATA_DIR / "mcs_table.csv") == lb.DEFAULT_MCS_TABLE
+            MCS.ru_for_level(99)
 
     def test_invalid_tables_rejected(self):
         with pytest.raises(ValidationError):
@@ -308,6 +302,8 @@ class TestFadingSampler:
 
 
 NAN = math.nan
+TIMING = CFG.timing()
+TRAFFIC = CFG.traffic("exception")
 
 
 @pytest.mark.parametrize(
@@ -321,15 +317,15 @@ NAN = math.nan
         (lambda: lb.FadingParams(b=NAN, m=4.96, zeta=0.72), "b must be > 0"),
         (lambda: lb.FadingParams(b=0.03, m=NAN, zeta=0.72), "m must be > 0"),
         (lambda: lb.FadingParams(b=0.03, m=4.96, zeta=NAN), "zeta must be >= 0"),
-        (lambda: RadioTiming(rtt_ms=NAN), "rtt_ms must be >= 0"),
-        (lambda: RadioTiming(ru_time_ms=NAN), "ru_time_ms must be > 0"),
-        (lambda: RadioTiming(ru_bw_khz=NAN), "ru_bw_khz must be > 0"),
-        (lambda: RadioTiming(carrier_bw_khz=NAN), "carrier_bw_khz must be > 0"),
-        (lambda: TrafficModel(reference_period_s=NAN), "reference_period_s must be > 0"),
-        (lambda: TrafficModel(sessions_per_day_coeff=NAN), "sessions_per_day_coeff must be >= 0"),
+        (lambda: replace(TIMING, rtt_ms=NAN), "rtt_ms must be >= 0"),
+        (lambda: replace(TIMING, ru_time_ms=NAN), "ru_time_ms must be > 0"),
+        (lambda: replace(TIMING, ru_bw_khz=NAN), "ru_bw_khz must be > 0"),
+        (lambda: replace(TIMING, carrier_bw_khz=NAN), "carrier_bw_khz must be > 0"),
+        (lambda: replace(TRAFFIC, reference_period_s=NAN), "reference_period_s must be > 0"),
+        (lambda: replace(TRAFFIC, sessions_per_day_coeff=NAN), "sessions_per_day_coeff must be >= 0"),
         # min() passes over a NaN that is not its first argument.
-        (lambda: EconomicsParams(200.0, NAN, 0.0), "economic parameters must be >= 0"),
-        (lambda: EconomicsParams(200.0, 10.0, NAN), "economic parameters must be >= 0"),
+        (lambda: replace(ECON, device_cost_usd=NAN), "economic parameters must be >= 0"),
+        (lambda: replace(ECON, bandwidth_cost_usd=NAN), "economic parameters must be >= 0"),
     ],
     ids=["fspl-distance", "fspl-carrier", "rolloff-d", "rolloff-radius", "fading-pdf-x",
          "fading-b", "fading-m", "fading-zeta", "timing-rtt", "timing-ru-time", "timing-ru-bw",

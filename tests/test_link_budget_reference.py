@@ -18,6 +18,8 @@ from firesat import link_budget as lb
 from firesat.errors import ValidationError
 from firesat.geo import GeoPoint, SatelliteConfig
 
+from conftest import CFG
+
 finite = dict(allow_nan=False, allow_infinity=False)
 lats = st.floats(-90.0, 90.0, **finite)
 lons = st.floats(-540.0, 540.0, **finite)
@@ -25,7 +27,7 @@ points = st.builds(GeoPoint, lats, lons)
 altitudes = st.one_of(
     st.floats(1e-3, 1e6, **finite),
     st.floats(2e4, 5e4, **finite),
-    st.sampled_from([geo.GEO_ALTITUDE_KM, 1e308, 1e-300, 5e-324]),
+    st.sampled_from([CFG.altitude_km, 1e308, 1e-300, 5e-324]),
 )
 satellites = st.builds(
     SatelliteConfig,
@@ -51,6 +53,7 @@ devices = st.builds(
     other_losses_db=st.floats(-40.0, 0.0, **finite),
 )
 modes = st.sampled_from(["linear", "db-scaled"])
+MCS = CFG.mcs_table()
 
 
 def outcome(fn, *args):
@@ -77,8 +80,8 @@ def views(draw) -> tuple[SatelliteConfig, GeoPoint]:
 @given(devices, views(), modes)
 def test_snr_db_equals_reference(device, view, mode):
     sat, location = view
-    assert outcome(lb.snr_db, device, sat, location, mode) == outcome(
-        ref.snr_db, device, sat, location, mode
+    assert outcome(lb.snr_db, device, sat, location, mode, MCS) == outcome(
+        ref.snr_db, device, sat, location, mode, MCS
     )
 
 
@@ -107,8 +110,8 @@ def test_snr_db_equals_reference_on_seeded_draws():
                               rng.uniform(100.0, 5000.0), rng.uniform(10.0, 50.0), alt)
         location = GeoPoint(rng.uniform(-70.0, 70.0), sub_lon + rng.uniform(-70.0, 70.0))
         for mode in ("linear", "db-scaled"):
-            assert outcome(lb.snr_db, device, sat, location, mode) == outcome(
-                ref.snr_db, device, sat, location, mode
+            assert outcome(lb.snr_db, device, sat, location, mode, MCS) == outcome(
+                ref.snr_db, device, sat, location, mode, MCS
             )
 
 
@@ -140,11 +143,11 @@ def test_finite_out_of_range_messages_kept(satellite, device):
 
 
 def test_unservable_point_reported_before_overflowing_slant_range(device):
-    sat = SatelliteConfig(-125.0, GeoPoint(37.0, -122.0), 1000.0, 25.0, altitude_km=1e308)
+    sat = replace(CFG.satellite(), altitude_km=1e308)
     with pytest.raises(geo.UnservableLocationError):
-        lb.snr_db(device, sat, GeoPoint(0.0, 60.0))
+        lb.snr_db(device, sat, GeoPoint(0.0, 60.0), "linear", MCS)
     with pytest.raises(geo.NumericError, match=r"^slant range overflows at altitude 1e\+308 km$"):
-        lb.snr_db(device, sat, GeoPoint(37.2, -122.1))
+        lb.snr_db(device, sat, GeoPoint(37.2, -122.1), "linear", MCS)
 
 
 @settings(max_examples=300, deadline=None)
@@ -214,8 +217,8 @@ def test_mcs_lookups_equal_reference(table, data):
 
 def test_link_result_stays_a_frozen_dataclass(device, satellite):
     location = GeoPoint(37.2, -122.1)
-    fast = lb.snr_db(device, satellite, location, "db-scaled")
-    slow = ref.snr_db(device, satellite, location, "db-scaled")
+    fast = lb.snr_db(device, satellite, location, "db-scaled", MCS)
+    slow = ref.snr_db(device, satellite, location, "db-scaled", MCS)
     assert type(fast) is lb.LinkResult
     assert list(vars(fast)) == [f.name for f in fields(lb.LinkResult)]
     assert fast == slow and hash(fast) == hash(slow)

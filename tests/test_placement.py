@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import placement_reference
 from firesat import placement
-from firesat.config import load_config
 from firesat.errors import ValidationError
 from firesat.fire_model import ignition_and_miss, system_utility
 from firesat.ingest import ingest_regions
@@ -21,7 +20,7 @@ from firesat.placement import (
     write_placement_json,
 )
 
-from conftest import DATA_DIR, TEST_PARAMS, grid_from, grid_of, region_for
+from conftest import TEST_PARAMS, grid_from, grid_of, region_for
 
 from placement_reference import optimize_bruteforce, optimize_greedy_heap
 
@@ -228,8 +227,7 @@ def assert_equals_heap(p, q, budgets):
 
 
 @pytest.fixture(scope="module")
-def sample_grid():
-    cfg = load_config(DATA_DIR / "sample_config.cfg")
+def sample_grid(cfg):
     return ingest_regions(cfg.regions_csv, cfg.cell_area_km2), cfg.t_hours, cfg.fire_params()
 
 
@@ -312,6 +310,15 @@ class TestBiomassUniform:
         assert u_opt >= u_uni
 
 
+def test_counts_are_integers_never_rounded():
+    with pytest.raises(ValidationError, match=r"^region 0: sensor count 2\.9 is not an integer$"):
+        Placement((2.9,), 3)
+    with pytest.raises(ValidationError, match=r"^budget 3\.0 must be an integer >= 0$"):
+        Placement((2,), 3.0)
+    # numpy integers are integers.
+    assert Placement(np.array([1, 2]), np.int64(3)) == Placement((1, 2), 3)
+
+
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         placement = Placement((3, 0, 7), budget=12)
@@ -341,6 +348,22 @@ class TestSerialization:
         path.write_text("region_id,n_sensors\n0,-1\n")
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: region 0: sensor count -1 must be >= 0$"):
             read_placement_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, fault",
+        [
+            ('{"counts": [0, 1.5], "budget": 9}', "region 1: sensor count 1.5 is not an integer"),
+            ('{"counts": [0, "2"], "budget": 9}', "region 1: sensor count '2' is not an integer"),
+            ('{"counts": [0, true], "budget": 9}', "region 1: sensor count True is not an integer"),
+            ('{"counts": [0, 2], "budget": 9.9}', "budget 9.9 must be an integer >= 0"),
+        ],
+        ids=["fractional-count", "string-count", "boolean-count", "fractional-budget"],
+    )
+    def test_json_count_or_budget_is_never_truncated(self, tmp_path, body, fault):
+        path = tmp_path / "placement.json"
+        path.write_text(body)
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {fault}')}$"):
+            read_placement_json(path)
 
     @pytest.mark.parametrize(
         "name, body",
