@@ -15,11 +15,6 @@ from .grid import FireEvent, GridFrame, RegionGrid
 from .fire_model import (
     FireModelParams,
     burned_area_km2,
-    p_biomass,
-    p_detection,
-    p_ignition,
-    p_lightning_human,
-    p_moisture,
     system_utility,
 )
 from .placement import (
@@ -57,7 +52,7 @@ from .campaign import (
     run_campaign,
     scatter_sensors,
 )
-from .config import RunConfig, load_config
+from .config import RunConfig, default_config_path, load_config
 from .ingest import ingest_fires, ingest_regions
 
 # Every name imported above, and no submodule.

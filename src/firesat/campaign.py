@@ -19,7 +19,7 @@ from .atomic import write_csv, write_json
 from .errors import NumericError, ValidationError
 # GridFrame stays reachable as campaign.GridFrame, where perfbench/tracing.py
 # wraps its biomass_avg.
-from .grid import FireEvent, GridFrame, RegionGrid  # noqa: F401
+from .grid import FireEvent, GridFrame, RegionGrid
 from .placement import Placement
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import math
 import sys
 from dataclasses import asdict, replace
 from decimal import Decimal, InvalidOperation
-from importlib import resources
 from pathlib import Path
 
 from . import capacity as cap
@@ -19,7 +18,7 @@ from . import campaign as camp
 from . import link_budget as lb
 from . import placement as pl
 from .atomic import read_json, write_csv, write_json
-from .config import CONFIG_KEYS, RunConfig, load_config
+from .config import CONFIG_KEYS, RunConfig, default_config_path, load_config
 from .errors import NumericError, ValidationError
 from .fire_model import system_utility
 from .geo import GeoPoint
@@ -36,10 +35,6 @@ BOTH = "both"
 def _each(choice: str, names: tuple[str, ...]) -> tuple[str, ...]:
     """The names a --scheme or --mode choice stands for: all of them for BOTH."""
     return names if choice == BOTH else (choice,)
-
-
-def default_config_path() -> Path:
-    return Path(str(resources.files("firesat") / "data" / "sample_config.cfg"))
 
 
 def _out_dir(args) -> Path:
@@ -59,8 +54,6 @@ def _placement_for(scheme: str, grid, budget: int, cfg: RunConfig) -> pl.Placeme
 
 
 def _bandwidth_cost(cfg: RunConfig, n_sensors: int) -> float:
-    if n_sensors == 0:
-        return 0.0
     bw = cap.bandwidth_required_hz(n_sensors, cfg.timing(), cfg.traffic("exception"))
     return cap.spectrum_cost_usd(bw, cfg.usd_per_hz)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from importlib import resources
 from pathlib import Path
 
 from .capacity import RadioTiming, TrafficModel
@@ -16,6 +17,11 @@ from .errors import ValidationError
 from .fire_model import FireModelParams
 from .geo import GeoPoint, SatelliteConfig
 from .link_budget import DeviceConfig, McsTable, load_mcs_table
+
+
+def default_config_path() -> Path:
+    """The sample config shipped with the package."""
+    return Path(str(resources.files("firesat") / "data" / "sample_config.cfg"))
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -102,9 +108,11 @@ class RunConfig:
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         for f in fields(self):
-            p = getattr(self, f.name)
+            key, p = f.metadata["key"], getattr(self, f.name)
             if f.type == "Path" and not p.is_file():
-                raise ValidationError(f"{f.metadata['key']}: configured file does not exist: {p}")
+                raise ValidationError(f"{key}: configured file does not exist: {p}")
+            if key.startswith("econ.") and p < 0:
+                raise ValidationError(f"{key} must be >= 0")
 
     def _build(self, cls, **given):
         """A `cls` whose fields take the values of this config's fields of the

@@ -99,35 +99,8 @@ def ignition_columns(
     )
 
 
-def _at(factor, *values: float, params: FireModelParams) -> float:
-    """A column-form factor evaluated on one element."""
-    return float(factor(*(np.array([v], dtype=np.float64) for v in values), params)[0])
-
-
-def p_biomass(b: float, params: FireModelParams) -> float:
-    """`biomass_factor` of one value."""
-    return _at(biomass_factor, b, params=params)
-
-
-def p_moisture(theta: float, params: FireModelParams) -> float:
-    """`moisture_factor` of one value."""
-    return _at(moisture_factor, theta, params=params)
-
-
-def p_lightning_human(l: float, p_human: float, params: FireModelParams) -> float:
-    """`lightning_human_factor` of one value."""
-    return _at(lightning_human_factor, l, p_human, params=params)
-
-
-def p_ignition(
-    biomass: float, soil_moisture: float, lightning: float, p_human: float, params: FireModelParams
-) -> float:
-    """`ignition_columns` of one region."""
-    return _at(ignition_columns, biomass, soil_moisture, lightning, p_human, params=params)
-
-
 def ignition_probabilities(grid: RegionGrid, params: FireModelParams) -> np.ndarray:
-    """p_ignition of every region, in region order."""
+    """`ignition_columns` of every region's columns, in region order."""
     return ignition_columns(grid.biomass, grid.soil_moisture, grid.lightning, grid.p_human, params)
 
 
@@ -144,22 +117,6 @@ def burned_area_km2(spread_rate: float, t: float) -> float:
     return area
 
 
-def p_detection(n_sensors: int, area_km2: float, burned: float) -> float:
-    """Probability that at least one of n uniform sensors lies in the burned area.
-
-    With zero sensors the detection probability is zero (x**0 == 1,
-    including 0**0 == 1).
-    """
-    if n_sensors < 0:
-        raise ValidationError("n_sensors must be >= 0")
-    if area_km2 <= 0:
-        raise ValidationError("area_km2 must be > 0")
-    if burned < 0:
-        raise ValidationError("burned must be >= 0")
-    miss = max(0.0, area_km2 - burned) / area_km2
-    return 1.0 - miss**n_sensors
-
-
 def system_utility(
     grid: RegionGrid,
     counts: Sequence[int],
@@ -169,7 +126,9 @@ def system_utility(
     """Ignition-weighted sum of detection probabilities at time t.
 
     counts may be a Placement's counts or any equal-length integer sequence.
-    Each term is p_ignition * p_detection(n), accumulated in region order.
+    Each region adds p * (1 - q**n), in region order: its ignition probability
+    times the chance that at least one of its n uniform sensors lies in the
+    burned area. With n == 0 that chance is 0, even where q == 0 (0**0 == 1).
     """
     if len(counts) != len(grid):
         raise ValidationError(
@@ -189,8 +148,9 @@ def ignition_and_miss(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-region (ignition probability, single-sensor miss probability) at time t.
 
-    The miss probability q satisfies p_detection(n) == 1 - q**n; it drives the
-    placement optimizers. The returned tuples are computed once per
+    q = max(0, A - burned) / A is the chance that a uniform sensor in a cell
+    of area A misses the burned area, so n sensors all miss with q**n; it
+    drives the placement optimizers. The returned tuples are computed once per
     (t, params) and kept in grid.memo: the grid's columns are read-only and
     params is frozen, so a later call returns the same floats.
     """

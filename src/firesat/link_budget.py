@@ -25,7 +25,7 @@ from .geo import GeoPoint, SatelliteConfig, _require_finite, _view
 
 # snr_db calls none of these; they stay importable from this module only
 # because perfbench/tracing.py wraps them here by name.
-from .geo import elevation_deg, great_circle_km, slant_range_km  # noqa: F401
+from .geo import elevation_deg, great_circle_km, slant_range_km
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 

@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cli import default_config_path
-from .config import load_config
+from .config import default_config_path, load_config
 from .fire_model import FireModelParams, ignition_probabilities
 from .geo import GeoPoint
 from .grid import KM_PER_DEG_LAT, FireEvent, RegionGrid

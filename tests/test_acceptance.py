@@ -28,9 +28,6 @@ from firesat.fire_model import (
     biomass_factor,
     lightning_human_factor,
     moisture_factor,
-    p_biomass,
-    p_lightning_human,
-    p_moisture,
     system_utility,
 )
 from firesat.geo import GeoPoint, elevation_deg, great_circle_km, slant_range_km
@@ -39,6 +36,7 @@ from firesat.placement import Placement, biomass_uniform, optimize_greedy
 
 from conftest import DATA_DIR, TEST_PARAMS, grid_from
 
+import fire_model_reference as ref
 from placement_reference import optimize_bruteforce
 
 CONFIG_PATH = DATA_DIR / "sample_config.cfg"
@@ -231,7 +229,7 @@ def test_criterion_6_fire_model_invariants(dataset, cfg):
     theta = rng.uniform(-0.2, 1.0, n)
     lightning = rng.uniform(0.0, 3.0, n)
     p_h = rng.uniform(0.0, 1.0, n)
-    # All draws through the column forms; the scalar entry points must give
+    # All draws through the column forms; the scalar reference must give
     # the same bits on a prefix of them.
     pb = biomass_factor(biomass, TEST_PARAMS)
     pm = moisture_factor(theta, TEST_PARAMS)
@@ -240,9 +238,9 @@ def test_criterion_6_fire_model_invariants(dataset, cfg):
         assert factor.shape == (n,)
         assert bool(((0.0 <= factor) & (factor <= 1.0)).all())
     for i in range(1000):
-        assert repr(p_biomass(float(biomass[i]), TEST_PARAMS)) == repr(float(pb[i]))
-        assert repr(p_moisture(float(theta[i]), TEST_PARAMS)) == repr(float(pm[i]))
-        scalar = p_lightning_human(float(lightning[i]), float(p_h[i]), TEST_PARAMS)
+        assert repr(ref.p_biomass(float(biomass[i]), TEST_PARAMS)) == repr(float(pb[i]))
+        assert repr(ref.p_moisture(float(theta[i]), TEST_PARAMS)) == repr(float(pm[i]))
+        scalar = ref.p_lightning_human(float(lightning[i]), float(p_h[i]), TEST_PARAMS)
         assert repr(scalar) == repr(float(plh[i]))
 
     # Marginal-gain identity on random small instances.

@@ -392,6 +392,32 @@ class TestValidationExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["plan", "--budget", "0"],
+            ["linkbudget", "--lat", "37.2", "--lon", "-122.1"],
+            ["capacity", "--budget", "0"],
+            ["simulate", "--budget", "0", "--trials", "1"],
+            ["simulate", "--sweep", "100", "--trials", "1"],
+        ],
+        ids=["plan", "linkbudget", "capacity", "simulate", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "key",
+        ["econ.carbon_price_usd_per_ton", "econ.device_cost_case_a_usd",
+         "econ.device_cost_case_b_usd", "econ.usd_per_hz"],
+    )
+    def test_negative_economics_exits_2_naming_key(self, tmp_path, capsys, key, argv):
+        config = TestNoTraceback.config_with(tmp_path)
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = -1", config.read_text(), flags=re.M)
+        assert text != config.read_text()
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert run(*argv, "--config", str(config), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {key} must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["plan"],
             ["linkbudget", "--lat", "37.2", "--lon", "-122.1"],
             ["capacity"],

@@ -16,13 +16,9 @@ from firesat.fire_model import (
     ignition_probabilities,
     lightning_human_factor,
     moisture_factor,
-    p_biomass,
-    p_detection,
-    p_ignition,
-    p_lightning_human,
-    p_moisture,
     system_utility,
 )
+from firesat.grid import RegionGrid
 from firesat.ingest import ingest_regions
 from firesat.placement import Placement
 
@@ -32,88 +28,93 @@ from conftest import CFG, TEST_PARAMS, grid_from, region_for
 probs = st.floats(0.0, 1.0)
 
 
+def at(factor, *values: float, params=TEST_PARAMS) -> float:
+    """A column-form factor evaluated on one-element columns."""
+    return float(factor(*(np.array([v], dtype=np.float64) for v in values), params)[0])
+
+
 class TestBiomassFactor:
     def test_lower_threshold_gives_zero(self, params):
-        assert p_biomass(0.2, params) == 0.0
+        assert at(biomass_factor, 0.2, params=params) == 0.0
 
     def test_upper_threshold_saturates(self, params):
-        assert p_biomass(1.0, params) == 1.0
-        assert p_biomass(7.5, params) == 1.0
+        assert at(biomass_factor, 1.0, params=params) == 1.0
+        assert at(biomass_factor, 7.5, params=params) == 1.0
 
     def test_linear_ramp_midpoint(self, params):
-        assert p_biomass(0.6, params) == pytest.approx(0.5, rel=1e-12)
+        assert at(biomass_factor, 0.6, params=params) == pytest.approx(0.5, rel=1e-12)
 
     @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     def test_non_decreasing(self, b1, b2):
         lo, hi = sorted((b1, b2))
-        assert p_biomass(lo, TEST_PARAMS) <= p_biomass(hi, TEST_PARAMS)
+        assert at(biomass_factor, lo) <= at(biomass_factor, hi)
 
 
 class TestMoistureFactor:
     def test_at_wilting_point_is_one(self, params):
-        assert p_moisture(params.theta_wilt, params) == 1.0
-        assert p_moisture(params.theta_wilt - 0.05, params) == 1.0
+        assert at(moisture_factor, params.theta_wilt, params=params) == 1.0
+        assert at(moisture_factor, params.theta_wilt - 0.05, params=params) == 1.0
 
     def test_scalar_oracle_values(self, params):
         # beta_root = 0.35 with beta_e = 0.35 -> 1 - tanh(1.75)^2
         theta = params.theta_wilt + 0.35 * (params.theta_field - params.theta_wilt)
-        assert p_moisture(theta, params) == pytest.approx(0.11381209551894222, rel=1e-12)
+        assert at(moisture_factor, theta, params=params) == pytest.approx(0.11381209551894222, rel=1e-12)
         # beta_root = 1 -> 1 - tanh(5)^2
-        assert p_moisture(params.theta_field, params) == pytest.approx(
+        assert at(moisture_factor, params.theta_field, params=params) == pytest.approx(
             0.0001815832309438603, rel=1e-12
         )
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_non_increasing(self, t1, t2):
         lo, hi = sorted((t1, t2))
-        assert p_moisture(hi, TEST_PARAMS) <= p_moisture(lo, TEST_PARAMS) + 1e-15
+        assert at(moisture_factor, hi) <= at(moisture_factor, lo) + 1e-15
 
 
 class TestLightningHumanFactor:
     def test_no_lightning_reduces_to_human(self, params):
-        assert p_lightning_human(0.0, 0.37, params) == 0.37
-        assert p_lightning_human(params.l_low, 0.9, params) == 0.9
+        assert at(lightning_human_factor, 0.0, 0.37, params=params) == 0.37
+        assert at(lightning_human_factor, params.l_low, 0.9, params=params) == 0.9
 
     def test_saturated_lightning(self, params):
         # beta_L = 1 -> I = 1/(1 + e^-4.5)
-        assert p_lightning_human(params.l_up, 0.0, params) == pytest.approx(
+        assert at(lightning_human_factor, params.l_up, 0.0, params=params) == pytest.approx(
             0.9890130573694068, rel=1e-12
         )
 
     def test_quarter_scalar(self, params):
         # beta_L = 0.25 -> I = 0.25/(0.25 + 1) = 0.2; with p_h = 0.5 -> 0.6
         l = params.l_low + 0.25 * (params.l_up - params.l_low)
-        assert p_lightning_human(l, 0.5, params) == pytest.approx(0.6, rel=1e-12)
+        assert at(lightning_human_factor, l, 0.5, params=params) == pytest.approx(0.6, rel=1e-12)
 
     @given(st.floats(0.0, 2.0), probs)
     def test_bounded(self, l, ph):
-        assert 0.0 <= p_lightning_human(l, ph, TEST_PARAMS) <= 1.0
+        assert 0.0 <= at(lightning_human_factor, l, ph) <= 1.0
 
     @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), probs)
     def test_non_decreasing_in_lightning(self, l1, l2, ph):
         lo, hi = sorted((l1, l2))
-        assert p_lightning_human(lo, ph, TEST_PARAMS) <= p_lightning_human(hi, ph, TEST_PARAMS) + 1e-15
+        assert at(lightning_human_factor, lo, ph) <= at(lightning_human_factor, hi, ph) + 1e-15
 
     @given(st.floats(0.0, 2.0), probs, probs)
     def test_non_decreasing_in_human_probability(self, l, ph1, ph2):
         lo, hi = sorted((ph1, ph2))
-        assert p_lightning_human(l, lo, TEST_PARAMS) <= p_lightning_human(l, hi, TEST_PARAMS) + 1e-15
+        assert at(lightning_human_factor, l, lo) <= at(lightning_human_factor, l, hi) + 1e-15
 
 
 class TestIgnition:
     def test_zero_biomass_annihilates(self, params):
         r = region_for(0, 0.0, 0.5)
-        assert p_ignition(r["biomass"], r["soil_moisture"], r["lightning"], r["p_human"], params) == 0.0
+        assert at(ignition_columns, r["biomass"], r["soil_moisture"], r["lightning"], r["p_human"], params=params) == 0.0
 
     def test_product_of_factors(self, params):
         # factors 0.5 * 0.1138... * 0.6 via explicit env values
         theta = params.theta_wilt + 0.35 * (params.theta_field - params.theta_wilt)
         l = params.l_low + 0.25 * (params.l_up - params.l_low)
-        assert p_ignition(0.6, theta, l, 0.5, params) == pytest.approx(0.03414362865568266, rel=1e-10)
+        assert at(ignition_columns, 0.6, theta, l, 0.5, params=params) == pytest.approx(0.03414362865568266, rel=1e-10)
 
     def test_all_factors_one(self, params):
         r = region_for(0, 1.0, 0.5)
-        assert p_ignition(r["biomass"], r["soil_moisture"], r["lightning"], r["p_human"], params) == 1.0
+        assert at(ignition_columns, r["biomass"], r["soil_moisture"], r["lightning"], r["p_human"], params=params) == 1.0
 
 
 class TestBurnedArea:
@@ -166,29 +167,42 @@ class TestIgnitionAndMissCache:
             assert q == pytest.approx(self.Q, rel=1e-9)
 
 
+def detection(n: int, spread_rate: float, t: float) -> float:
+    """`system_utility` of n sensors in one 100 km2 region whose ignition
+    probability is 1: the chance that one of them lies in the burned area."""
+    p = TEST_PARAMS
+    grid = RegionGrid([36.0], [-120.0], [p.b_up], [p.theta_wilt], [0.0], [1.0], [spread_rate], 100.0)
+    return system_utility(grid, [n], t, p)
+
+
+def spread_for(burned: float) -> float:
+    """The spread rate that burns `burned` km2 in one hour."""
+    return math.sqrt(burned / math.pi)
+
+
 class TestDetection:
     def test_zero_sensors_zero_probability(self):
-        assert p_detection(0, 100.0, 50.0) == 0.0
-        assert p_detection(0, 100.0, 100.0) == 0.0  # 0**0 == 1 convention
+        assert detection(0, spread_for(50.0), 1.0) == 0.0
+        assert detection(0, spread_for(250.0), 1.0) == 0.0  # 0**0 == 1 convention
 
     def test_fire_covers_region(self):
-        assert p_detection(1, 100.0, 100.0) == 1.0
-        assert p_detection(5, 100.0, 250.0) == 1.0
+        assert detection(1, spread_for(250.0), 1.0) == 1.0
+        assert detection(5, spread_for(250.0), 1.0) == 1.0
 
     def test_direct_evaluation(self):
-        burned = 19.634954084936208
-        assert p_detection(3, 100.0, burned) == pytest.approx(0.4809590877404716, rel=1e-12)
+        # burned area pi * (1.25 * 2)**2 = 19.634954084936208 km2
+        assert detection(3, 1.25, 2.0) == pytest.approx(0.4809590877404716, rel=1e-12)
 
     @given(st.integers(0, 50), st.floats(0.0, 300.0))
     def test_bounded_and_monotone_in_n(self, n, burned):
-        p_n = p_detection(n, 100.0, burned)
+        p_n = detection(n, spread_for(burned), 1.0)
         assert 0.0 <= p_n <= 1.0
-        assert p_detection(n + 1, 100.0, burned) >= p_n
+        assert detection(n + 1, spread_for(burned), 1.0) >= p_n
 
     @given(st.integers(0, 20), st.floats(0.0, 300.0), st.floats(0.0, 300.0))
     def test_monotone_in_burned_area(self, n, b1, b2):
         lo, hi = sorted((b1, b2))
-        assert p_detection(n, 100.0, lo) <= p_detection(n, 100.0, hi) + 1e-15
+        assert detection(n, spread_for(lo), 1.0) <= detection(n, spread_for(hi), 1.0) + 1e-15
 
 
 class TestSystemUtility:
@@ -197,8 +211,6 @@ class TestSystemUtility:
         assert system_utility(grid, [0, 0], 4.0, params) == 0.0
 
     def test_single_region_product(self, params):
-        from firesat.grid import RegionGrid
-
         theta = params.theta_wilt + 0.35 * (params.theta_field - params.theta_wilt)
         l = params.l_low + 0.25 * (params.l_up - params.l_low)
         grid = RegionGrid([36], [-120], [0.6], [theta], [l], [0.5], [1.25], 100.0)
@@ -315,15 +327,7 @@ def test_column_form_matches_scalar_reference(data):
     assert bits(moisture_factor(columns[1], params)) == bits(
         ref.p_moisture(x, params) for x in theta
     )
-    assert bits(p_biomass(x, params) for x in b) == bits(ref.p_biomass(x, params) for x in b)
-    assert bits(p_moisture(x, params) for x in theta) == bits(
-        ref.p_moisture(x, params) for x in theta
-    )
     expected = [scalar_outcome(ref.p_lightning_human, x, y, params) for x, y in zip(l, ph)]
-    got = [scalar_outcome(p_lightning_human, x, y, params) for x, y in zip(l, ph)]
-    assert [v if isinstance(v, str) else float(v).hex() for v in got] == [
-        v if isinstance(v, str) else float(v).hex() for v in expected
-    ]
     if any(isinstance(v, str) for v in expected):
         with pytest.raises(ValidationError, match=r"p_human outside \[0, 1\]"):
             ignition_columns(*columns, params)
@@ -331,7 +335,6 @@ def test_column_form_matches_scalar_reference(data):
     assert bits(lightning_human_factor(columns[2], columns[3], params)) == bits(expected)
     reference = [ref.p_ignition(*row, params) for row in zip(b, theta, l, ph)]
     assert bits(ignition_columns(*columns, params)) == bits(reference)
-    assert bits(p_ignition(*row, params) for row in zip(b, theta, l, ph)) == bits(reference)
 
 
 def test_packaged_grid_ignition_matches_scalar_reference():

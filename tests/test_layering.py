@@ -1,6 +1,7 @@
 """The package's layering: the region grid sits below every model module,
-only the entry points import the campaign, and only `atomic` writes or
-reads CSV and JSON itself."""
+only the entry points import the campaign, no module imports the CLI, only
+`atomic` writes or reads CSV and JSON itself, and every module uses what
+it imports."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,10 @@ def test_only_entry_points_import_campaign():
     assert importers == {"cli", "__init__"}
 
 
+def test_no_module_imports_cli():
+    assert {p.stem for p in PACKAGE.glob("*.py") if "cli" in package_imports(p)} == set()
+
+
 def data_file_calls(path: Path) -> set[str]:
     """The data-file primitives a source file names, imported or dotted."""
     primitives = {"csv.writer", "csv.reader", "csv.DictReader", "json.dump", "atomic_write"}
@@ -57,3 +62,38 @@ def data_file_calls(path: Path) -> set[str]:
 def test_only_atomic_writes_and_reads_data_files():
     users = {p.stem for p in PACKAGE.glob("*.py") if data_file_calls(p)}
     assert users == {"atomic"}
+
+
+# Imported only so that perfbench/tracing.py can wrap them by name where it
+# looks them up (ROADMAP item 7); the modules themselves never use them.
+TRACED_ONLY = {
+    ("campaign", "GridFrame"),
+    ("link_budget", "elevation_deg"),
+    ("link_budget", "great_circle_km"),
+    ("link_budget", "slant_range_km"),
+}
+
+
+def unused_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each name a source file imports but never loads."""
+    tree = ast.parse(path.read_text())
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    return sorted((line, name) for line, name in imported if name not in loaded)
+
+
+def test_every_imported_name_is_used():
+    found = {
+        (p.stem, line, name)
+        for p in PACKAGE.glob("*.py")
+        if p.name != "__init__.py"
+        for line, name in unused_imports(p)
+    }
+    unused = sorted(f"{m}:{line}:{name}" for m, line, name in found if (m, name) not in TRACED_ONLY)
+    assert unused == []
+    assert {(m, name) for m, _, name in found} == TRACED_ONLY
