@@ -41,10 +41,11 @@ from .capacity import (
     bandwidth_required_hz,
     devices_per_carrier_exception,
     devices_per_carrier_periodic,
+    exception_total_bytes,
     periodic_sessions,
+    periodic_total_bytes,
     report_duration_ms,
     spectrum_cost_usd,
-    traffic_total_bytes,
 )
 from .campaign import (
     CampaignResult,

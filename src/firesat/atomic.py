@@ -76,7 +76,7 @@ def read_json(path) -> dict:
     try:
         with open(path) as f:
             payload = json.load(f, parse_float=_finite, parse_constant=_finite)
-    except ValueError as exc:  # also undecodable text
+    except (ValueError, RecursionError) as exc:  # also undecodable text or too deep nesting
         raise ValidationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: top-level JSON value is not an object")

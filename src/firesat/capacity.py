@@ -1,5 +1,7 @@
-"""NB-IoT traffic models, transmission timing, and bandwidth sizing.
+"""NB-IoT traffic, transmission timing, and bandwidth sizing.
 
+One traffic model describes every sensor, under exception (one report each)
+and periodic reporting alike; every count is over its reference period.
 Sizing follows the worst-case assumption that every device reports
 simultaneously at the lowest supported MCS. A report transaction costs one
 round trip for random access, one for data plus acknowledgment, and the
@@ -21,23 +23,21 @@ DEVICE_CAP = 10**12
 
 @dataclass(frozen=True)
 class TrafficModel:
-    """Uplink traffic profile: event-triggered exception reports or scheduled
-    periodic reports (sessions_per_day_coeff applies to the periodic kind)."""
+    """Uplink traffic profile of each sensor: its report payload, the latency
+    period within which every report must arrive, and its rate of periodic
+    reporting sessions."""
 
-    kind: str
     payload_bytes: int
     reference_period_s: float
-    sessions_per_day_coeff: float
+    sessions_per_day: float
 
     def __post_init__(self):
-        if self.kind not in ("exception", "periodic"):
-            raise ValidationError(f"unknown traffic kind {self.kind!r}")
         if not 20 <= self.payload_bytes <= 200:
             raise ValidationError("payload_bytes must be in [20, 200]")
         if not self.reference_period_s > 0:
             raise ValidationError("reference_period_s must be > 0")
-        if not self.sessions_per_day_coeff >= 0:
-            raise ValidationError("sessions_per_day_coeff must be >= 0")
+        if not self.sessions_per_day >= 0:
+            raise ValidationError("sessions_per_day must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,8 @@ class RadioTiming:
         ratio = self.carrier_bw_khz / self.ru_bw_khz
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError("carrier_bw_khz must be divisible by ru_bw_khz")
+        if round(ratio) < 1:
+            raise ValidationError("carrier_bw_khz must be at least ru_bw_khz")
 
     @property
     def subcarriers(self) -> int:
@@ -78,11 +80,10 @@ def report_duration_ms(t: RadioTiming) -> float:
     return t.rtt_ms + t.tx_attempts * (t.rtt_ms + t.rus_per_report * t.ru_time_ms)
 
 
-def devices_per_carrier_exception(t: RadioTiming, period_s: float) -> int:
+def devices_per_carrier_exception(t: RadioTiming, m: TrafficModel) -> int:
     """Devices one carrier can serve within the latency period, all sending
     exception reports."""
-    if period_s <= 0:
-        raise ValidationError("period_s must be > 0")
+    period_s = m.reference_period_s
     try:
         slots = int(period_s * 1000.0 // report_duration_ms(t))
     except (OverflowError, ValueError):  # an infinite or NaN slot count
@@ -90,43 +91,43 @@ def devices_per_carrier_exception(t: RadioTiming, period_s: float) -> int:
     return slots * t.subcarriers
 
 
-def periodic_sessions(k_sensors: int, t_obs_s: float, m: TrafficModel) -> float:
-    """Number of periodic-report sessions across k sensors in an observation
-    window, as a real value."""
-    if m.kind != "periodic":
-        raise ValidationError("periodic_sessions requires a periodic traffic model")
-    if k_sensors < 0 or t_obs_s < 0:
-        raise ValidationError("k_sensors and t_obs_s must be >= 0")
+def periodic_sessions(k_sensors: int, m: TrafficModel) -> float:
+    """Number of periodic-report sessions across k sensors in one latency
+    period, as a real value."""
+    if k_sensors < 0:
+        raise ValidationError("k_sensors must be >= 0")
     try:
-        return m.sessions_per_day_coeff * k_sensors * (t_obs_s / SECONDS_PER_DAY)
+        return m.sessions_per_day * k_sensors * (m.reference_period_s / SECONDS_PER_DAY)
     except OverflowError:  # a count beyond the float range
         raise NumericError(f"{k_sensors} sensors overflow a float") from None
 
 
-def traffic_total_bytes(k_sensors: int, t_obs_s: float, m: TrafficModel) -> int:
-    """Total uplink bytes in the window: every sensor reports once for
-    exception traffic, round(sessions) reports for periodic traffic."""
-    if m.kind == "exception":
-        return k_sensors * m.payload_bytes
-    sessions = periodic_sessions(k_sensors, t_obs_s, m)
+def exception_total_bytes(k_sensors: int, m: TrafficModel) -> int:
+    """Total uplink bytes in one latency period when every sensor sends one
+    exception report."""
+    return k_sensors * m.payload_bytes
+
+
+def periodic_total_bytes(k_sensors: int, m: TrafficModel) -> int:
+    """Total uplink bytes in one latency period of round(sessions) periodic
+    reports."""
+    sessions = periodic_sessions(k_sensors, m)
     try:
         return round(sessions) * m.payload_bytes
     except (OverflowError, ValueError):  # an infinite or NaN session count
         raise NumericError(f"{sessions} periodic sessions cannot be counted") from None
 
 
-def devices_per_carrier_periodic(t: RadioTiming, m: TrafficModel, period_s: float) -> int:
+def devices_per_carrier_periodic(t: RadioTiming, m: TrafficModel) -> int:
     """Devices one carrier can serve under periodic traffic: concurrent report
     slots per period divided by each device's sessions per period, at most
     DEVICE_CAP.
 
-    A zero sessions coefficient means unbounded support; DEVICE_CAP is
-    returned with an overflow warning.
+    A zero session rate means unbounded support; DEVICE_CAP is returned with
+    an overflow warning.
     """
-    if m.kind != "periodic":
-        raise ValidationError("devices_per_carrier_periodic requires a periodic model")
-    slots = devices_per_carrier_exception(t, period_s)
-    sessions_per_device = m.sessions_per_day_coeff * (period_s / SECONDS_PER_DAY)
+    slots = devices_per_carrier_exception(t, m)
+    sessions_per_device = periodic_sessions(1, m)
     if sessions_per_device == 0.0:
         warnings.warn("zero session rate supports unboundedly many devices; returning cap")
         return DEVICE_CAP
@@ -142,13 +143,11 @@ def devices_per_carrier_periodic(t: RadioTiming, m: TrafficModel, period_s: floa
 def bandwidth_required_hz(k_sensors: int, t: RadioTiming, m: TrafficModel) -> float:
     """Worst-case spectrum for k sensors all reporting within the latency
     period: whole carriers, no fractional smoothing."""
-    if m.kind != "exception":
-        raise ValidationError("bandwidth sizing uses the exception (worst-case) model")
     if k_sensors < 0:
         raise ValidationError("k_sensors must be >= 0")
     if k_sensors == 0:
         return 0.0
-    per_carrier = devices_per_carrier_exception(t, m.reference_period_s)
+    per_carrier = devices_per_carrier_exception(t, m)
     if per_carrier == 0:
         raise ValidationError(
             "a report does not fit in the latency period; no finite bandwidth suffices"

@@ -54,7 +54,7 @@ def _placement_for(scheme: str, grid, budget: int, cfg: RunConfig) -> pl.Placeme
 
 
 def _bandwidth_cost(cfg: RunConfig, n_sensors: int) -> float:
-    bw = cap.bandwidth_required_hz(n_sensors, cfg.timing(), cfg.traffic("exception"))
+    bw = cap.bandwidth_required_hz(n_sensors, cfg.timing(), cfg.traffic())
     return cap.spectrum_cost_usd(bw, cfg.usd_per_hz)
 
 
@@ -114,33 +114,31 @@ def cmd_capacity(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     out = _out_dir(args)
     table = cfg.mcs_table()
-    exception = cfg.traffic("exception")
-    periodic = cfg.traffic("periodic")
-    period = cfg.reference_period_s
+    traffic = cfg.traffic()
     k = cfg.budget
 
     worst = cfg.timing()
     best = cfg.timing(rus_per_report=table.ru_for_level(11))
-    bw = cap.bandwidth_required_hz(k, worst, exception)
+    bw = cap.bandwidth_required_hz(k, worst, traffic)
     payload = {
         "n_sensors": k,
         "worst_case": {
             "rus_per_report": worst.rus_per_report,
             "report_duration_ms": cap.report_duration_ms(worst),
-            "devices_per_carrier_exception": cap.devices_per_carrier_exception(worst, period),
-            "devices_per_carrier_periodic": cap.devices_per_carrier_periodic(worst, periodic, period),
+            "devices_per_carrier_exception": cap.devices_per_carrier_exception(worst, traffic),
+            "devices_per_carrier_periodic": cap.devices_per_carrier_periodic(worst, traffic),
             "bandwidth_hz": bw,
             "bandwidth_cost_usd": cap.spectrum_cost_usd(bw, cfg.usd_per_hz),
         },
         "best_case": {
             "rus_per_report": best.rus_per_report,
             "report_duration_ms": cap.report_duration_ms(best),
-            "devices_per_carrier_exception": cap.devices_per_carrier_exception(best, period),
+            "devices_per_carrier_exception": cap.devices_per_carrier_exception(best, traffic),
         },
         "traffic": {
-            "periodic_sessions": cap.periodic_sessions(k, period, periodic),
-            "periodic_total_bytes": cap.traffic_total_bytes(k, period, periodic),
-            "exception_total_bytes": cap.traffic_total_bytes(k, period, exception),
+            "periodic_sessions": cap.periodic_sessions(k, traffic),
+            "periodic_total_bytes": cap.periodic_total_bytes(k, traffic),
+            "exception_total_bytes": cap.exception_total_bytes(k, traffic),
         },
     }
     write_json(out / "capacity.json", payload)
@@ -214,6 +212,11 @@ def _parse_sweep(text: str) -> list[int]:
             # builds a huge int; a larger budget is written in digits. Unlike
             # abs(), copy_abs() never rounds, so it cannot overflow.
             if value.copy_abs() >= 2**53:
+                if token.lstrip("+-").replace("_", "").isdecimal():  # int() refused its length
+                    raise ValidationError(
+                        f"--sweep: {token!r} has too many digits; a budget has at most "
+                        f"{sys.get_int_max_str_digits()}"
+                    )
                 raise ValidationError(f"--sweep: {token!r} is not below 2**53; write the budget in digits")
             budget = int(value)
         if budget < 0:

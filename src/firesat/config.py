@@ -147,8 +147,8 @@ class RunConfig:
     def _timings(self) -> dict[int, RadioTiming]:
         return {}
 
-    def traffic(self, kind: str) -> TrafficModel:
-        return self._build(TrafficModel, kind=kind, sessions_per_day_coeff=self.sessions_per_day)
+    def traffic(self) -> TrafficModel:
+        return self._build(TrafficModel)
 
     def mcs_table(self) -> McsTable:
         return load_mcs_table(self.mcs_table_csv)

@@ -66,11 +66,12 @@ def dataset(cfg):
 def test_criterion_1_golden_arithmetic(cfg):
     start = time.perf_counter()
     timing = cfg.timing()
-    exception = cfg.traffic("exception")
+    traffic = cfg.traffic()
+    assert traffic.reference_period_s == 10.0
     assert cap.report_duration_ms(timing) == 1096.0
-    assert cap.devices_per_carrier_exception(timing, 10.0) == 432
-    bw5 = cap.bandwidth_required_hz(10**5, timing, exception)
-    bw6 = cap.bandwidth_required_hz(10**6, timing, exception)
+    assert cap.devices_per_carrier_exception(timing, traffic) == 432
+    bw5 = cap.bandwidth_required_hz(10**5, timing, traffic)
+    bw6 = cap.bandwidth_required_hz(10**6, timing, traffic)
     assert bw5 == 41_760_000.0
     assert bw6 == 416_700_000.0
     assert cap.spectrum_cost_usd(bw5, 0.6) == 25_056_000.0
@@ -81,12 +82,12 @@ def test_criterion_1_golden_arithmetic(cfg):
 
 
 def test_criterion_2_traffic_model(cfg):
-    periodic = cfg.traffic("periodic")
-    exception = cfg.traffic("exception")
-    sessions = cap.periodic_sessions(10**6, 10.0, periodic)
+    traffic = cfg.traffic()
+    assert traffic.reference_period_s == 10.0
+    sessions = cap.periodic_sessions(10**6, traffic)
     assert abs(sessions - 1296.0) <= 1.0
-    assert cap.traffic_total_bytes(10**6, 10.0, periodic) == 25920
-    assert cap.traffic_total_bytes(10**6, 10.0, exception) == 2 * 10**7
+    assert cap.periodic_total_bytes(10**6, traffic) == 25920
+    assert cap.exception_total_bytes(10**6, traffic) == 2 * 10**7
     print(f"ACCEPTANCE 2 PASS: sessions {sessions:.4f}, periodic 25920 B, exception 2e7 B")
 
 
@@ -280,7 +281,7 @@ def test_criterion_7_campaign_properties(dataset, cfg):
     params = cfg.fire_params()
     k = 10**5
     bandwidth = cap.spectrum_cost_usd(
-        cap.bandwidth_required_hz(k, cfg.timing(), cfg.traffic("exception")), cfg.usd_per_hz
+        cap.bandwidth_required_hz(k, cfg.timing(), cfg.traffic()), cfg.usd_per_hz
     )
     econ = EconomicsParams(cfg.carbon_price_usd_per_ton, cfg.device_cost_case_a_usd, bandwidth)
 
@@ -299,7 +300,7 @@ def test_criterion_7_campaign_properties(dataset, cfg):
     for k2 in (2 * 10**5, 4 * 10**5):
         p2 = optimize_greedy(grid, k2, cfg.t_hours, params)
         bw2 = cap.spectrum_cost_usd(
-            cap.bandwidth_required_hz(k2, cfg.timing(), cfg.traffic("exception")), cfg.usd_per_hz
+            cap.bandwidth_required_hz(k2, cfg.timing(), cfg.traffic()), cfg.usd_per_hz
         )
         e2 = EconomicsParams(cfg.carbon_price_usd_per_ton, cfg.device_cost_case_a_usd, bw2)
         burned_by_k.append(

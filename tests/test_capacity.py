@@ -7,18 +7,18 @@ from firesat.capacity import (
     bandwidth_required_hz,
     devices_per_carrier_exception,
     devices_per_carrier_periodic,
+    exception_total_bytes,
     periodic_sessions,
+    periodic_total_bytes,
     report_duration_ms,
     spectrum_cost_usd,
-    traffic_total_bytes,
 )
 from firesat.errors import NumericError, ValidationError
 
 from conftest import CFG
 
 TIMING = CFG.timing()
-EXCEPTION = CFG.traffic("exception")
-PERIODIC = CFG.traffic("periodic")
+TRAFFIC = CFG.traffic()
 
 
 class TestReportDuration:
@@ -38,86 +38,73 @@ class TestReportDuration:
 
 class TestDevicesPerCarrier:
     def test_golden_exception(self):
-        assert devices_per_carrier_exception(TIMING, 10.0) == 432
+        assert devices_per_carrier_exception(TIMING, TRAFFIC) == 432
 
     def test_period_too_short(self):
-        assert devices_per_carrier_exception(TIMING, 1.0) == 0
+        assert devices_per_carrier_exception(TIMING, replace(TRAFFIC, reference_period_s=1.0)) == 0
 
     def test_twenty_second_period(self):
-        assert devices_per_carrier_exception(TIMING, 20.0) == 18 * 48
+        assert devices_per_carrier_exception(TIMING, replace(TRAFFIC, reference_period_s=20.0)) == 18 * 48
 
     def test_periodic_reconstruction(self):
-        assert devices_per_carrier_periodic(TIMING, PERIODIC, 10.0) == 333257
+        assert devices_per_carrier_periodic(TIMING, TRAFFIC) == 333257
 
     def test_zero_rate_returns_cap_with_warning(self):
-        m = replace(PERIODIC, sessions_per_day_coeff=0.0)
+        m = replace(TRAFFIC, sessions_per_day=0.0)
         with pytest.warns(UserWarning):
-            assert devices_per_carrier_periodic(TIMING, m, 10.0) == DEVICE_CAP == 10**12
+            assert devices_per_carrier_periodic(TIMING, m) == DEVICE_CAP == 10**12
 
     def test_doubling_carrier_bandwidth_doubles_count(self):
         wide = replace(TIMING, carrier_bw_khz=360.0)
-        assert devices_per_carrier_exception(wide, 10.0) == 2 * 432
-        assert devices_per_carrier_periodic(wide, PERIODIC, 10.0) == 2 * 333257
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValidationError):
-            devices_per_carrier_periodic(TIMING, EXCEPTION, 10.0)
+        assert devices_per_carrier_exception(wide, TRAFFIC) == 2 * 432
+        assert devices_per_carrier_periodic(wide, TRAFFIC) == 2 * 333257
 
 
 class TestTraffic:
     def test_golden_sessions(self):
-        s = periodic_sessions(10**6, 10.0, PERIODIC)
+        s = periodic_sessions(10**6, TRAFFIC)
         assert s == pytest.approx(1296.2962962962963, rel=1e-12)
-        assert traffic_total_bytes(10**6, 10.0, PERIODIC) == 25920
+        assert periodic_total_bytes(10**6, TRAFFIC) == 25920
 
     def test_zero_sensors(self):
-        assert periodic_sessions(0, 10.0, PERIODIC) == 0.0
+        assert periodic_sessions(0, TRAFFIC) == 0.0
 
     def test_exception_total_bytes(self):
-        assert traffic_total_bytes(10**6, 10.0, EXCEPTION) == 2 * 10**7
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValidationError):
-            periodic_sessions(10, 10.0, EXCEPTION)
+        assert exception_total_bytes(10**6, TRAFFIC) == 2 * 10**7
 
 
 class TestBandwidth:
     def test_golden_values(self):
-        assert bandwidth_required_hz(10**5, TIMING, EXCEPTION) == 41_760_000.0
-        assert bandwidth_required_hz(10**6, TIMING, EXCEPTION) == 416_700_000.0
+        assert bandwidth_required_hz(10**5, TIMING, TRAFFIC) == 41_760_000.0
+        assert bandwidth_required_hz(10**6, TIMING, TRAFFIC) == 416_700_000.0
 
     def test_single_device_needs_one_carrier(self):
-        assert bandwidth_required_hz(1, TIMING, EXCEPTION) == 180_000.0
+        assert bandwidth_required_hz(1, TIMING, TRAFFIC) == 180_000.0
 
     def test_zero_devices(self):
-        assert bandwidth_required_hz(0, TIMING, EXCEPTION) == 0.0
+        assert bandwidth_required_hz(0, TIMING, TRAFFIC) == 0.0
 
     def test_carrier_count_is_exact_past_float_precision(self):
         # 17514414707169443 carriers of 180 kHz; a float quotient of the
         # count by 432 rounds one carrier short.
-        assert bandwidth_required_hz(7566227153497199278, TIMING, EXCEPTION) == 3.1525946472905e21
+        assert bandwidth_required_hz(7566227153497199278, TIMING, TRAFFIC) == 3.1525946472905e21
 
     def test_step_wise_in_k(self):
         prev = 0.0
         for k in range(0, 2000, 100):
-            bw = bandwidth_required_hz(k, TIMING, EXCEPTION) if k else 0.0
+            bw = bandwidth_required_hz(k, TIMING, TRAFFIC) if k else 0.0
             assert bw >= prev
             if bw > prev and prev > 0.0:
                 assert bw - prev == pytest.approx(180_000.0)
             prev = bw
 
-    def test_periodic_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            bandwidth_required_hz(10, TIMING, PERIODIC)
-
     def test_report_longer_than_period_rejected(self):
-        tight = replace(EXCEPTION, reference_period_s=1.0)
         with pytest.raises(ValidationError, match="does not fit"):
-            bandwidth_required_hz(10, TIMING, tight)
+            bandwidth_required_hz(10, TIMING, replace(TRAFFIC, reference_period_s=1.0))
 
     def test_oversubscription_guard(self):
         # devices x duration never exceeds period x subcarriers
-        n = devices_per_carrier_exception(TIMING, 10.0)
+        n = devices_per_carrier_exception(TIMING, TRAFFIC)
         assert n * report_duration_ms(TIMING) <= 10.0 * 1000.0 * TIMING.subcarriers
 
 
@@ -126,24 +113,24 @@ class TestOverflow:
 
     def test_infinite_slot_count(self):
         with pytest.raises(NumericError, match="report slots in a 1e[+]308 s period are not finite"):
-            devices_per_carrier_exception(TIMING, 1e308)
+            devices_per_carrier_exception(TIMING, replace(TRAFFIC, reference_period_s=1e308))
 
     def test_slots_beyond_float_range(self):
         wide = replace(TIMING, carrier_bw_khz=1e308)
         with pytest.raises(NumericError, match="overflow a float"):
-            devices_per_carrier_periodic(wide, PERIODIC, 10.0)
+            devices_per_carrier_periodic(wide, TRAFFIC)
 
     def test_infinite_session_count(self):
-        m = replace(PERIODIC, sessions_per_day_coeff=1e308)
+        m = replace(TRAFFIC, sessions_per_day=1e308)
         with pytest.raises(NumericError, match="inf periodic sessions cannot be counted"):
-            traffic_total_bytes(10**5, 10.0, m)
+            periodic_total_bytes(10**5, m)
 
     @pytest.mark.parametrize(
         "count",
         [
-            lambda k: bandwidth_required_hz(k, TIMING, EXCEPTION),
-            lambda k: periodic_sessions(k, 10.0, PERIODIC),
-            lambda k: traffic_total_bytes(k, 10.0, PERIODIC),
+            lambda k: bandwidth_required_hz(k, TIMING, TRAFFIC),
+            lambda k: periodic_sessions(k, TRAFFIC),
+            lambda k: periodic_total_bytes(k, TRAFFIC),
         ],
         ids=["bandwidth", "periodic-sessions", "periodic-bytes"],
     )
@@ -152,7 +139,7 @@ class TestOverflow:
             count(10**400)
 
     def test_exception_bytes_of_huge_count_stay_exact(self):
-        assert traffic_total_bytes(10**400, 10.0, EXCEPTION) == 20 * 10**400
+        assert exception_total_bytes(10**400, TRAFFIC) == 20 * 10**400
 
 
 class TestSpectrumCost:
@@ -171,9 +158,9 @@ class TestSpectrumCost:
 class TestValidation:
     def test_payload_bounds(self):
         with pytest.raises(ValidationError):
-            replace(EXCEPTION, payload_bytes=10)
+            replace(TRAFFIC, payload_bytes=10)
         with pytest.raises(ValidationError):
-            replace(EXCEPTION, payload_bytes=201)
+            replace(TRAFFIC, payload_bytes=201)
 
     def test_carrier_divisibility(self):
         with pytest.raises(ValidationError):
@@ -182,6 +169,7 @@ class TestValidation:
     def test_subcarrier_count(self):
         assert TIMING.subcarriers == 48
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            replace(EXCEPTION, kind="bursty")
+    def test_carrier_narrower_than_one_resource_unit(self):
+        # The ratio 2.7e-13 is within the divisibility tolerance of 0.
+        with pytest.raises(ValidationError, match="^carrier_bw_khz must be at least ru_bw_khz$"):
+            replace(TIMING, carrier_bw_khz=1e-12)

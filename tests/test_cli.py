@@ -154,6 +154,22 @@ class TestCapacity:
         payload = json.loads((out / "capacity.json").read_text())
         assert payload["worst_case"]["bandwidth_hz"] == 3.1525946472905e21
 
+    # SHA-256 of capacity.json at each budget. A change of the sizing model
+    # re-records them on purpose; any other change must leave the bytes as
+    # they are.
+    CAPACITY_SHA256 = {
+        "1": "1f1a6328a15a61883f7a2988cec0b01e3e97a04133f2a474c6c464dfb8c805d9",
+        "100000": "f4346237df05ab6444c14fde7cfaed2d297c691f6328fe395d86c8b13b4b3270",
+        "1000000": "1f02c8d33d2fbb31ed39477e5cf27c7a0664bfc912bdb6fdc126de2655220ad9",
+        "7566227153497199278": "81cc2ab5ec686a897fdae523f2ec661a79c13554bcf22ad996569dfe8e57d60b",
+    }
+
+    @pytest.mark.parametrize("budget", sorted(CAPACITY_SHA256, key=int))
+    def test_capacity_bytes_are_recorded(self, tmp_path, budget):
+        out = tmp_path / "out"
+        assert run("capacity", "--config", CONFIG, "--out", str(out), "--budget", budget) == 0
+        digest = hashlib.sha256((out / "capacity.json").read_bytes()).hexdigest()
+        assert digest == self.CAPACITY_SHA256[budget]
 
 class TestSimulate:
     def test_zero_sensor_baseline(self, tmp_path):
@@ -242,6 +258,8 @@ class TestSimulate:
             ("4503599627370496.5", "'4503599627370496.5'"),
             ("snan", "'snan'"),
             ("1e999999999", "'1e999999999'"),
+            # Past Python's limit on the digits of an int string.
+            pytest.param("1" + "0" * 4400, f"'1{'0' * 4400}' has too many digits", id="4401-digits"),
         ],
     )
     def test_bad_sweep_exits_2_naming_token(self, tmp_path, capsys, sweep, token):
@@ -315,7 +333,10 @@ class TestReport:
         assert "capacity.json" in payload["sources"]
 
     @pytest.mark.parametrize(
-        "body", ["{bad", "[1, 2]", "\"text\"", "", '{"a": NaN}', '{"a": [-Infinity]}', '{"a": 1e400}']
+        "body",
+        ["{bad", "[1, 2]", "\"text\"", "", '{"a": NaN}', '{"a": [-Infinity]}', '{"a": 1e400}',
+         # Nesting past the JSON decoder's recursion limit.
+         pytest.param("[" * 100_000 + "]" * 100_000, id="deeply-nested")],
     )
     def test_corrupt_source_exits_2_naming_file(self, tmp_path, capsys, body):
         out = tmp_path / "out"
@@ -414,6 +435,18 @@ class TestValidationExitCodes:
         assert run(*argv, "--config", str(config), "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {key} must be >= 0\n"
         assert not out.exists()
+
+    def test_carrier_narrower_than_a_resource_unit_exits_2(self, tmp_path, capsys):
+        # 1e-12 / 3.75 passes the divisibility tolerance but holds no subcarrier.
+        config = TestNoTraceback.config_with(tmp_path)
+        key = "radio.carrier_bw_khz"
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = 1e-12", config.read_text(), flags=re.M)
+        assert text != config.read_text()
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert run("capacity", "--config", str(config), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: carrier_bw_khz must be at least ru_bw_khz\n"
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

@@ -295,11 +295,10 @@ BUILDERS = {
         "rus_per_report": ("radio.rus_per_report", 5),
         "tx_attempts": ("radio.tx_attempts", 2),
     }),
-    "traffic": (lambda cfg: cfg.traffic("periodic"), {
-        "kind": (None, "periodic"),  # the builder's argument
+    "traffic": (RunConfig.traffic, {
         "payload_bytes": ("traffic.payload_bytes", 44),
         "reference_period_s": ("traffic.reference_period_s", 12.5),
-        "sessions_per_day_coeff": ("traffic.sessions_per_day", 9.5),
+        "sessions_per_day": ("traffic.sessions_per_day", 9.5),
     }),
 }
 
@@ -318,7 +317,7 @@ def test_builder_takes_every_field_from_its_config_key(name):
 
 
 # Model fields fed by a RunConfig field of another name.
-RENAMED = {"sessions_per_day_coeff": "sessions_per_day", "device_cost_usd": "device_cost_case_a_usd"}
+RENAMED = {"device_cost_usd": "device_cost_case_a_usd"}
 
 
 def test_no_model_default_restates_a_config_key():

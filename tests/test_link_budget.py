@@ -303,7 +303,7 @@ class TestFadingSampler:
 
 NAN = math.nan
 TIMING = CFG.timing()
-TRAFFIC = CFG.traffic("exception")
+TRAFFIC = CFG.traffic()
 
 
 @pytest.mark.parametrize(
@@ -322,7 +322,7 @@ TRAFFIC = CFG.traffic("exception")
         (lambda: replace(TIMING, ru_bw_khz=NAN), "ru_bw_khz must be > 0"),
         (lambda: replace(TIMING, carrier_bw_khz=NAN), "carrier_bw_khz must be > 0"),
         (lambda: replace(TRAFFIC, reference_period_s=NAN), "reference_period_s must be > 0"),
-        (lambda: replace(TRAFFIC, sessions_per_day_coeff=NAN), "sessions_per_day_coeff must be >= 0"),
+        (lambda: replace(TRAFFIC, sessions_per_day=NAN), "sessions_per_day must be >= 0"),
         # min() passes over a NaN that is not its first argument.
         (lambda: replace(ECON, device_cost_usd=NAN), "economic parameters must be >= 0"),
         (lambda: replace(ECON, bandwidth_cost_usd=NAN), "economic parameters must be >= 0"),

@@ -373,6 +373,7 @@ class TestSerialization:
             pytest.param("bad.json", b'{"counts": [1, 2]}', id="missing-budget"),
             pytest.param("bad.json", b'{"budget": 3, "counts": 7}', id="counts-not-a-list"),
             pytest.param("bad.json", b"\xff\xfe{}", id="undecodable-json"),
+            pytest.param("bad.json", b"[" * 100_000 + b"]" * 100_000, id="deeply-nested-json"),
             pytest.param("bad.csv", b"\xff\xferegion_id,n_sensors\n0,1\n", id="undecodable-csv"),
             pytest.param("bad.csv", b"region,n\n0,1\n", id="wrong-csv-header"),
             pytest.param("bad.csv", b"region_id,n_sensors\n0,-1\n", id="negative-csv-count"),
