@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -151,8 +152,9 @@ _SLACK_KM = 1e-6
 
 class _Pairs(NamedTuple):
     """(fire, candidate cell with sensors) pairs in fire order: pair p covers
-    rows[p] rows of a trial's draw from row first[p], for the cell centred at
-    center[p] whose square lies gap_sq[p] (squared) from fire fire[p] at xy[p]."""
+    rows[p] rows of a trial's packed draw from row first[p], for the cell
+    centred at center[p] whose square lies gap_sq[p] (squared) from fire
+    fire[p] at xy[p]."""
 
     fire: np.ndarray
     gap_sq: np.ndarray
@@ -163,6 +165,42 @@ class _Pairs(NamedTuple):
 
     def take(self, keep: np.ndarray) -> _Pairs:
         return _Pairs(*(a[keep] for a in self))
+
+
+def _draw_plan(counts: np.ndarray, used: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Which rows of scatter_sensors' full draw a trial draws: those of the
+    `used` cells, packed in cell order.
+
+    Returns each cell's first packed row and the segments (skip, lo, hi): a
+    segment advances the stream by `skip` outputs, then draws packed rows lo
+    to hi. Taken in cell order, the cells holding sensors form runs of used
+    and unused cells, and each used run is one contiguous stretch of the full
+    draw. A double is one 64-bit output, so row r starts at output 2r.
+    """
+    packed = np.where(used, counts, 0)
+    first = np.cumsum(packed) - packed
+    held = np.flatnonzero(counts)
+    edges = np.flatnonzero(np.diff(used[held], prepend=False, append=False)).tolist()
+    # Python ints: an int64 sum of counts could wrap, and PCG64.advance
+    # overflows on a numpy int.
+    ends = [0, *accumulate(counts[held].tolist())]
+    segments = []
+    at = lo = 0
+    for a, b in zip(edges[::2], edges[1::2]):
+        hi = lo + ends[b] - ends[a]
+        segments.append((2 * (ends[a] - at), lo, hi))
+        at, lo = ends[b], hi
+    return first, segments
+
+
+def _draw(unit: np.ndarray, segments: list[tuple[int, int, int]], seed: int, trial: int) -> None:
+    """Fill `unit` with the packed rows of trial `trial`'s full draw,
+    default_rng([seed, trial]).random((total, 2)), segment by segment."""
+    bits = np.random.PCG64(np.random.SeedSequence([seed, trial]))
+    draw = np.random.Generator(bits).random
+    for skip, lo, hi in segments:
+        bits.advance(skip)
+        draw(out=unit[lo:hi])
 
 
 def _lower_nearest(nearest_sq: np.ndarray, unit: np.ndarray, side: float, pairs: _Pairs) -> None:
@@ -214,9 +252,11 @@ def run_campaign(
     A scattered sensor never leaves its cell's square, so only cells whose
     square reaches within r_max of a fire can detect it; those candidate
     cells are found once per (grid, catalog), by _fire_state. Each trial
-    draws the same stream as scatter_sensors and gathers in two phases: each
-    fire's occupied candidates at its smallest gap, then only those others
-    whose square lies within the nearest distance found plus _SLACK_KM.
+    draws, from the same stream as scatter_sensors, only the rows of the
+    occupied candidate cells (see _draw_plan), and gathers in two phases:
+    each fire's occupied candidates at its smallest gap, then only those
+    others whose square lies within the nearest distance found plus
+    _SLACK_KM.
     Positions and squared distances use the same elementwise arithmetic as a
     KD-tree over all sensors, and a minimum does not depend on order, so the
     nearest distance matches it bit for bit whenever it is at most r_max.
@@ -235,14 +275,18 @@ def run_campaign(
     stalled = u_p == 0.0
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
     counts = np.asarray(placement.counts, dtype=np.int64)
-    total = placement.deployed  # a Python int: an int64 sum could wrap
 
     # (fire, occupied candidate) pairs; those at the fire's smallest gap go first.
     occupied = (cells >= 0) & (counts[cells] > 0)
     fire, k = np.nonzero(occupied)
     cell = cells[fire, k]
-    rows = counts[cell]
-    pairs = _Pairs(fire, gap_sq[fire, k], np.cumsum(counts)[cell] - rows, rows,
+    # A trial draws only the rows of the cells some pair reads. (np.unique
+    # would find them too, but see the numpy.ma note in _lower_nearest.)
+    used = np.zeros(len(counts), dtype=bool)
+    used[cell] = True
+    first_row, segments = _draw_plan(counts, used)
+    drawn = segments[-1][2] if segments else 0
+    pairs = _Pairs(fire, gap_sq[fire, k], first_row[cell], counts[cell],
                    frame.centers_xy[cell], fire_xy[fire])
     nearest_cell = pairs.gap_sq == np.min(gap_sq, axis=1, initial=np.inf, where=occupied)[fire]
     first, second = pairs.take(nearest_cell), pairs.take(~nearest_cell)
@@ -261,13 +305,11 @@ def run_campaign(
         # One buffer for every trial's draw: allocating it afresh each trial
         # costs page faults and leaves the heap fragmented.
         try:
-            unit = np.empty((total, 2))
+            unit = np.empty((drawn, 2))
         except ValueError:  # more rows than numpy can index
             raise MemoryError from None
         for trial in range(trials):
-            # The draws scatter_sensors turns into positions; each cell's
-            # sensors are the rows after those of all lower-numbered cells.
-            np.random.default_rng([seed, trial]).random(out=unit)
+            _draw(unit, segments, seed, trial)
             nearest_sq.fill(np.inf)  # stays inf for fires with no sensor to scan
             _lower_nearest(nearest_sq, unit, frame.side_km, first)
             # Only a cell within the nearest distance found so far can hold a
@@ -292,7 +334,7 @@ def run_campaign(
             degenerate |= stalled & ~detected
     except MemoryError:
         raise ValidationError(
-            f"out of memory for {total} sensors: each trial's draw needs {16 * total} bytes"
+            f"out of memory for {placement.deployed} sensors: each trial's draw needs {16 * drawn} bytes"
         ) from None
 
     outcomes = []

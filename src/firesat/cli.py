@@ -38,7 +38,9 @@ def _each(choice: str, names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _out_dir(args) -> Path:
-    """The --out directory, created if missing."""
+    """The --out directory, created if missing. A command calls it only once
+    every input is validated and every result computed, so a rejected run
+    leaves no directory behind."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -60,14 +62,17 @@ def _bandwidth_cost(cfg: RunConfig, n_sensors: int) -> float:
 
 def cmd_plan(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args)
     grid = ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
     rows, cols = grid.frame.rows_cols()
     summary: dict = {"budget": cfg.budget, "t_hours": cfg.t_hours, "schemes": {}}
-    # Every placement is solved before any file is written, so a failing one leaves none.
+    # Every placement and utility is computed before any file is written, so
+    # a failing one leaves none.
     placements = {s: _placement_for(s, grid, cfg.budget, cfg) for s in _each(args.scheme, SCHEMES)}
+    utilities = {s: system_utility(grid, p.counts, cfg.t_hours, cfg.fire_params())
+                 for s, p in placements.items()}
+    out = _out_dir(args)
     for scheme, placement in placements.items():
-        utility = system_utility(grid, placement.counts, cfg.t_hours, cfg.fire_params())
+        utility = utilities[scheme]
         pl.write_placement_csv(placement, out / f"placement_{scheme}.csv")
         pl.write_placement_json(placement, out / f"placement_{scheme}.json", scheme)
         write_csv(
@@ -91,7 +96,6 @@ def cmd_linkbudget(args) -> int:
     if args.reference_snr_db is not None and not math.isfinite(args.reference_snr_db):
         raise ValidationError(f"--reference-snr-db must be finite, got {args.reference_snr_db}")
     cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args)
     location = GeoPoint(args.lat, args.lon)
     table = cfg.mcs_table()
     payload: dict = {"location": {"lat": location.lat, "lon": location.lon}}
@@ -105,6 +109,7 @@ def cmd_linkbudget(args) -> int:
     if args.reference_snr_db is not None:
         payload["reference_snr_db"] = args.reference_snr_db
         payload["deviation_db"] = {k: v - args.reference_snr_db for k, v in snr.items()}
+    out = _out_dir(args)
     write_json(out / "linkbudget.json", payload)
     print(f"wrote {out / 'linkbudget.json'}")
     return EXIT_OK
@@ -112,7 +117,6 @@ def cmd_linkbudget(args) -> int:
 
 def cmd_capacity(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args)
     table = cfg.mcs_table()
     traffic = cfg.traffic()
     k = cfg.budget
@@ -141,6 +145,7 @@ def cmd_capacity(args) -> int:
             "exception_total_bytes": cap.exception_total_bytes(k, traffic),
         },
     }
+    out = _out_dir(args)
     write_json(out / "capacity.json", payload)
     w = payload["worst_case"]
     print(
@@ -169,17 +174,21 @@ def _run_scheme_campaign(cfg: RunConfig, grid, catalog, scheme: str, budget: int
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     budgets = _parse_sweep(args.sweep) if args.sweep else None
-    out = _out_dir(args)
     grid = ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
     catalog = ingest_fires(cfg.fires_csv, grid)
     schemes = _each(args.scheme, SCHEMES)
 
     if budgets is not None:
-        _run_sweep(cfg, grid, catalog, schemes, budgets, out)
+        tables = _run_sweep(cfg, grid, catalog, schemes, budgets)
+        out = _out_dir(args)
+        for name, (header, rows) in tables.items():
+            write_csv(out / name, header, rows)
+        print(f"wrote sweep outputs to {out}")
         return EXIT_OK
 
     # Every campaign runs before any file is written, so a failing one leaves none.
     results = [_run_scheme_campaign(cfg, grid, catalog, s, cfg.budget)[2] for s in schemes]
+    out = _out_dir(args)
     for scheme, result in zip(schemes, results):
         camp.write_campaign_json(result, out / f"campaign_{scheme}.json")
         camp.write_fires_csv(result, out / f"fires_{scheme}.csv")
@@ -229,7 +238,8 @@ def _parse_sweep(text: str) -> list[int]:
     return budgets
 
 
-def _run_sweep(cfg: RunConfig, grid, catalog, schemes, budgets, out: Path) -> None:
+def _run_sweep(cfg: RunConfig, grid, catalog, schemes, budgets) -> dict[str, tuple[list[str], list]]:
+    """The sweep's figure CSVs, each file name with its header and rows."""
     fig3a, fig4b, fig4c, fig4d = [], [], [], []
     baseline_written = False
     for budget in budgets:
@@ -249,15 +259,12 @@ def _run_sweep(cfg: RunConfig, grid, catalog, schemes, budgets, out: Path) -> No
                 fig4c.append([0, "catalog", t.baseline_carbon_ton])
                 baseline_written = True
             print(f"K={budget} {scheme}: burned={t.burned_km2:.1f} savings={t.savings_usd/1e9:.3f}B")
-    write_csv(out / "fig3a_utility.csv", ["budget", "scheme", "utility"], fig3a)
-    write_csv(out / "fig4b_burned_area.csv", ["budget", "scheme", "burned_km2"], fig4b)
-    write_csv(out / "fig4c_carbon.csv", ["budget", "scheme", "carbon_ton"], fig4c)
-    write_csv(
-        out / "fig4d_savings.csv",
-        ["budget", "scheme", "savings_case_a_usd", "savings_case_b_usd"],
-        fig4d,
-    )
-    print(f"wrote sweep outputs to {out}")
+    return {
+        "fig3a_utility.csv": (["budget", "scheme", "utility"], fig3a),
+        "fig4b_burned_area.csv": (["budget", "scheme", "burned_km2"], fig4b),
+        "fig4c_carbon.csv": (["budget", "scheme", "carbon_ton"], fig4c),
+        "fig4d_savings.csv": (["budget", "scheme", "savings_case_a_usd", "savings_case_b_usd"], fig4d),
+    }
 
 
 def cmd_report(args) -> int:

@@ -257,7 +257,8 @@ class TestRunCampaign:
         grid = small_grid()
         catalog = self.make_catalog(grid, grid.frame)
         monkeypatch.setattr(np, "empty", no_memory)
-        with pytest.raises(ValidationError, match="^out of memory for 48 sensors: .* 768 bytes$"):
+        # A trial draws only the 33 rows of the 11 cells near a fire, 16 bytes each.
+        with pytest.raises(ValidationError, match="^out of memory for 48 sensors: .* 528 bytes$"):
             run_campaign(grid, Placement((3,) * 16, 48), catalog, ECON, trials=2, seed=0)
 
     def test_unindexable_draw_is_out_of_memory(self, monkeypatch):
@@ -269,7 +270,7 @@ class TestRunCampaign:
         grid = small_grid()
         catalog = self.make_catalog(grid, grid.frame)
         monkeypatch.setattr(np, "empty", too_big)
-        with pytest.raises(ValidationError, match="^out of memory for 48 sensors: .* 768 bytes$"):
+        with pytest.raises(ValidationError, match="^out of memory for 48 sensors: .* 528 bytes$"):
             run_campaign(grid, Placement((3,) * 16, 48), catalog, ECON, trials=2, seed=0)
 
     def test_negative_seed_is_not_out_of_memory(self):
@@ -282,12 +283,19 @@ class TestRunCampaign:
     def test_gather_out_of_memory_is_a_validation_error(self, monkeypatch):
         class NoGather(np.ndarray):
             def __getitem__(self, key):
-                raise MemoryError
+                if isinstance(key, np.ndarray):  # a gather; slices still draw
+                    raise MemoryError
+                return super().__getitem__(key)
 
         empty = np.empty
         grid = small_grid()
         catalog = self.make_catalog(grid, grid.frame)
-        monkeypatch.setattr(np, "empty", lambda shape: empty(shape).view(NoGather))
+
+        def gather_fails(shape, *args, **kwargs):
+            a = empty(shape, *args, **kwargs)
+            return a.view(NoGather) if a.ndim == 2 else a  # the (rows, 2) draw buffer only
+
+        monkeypatch.setattr(np, "empty", gather_fails)
         with pytest.raises(ValidationError, match="^out of memory for 48 sensors: "):
             run_campaign(grid, Placement((3,) * 16, 48), catalog, ECON, trials=2, seed=0)
 

@@ -504,3 +504,45 @@ def test_chunks_span_several_blocks_in_both_phases(monkeypatch):
     assert len(gathered) == 2 * trials
     assert min(gathered) > 2 * campaign._BLOCK_ROWS
     assert fast == run_campaign_kdtree(grid, placement, catalog, ECON, trials=trials, seed=seed)
+
+
+@PROPERTY
+@given(st.data(), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_segment_draw_equals_full_draw_rows(data, seed, trial):
+    """A trial's packed draw holds, bit for bit and in cell order, the used
+    cells' rows of the full draw that scatter_sensors turns into positions."""
+    n = data.draw(st.integers(1, 30))
+    count = st.one_of(st.just(0), st.integers(1, 7), st.integers(100, 3000))
+    counts = np.array(data.draw(st.lists(count, min_size=n, max_size=n)), dtype=np.int64)
+    used = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    first, segments = campaign._draw_plan(counts, used)
+    drawn = segments[-1][2] if segments else 0
+    assert all(type(v) is int for segment in segments for v in segment)
+    # Segments are maximal: only the first may start where the stream stands.
+    assert all(skip > 0 for skip, _, _ in segments[1:])
+    unit = np.empty((drawn, 2))
+    campaign._draw(unit, segments, seed, trial)
+    full = np.random.default_rng([seed, trial]).random((int(counts.sum()), 2))
+    start = np.cumsum(counts) - counts
+    rows = [full[s:s + c] for s, c in zip(start[used].tolist(), counts[used].tolist())]
+    want = np.concatenate([np.empty((0, 2)), *rows])
+    assert unit.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    packed = counts[used]
+    assert first[used].tolist() == (np.cumsum(packed) - packed).tolist()
+
+
+def test_far_cell_sensors_are_never_drawn():
+    """10**12 sensors in a cell far from every fire: a full draw would take
+    16 TB a trial. Only candidate cells' rows are drawn, and the far cell's
+    rows come after all of them, so the fires fare as if it were empty."""
+    side = 10.0
+    grid = cell_grid([(0, 0), (1, 0), (0, 1), (1, 1), (40, 40)], side)
+    frame = grid.frame
+    catalog = [FireEvent(i, frame_point(frame, *(frame.centers_xy[i] + 0.2 * side)), i, 50.0)
+               for i in range(4)]
+    near = (3, 0, 5, 2)
+    crowded = run_campaign(grid, Placement((*near, 10**12), 10**12 + 10), catalog, ECON, trials=3, seed=11)
+    empty = run_campaign(grid, Placement((*near, 0), 10), catalog, ECON, trials=3, seed=11)
+    assert crowded.sensors_deployed == 10**12 + 10
+    assert crowded.fires == empty.fires
+    assert any(o.detection_rate > 0.0 for o in crowded.fires)

@@ -446,7 +446,7 @@ class TestValidationExitCodes:
         out = tmp_path / "out"
         assert run("capacity", "--config", str(config), "--out", str(out)) == 2
         assert capsys.readouterr().err == "error: carrier_bw_khz must be at least ru_bw_khz\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -482,7 +482,7 @@ class TestValidationExitCodes:
         out = tmp_path / "out"
         assert run(*argv, "--config", str(config), "--out", str(out)) == 2
         assert f"{table}:2:" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestNoTraceback:
@@ -505,14 +505,17 @@ class TestNoTraceback:
             ("fires.csv", ["simulate", "--budget", "10", "--trials", "1"]),
             ("mcs_table.csv", ["capacity"]),
             ("sample_config.cfg", ["plan", "--budget", "10"]),
+            ("regions.csv", ["simulate", "--budget", "10", "--trials", "1"]),
         ],
     )
     def test_undecodable_input_exits_2_naming_file(self, tmp_path, capsys, name, argv):
         bad = tmp_path / name
         bad.write_bytes(b"\xff\xfe" + (DATA_DIR / name).read_bytes())
         config = bad if name.endswith(".cfg") else self.config_with(tmp_path, **{name: bad})
-        assert run(*argv, "--config", str(config), "--out", str(tmp_path / "out")) == 2
+        out = tmp_path / "out"
+        assert run(*argv, "--config", str(config), "--out", str(out)) == 2
         assert f"error: {bad}: cannot decode as text" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_mcs_table_path_exits_2(self, tmp_path, capsys):
         config = self.config_with(tmp_path, **{"mcs_table.csv": ""})
@@ -537,7 +540,8 @@ class TestNoTraceback:
         assert run("simulate", "--config", CONFIG, "--out", str(tmp_path), *argv) == 2
         err = capsys.readouterr().err
         assert "error: out of memory for 1000000000000 sensors: " in err
-        assert "needs 16000000000000 bytes" in err
+        # 16 bytes for each of the 153 954 404 741 rows of cells near a fire.
+        assert "needs 2463270475856 bytes" in err
 
     def test_header_only_fires_exits_2(self, tmp_path, capsys):
         fires = tmp_path / "fires.csv"
@@ -546,17 +550,18 @@ class TestNoTraceback:
         out = tmp_path / "out"
         assert run("simulate", "--config", str(config), "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {fires}: no fire rows found\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     HUGE = str(10**23)
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # The int64 sum of 10^20 sensor counts wraps; numpy cannot index the draw.
+            # The int64 sum of 10^20 sensor counts wraps; numpy cannot index
+            # even the draw of the cells near a fire, 1.5e19 rows.
             (["simulate", "--scheme", "uniform", "--budget", "99999999999999999999", "--trials", "1"],
              "out of memory for 99999999999999999999 sensors: "
-             "each trial's draw needs 1599999999999999999984 bytes"),
+             "each trial's draw needs 246327047565437658080 bytes"),
             (["plan", "--budget", HUGE], f"budget {HUGE}: a region's share does not fit an int64"),
             (["simulate", "--scheme", "uniform", "--budget", HUGE],
              f"budget {HUGE}: a region's share does not fit an int64"),
@@ -568,7 +573,7 @@ class TestNoTraceback:
             (["simulate", "--scheme", "uniform", "--sweep", "9007199254740993,9007199254740992",
               "--trials", "1"],
              "out of memory for 9007199254740993 sensors: "
-             "each trial's draw needs 144115188075855888 bytes"),
+             "each trial's draw needs 22187167992539392 bytes"),
         ],
         ids=["simulate-1e20", "plan-1e23", "simulate-1e23", "sweep-1e23", "sweep-2**53+1"],
     )
@@ -576,7 +581,7 @@ class TestNoTraceback:
         out = tmp_path / "out"
         assert run(*argv, "--config", CONFIG, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     # Past the float range: no float64 can hold it.
     HUGER = str(10**400)
@@ -605,7 +610,7 @@ class TestNoTraceback:
         assert run("capacity", "--budget", self.HUGER, "--config", CONFIG, "--out", str(out)) == 3
         assert capsys.readouterr().err == (
             f"numeric error: {self.HUGER} sensors at 432 per carrier overflow a float\n")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["plan", "simulate"])
     def test_overflowing_deadline_exits_3(self, tmp_path, capsys, command):
@@ -613,7 +618,7 @@ class TestNoTraceback:
         argv = [command, "--config", CONFIG, "--out", str(out), "--t-hours", "1e308"]
         assert run(*argv) == 3
         assert "numeric error: burned area overflows" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--budget", "20", "--trials", "2"], ["--budget", "1000", "--trials", "2"]])
     def test_overflowing_carbon_exits_3(self, tmp_path, capsys, argv):
@@ -629,7 +634,7 @@ class TestNoTraceback:
             "numeric error: burned area or carbon overflows a float "
             "at grid.cell_area_km2 = 1e+308 and largest recorded_area_km2 = 538.807332\n"
         )
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     SIMULATE = ["simulate", "--budget", "1000", "--trials", "2"]
 
@@ -659,7 +664,7 @@ class TestNoTraceback:
         assert run(*argv, "--config", str(config), "--out", str(out)) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and err.count("\n") == 1 and message in err, err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("zero_biomass", [False, True])
     def test_overflowing_recorded_area_exits_3(self, tmp_path, capsys, zero_biomass):
@@ -690,7 +695,7 @@ class TestNoTraceback:
             "numeric error: burned area or carbon overflows a float "
             f"at grid.cell_area_km2 = {area} and largest recorded_area_km2 = 1.7e+308\n"
         )
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "error",
