@@ -51,7 +51,6 @@ from .campaign import (
     CampaignResult,
     EconomicsParams,
     run_campaign,
-    scatter_sensors,
 )
 from .config import RunConfig, default_config_path, load_config
 from .ingest import ingest_fires, ingest_regions

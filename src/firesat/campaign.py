@@ -91,23 +91,6 @@ def carbon_emission_ton(burned_km2: float, biomass_avg: float) -> float:
     return burned_km2 * 1.2 * biomass_avg * 100.0
 
 
-def scatter_sensors(placement: Placement, grid: RegionGrid, seed) -> np.ndarray:
-    """Uniform sensor positions inside each region's square cell, (n, 2) km.
-
-    Deterministic under a fixed seed; seed may be an int or a sequence of
-    ints (used to derive independent per-trial streams).
-    """
-    if len(placement.counts) != len(grid):
-        raise ValidationError("placement length does not match grid size")
-    counts = np.asarray(placement.counts, dtype=np.int64)
-    total = placement.deployed  # a Python int: an int64 sum could wrap
-    if total == 0:
-        return np.empty((0, 2))
-    reps = np.repeat(np.arange(len(counts)), counts)
-    offsets = (np.random.default_rng(seed).random((total, 2)) - 0.5) * grid.frame.side_km
-    return grid.frame.centers_xy[reps] + offsets
-
-
 def _fire_state(grid: RegionGrid, catalog: list[FireEvent]) -> tuple[np.ndarray, ...]:
     """The catalog's placement-independent arrays on the grid, read-only: the
     projected ignitions, spread rates, the disks() rows (gap_sq, cells) of the
@@ -168,8 +151,10 @@ class _Pairs(NamedTuple):
 
 
 def _draw_plan(counts: np.ndarray, used: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """Which rows of scatter_sensors' full draw a trial draws: those of the
-    `used` cells, packed in cell order.
+    """Which rows of its full draw a trial draws: those of the `used` cells,
+    packed in cell order. The full draw is
+    default_rng([seed, trial]).random((deployed, 2)), and cell k owns its
+    rows cumsum(counts)[k-1] to cumsum(counts)[k].
 
     Returns each cell's first packed row and the segments (skip, lo, hi): a
     segment advances the stream by `skip` outputs, then draws packed rows lo
@@ -195,7 +180,7 @@ def _draw_plan(counts: np.ndarray, used: np.ndarray) -> tuple[np.ndarray, list[t
 
 def _draw(unit: np.ndarray, segments: list[tuple[int, int, int]], seed: int, trial: int) -> None:
     """Fill `unit` with the packed rows of trial `trial`'s full draw,
-    default_rng([seed, trial]).random((total, 2)), segment by segment."""
+    default_rng([seed, trial]).random((deployed, 2)), segment by segment."""
     bits = np.random.PCG64(np.random.SeedSequence([seed, trial]))
     draw = np.random.Generator(bits).random
     for skip, lo, hi in segments:
@@ -251,12 +236,14 @@ def run_campaign(
 
     A scattered sensor never leaves its cell's square, so only cells whose
     square reaches within r_max of a fire can detect it; those candidate
-    cells are found once per (grid, catalog), by _fire_state. Each trial
-    draws, from the same stream as scatter_sensors, only the rows of the
-    occupied candidate cells (see _draw_plan), and gathers in two phases:
-    each fire's occupied candidates at its smallest gap, then only those
-    others whose square lies within the nearest distance found plus
-    _SLACK_KM.
+    cells are found once per (grid, catalog), by _fire_state. Trial t's
+    sensors are the full draw default_rng([seed, t]).random((deployed, 2)):
+    cell k's sensors are its rows cumsum(counts)[k-1] to cumsum(counts)[k],
+    a row u placing one at the cell's centre plus (u - 0.5) * side. A trial
+    draws only the rows of the occupied candidate cells (see _draw_plan),
+    and gathers in two phases: each fire's occupied candidates at its
+    smallest gap, then only those others whose square lies within the
+    nearest distance found plus _SLACK_KM.
     Positions and squared distances use the same elementwise arithmetic as a
     KD-tree over all sensors, and a minimum does not depend on order, so the
     nearest distance matches it bit for bit whenever it is at most r_max.

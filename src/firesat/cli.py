@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scheme=False, mode=False):
+    def common(p, scheme=False, mode=False, budget=False, t_hours=False):
         p.add_argument("--config", default=str(default_config_path()), help="config file path")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", dest="seed", type=int, help="override config seed")
@@ -310,11 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scheme", choices=[*SCHEMES, BOTH], default=BOTH)
         if mode:
             p.add_argument("--mode", choices=[*lb.MODES, BOTH], default=BOTH)
+        if budget:
+            p.add_argument("--budget", dest="plan.budget", type=int, help="override sensor budget")
+        if t_hours:
+            p.add_argument("--t-hours", dest="plan.t_hours", type=float, help="override detection deadline")
 
     p_plan = sub.add_parser("plan", help="solve both placement schemes and report utility")
-    common(p_plan, scheme=True)
-    p_plan.add_argument("--budget", dest="plan.budget", type=int, help="override sensor budget")
-    p_plan.add_argument("--t-hours", dest="plan.t_hours", type=float, help="override detection deadline")
+    common(p_plan, scheme=True, budget=True, t_hours=True)
     p_plan.set_defaults(func=cmd_plan)
 
     p_link = sub.add_parser("linkbudget", help="uplink SNR and MCS at a location")
@@ -330,14 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_link.set_defaults(func=cmd_linkbudget)
 
     p_cap = sub.add_parser("capacity", help="bandwidth requirement and spectrum cost")
-    common(p_cap)
-    p_cap.add_argument("--budget", dest="plan.budget", type=int, help="override sensor count")
+    common(p_cap, budget=True)
     p_cap.set_defaults(func=cmd_capacity)
 
     p_sim = sub.add_parser("simulate", help="seeded Monte Carlo fire-season campaign")
-    common(p_sim, scheme=True)
-    p_sim.add_argument("--budget", dest="plan.budget", type=int)
-    p_sim.add_argument("--t-hours", dest="plan.t_hours", type=float)
+    common(p_sim, scheme=True, budget=True, t_hours=True)
     p_sim.add_argument("--trials", dest="campaign.trials", type=int)
     p_sim.add_argument(
         "--sweep",

@@ -99,9 +99,7 @@ def optimize_greedy(
     heapq.heapify(heap)
     remaining = budget - sum(counts)
     while remaining > 0 and heap:
-        neg_gain, i = heapq.heappop(heap)
-        if neg_gain >= 0.0:
-            break
+        _, i = heapq.heappop(heap)
         counts[i] += 1
         remaining -= 1
         nxt = p[i] * q[i] ** counts[i] * (1.0 - q[i])

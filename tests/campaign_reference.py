@@ -1,16 +1,19 @@
-"""Slow references for the campaign's nearest-sensor query and cell lookups.
+"""Slow references for the campaign's sensor draw, nearest-sensor query and
+cell lookups.
 
-`run_campaign_kdtree` is the campaign loop as it stood before the cell-local
-scan: every trial scatters every sensor, indexes them all in a KD-tree,
-queries it for each fire, and averages biomass over the whole grid for every
-detected or escaped fire. `locate_kdtree` finds the containing cell through
-a KD-tree over the cell centres. `gap_sq`, `intersecting_mask`,
-`biomass_avg_full` and `locate_full` scan every cell, as GridFrame did before
-its x-band lookup. `simulate_fire` resolves one fire against given sensor
-positions with the same rule, and `FireRecord` holds its outcome. The
-baseline of `run_campaign_kdtree` comes from `biomass_avg_full` too, so no
-part of it runs the code under test. Property tests check the fast paths
-against these; nothing at runtime imports this module.
+`scatter_sensors` is the full draw: every sensor of a placement, from one
+stream. `run_campaign_kdtree` is the campaign loop as it stood before the
+cell-local scan: every trial scatters every sensor with `scatter_sensors`,
+indexes them all in a KD-tree, queries it for each fire, and averages
+biomass over the whole grid for every detected or escaped fire.
+`locate_kdtree` finds the containing cell through a KD-tree over the cell
+centres. `gap_sq`, `intersecting_mask`, `biomass_avg_full` and
+`locate_full` scan every cell, as GridFrame did before its x-band lookup.
+`simulate_fire` resolves one fire against given sensor positions with the
+same rule, and `FireRecord` holds its outcome. The baseline of
+`run_campaign_kdtree` comes from `biomass_avg_full` too, so no part of it
+runs the code under test. Property tests check the fast paths against
+these; nothing at runtime imports this module.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from firesat.campaign import (
     CampaignTotals,
     FireOutcome,
     carbon_emission_ton,
-    scatter_sensors,
 )
 from firesat.errors import ValidationError
 from firesat.grid import FireEvent, GridFrame, RegionGrid
+from firesat.placement import Placement
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,23 @@ def locate_kdtree(frame: GridFrame, p) -> int:
     if abs(x - cx) > half or abs(y - cy) > half:
         raise ValidationError(f"point ({p.lat}, {p.lon}) lies outside the region grid")
     return int(idx)
+
+
+def scatter_sensors(placement: Placement, grid: RegionGrid, seed) -> np.ndarray:
+    """Uniform sensor positions inside each region's square cell, (n, 2) km.
+
+    Deterministic under a fixed seed; seed may be an int or a sequence of
+    ints (used to derive independent per-trial streams).
+    """
+    if len(placement.counts) != len(grid):
+        raise ValidationError("placement length does not match grid size")
+    counts = np.asarray(placement.counts, dtype=np.int64)
+    total = placement.deployed  # a Python int: an int64 sum could wrap
+    if total == 0:
+        return np.empty((0, 2))
+    reps = np.repeat(np.arange(len(counts)), counts)
+    offsets = (np.random.default_rng(seed).random((total, 2)) - 0.5) * grid.frame.side_km
+    return grid.frame.centers_xy[reps] + offsets
 
 
 def _resolve_fire(event, nearest_km, u_p, r_max, frame, fire_xy) -> FireRecord:

@@ -9,7 +9,6 @@ from firesat.campaign import (
     baseline_outcomes,
     carbon_emission_ton,
     run_campaign,
-    scatter_sensors,
     write_campaign_json,
     write_fires_csv,
 )
@@ -20,7 +19,7 @@ from firesat.placement import Placement
 
 from conftest import ECON, grid_of, region_for
 
-from campaign_reference import simulate_fire
+from campaign_reference import scatter_sensors, simulate_fire
 
 
 def small_grid(n_side=4, spread=0.6, biomass=1.0):
@@ -249,6 +248,17 @@ class TestRunCampaign:
         r_small = run_campaign(grid, small, catalog, ECON, trials=20, seed=3)
         r_big = run_campaign(grid, big, catalog, ECON, trials=20, seed=3)
         assert r_big.totals.burned_km2 <= r_small.totals.burned_km2
+
+    @pytest.mark.parametrize(
+        "counts, trials, error",
+        [((3,) * 16, 0, "trials must be >= 1"), ((3,) * 15, 2, "placement length does not match grid size")],
+        ids=["no-trials", "short-placement"],
+    )
+    def test_bad_arguments_rejected(self, counts, trials, error):
+        grid = small_grid()
+        catalog = self.make_catalog(grid, grid.frame)
+        with pytest.raises(ValidationError, match=f"^{error}$"):
+            run_campaign(grid, Placement(counts, 48), catalog, ECON, trials=trials, seed=0)
 
     def test_draw_out_of_memory_is_a_validation_error(self, monkeypatch):
         def no_memory(shape, *args, **kwargs):

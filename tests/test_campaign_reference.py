@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import firesat
 from firesat import campaign
-from firesat.campaign import EconomicsParams, baseline_outcomes, run_campaign, scatter_sensors
+from firesat.campaign import EconomicsParams, baseline_outcomes, run_campaign
 from firesat.errors import ValidationError
 from firesat.geo import GeoPoint
 from firesat.grid import KM_PER_DEG_LAT, FireEvent, GridFrame
@@ -28,6 +28,7 @@ from campaign_reference import (
     locate_full,
     locate_kdtree,
     run_campaign_kdtree,
+    scatter_sensors,
 )
 
 BASE_LAT, BASE_LON = 36.0, -120.0

@@ -20,6 +20,17 @@ from conftest import CFG
 TIMING = CFG.timing()
 TRAFFIC = CFG.traffic()
 
+# The functions that take a sensor count and compute with it.
+SENSOR_COUNTS = pytest.mark.parametrize(
+    "count",
+    [
+        lambda k: bandwidth_required_hz(k, TIMING, TRAFFIC),
+        lambda k: periodic_sessions(k, TRAFFIC),
+        lambda k: periodic_total_bytes(k, TRAFFIC),
+    ],
+    ids=["bandwidth", "periodic-sessions", "periodic-bytes"],
+)
+
 
 class TestReportDuration:
     def test_golden_default(self):
@@ -125,15 +136,7 @@ class TestOverflow:
         with pytest.raises(NumericError, match="inf periodic sessions cannot be counted"):
             periodic_total_bytes(10**5, m)
 
-    @pytest.mark.parametrize(
-        "count",
-        [
-            lambda k: bandwidth_required_hz(k, TIMING, TRAFFIC),
-            lambda k: periodic_sessions(k, TRAFFIC),
-            lambda k: periodic_total_bytes(k, TRAFFIC),
-        ],
-        ids=["bandwidth", "periodic-sessions", "periodic-bytes"],
-    )
+    @SENSOR_COUNTS
     def test_sensor_count_beyond_float_range(self, count):
         with pytest.raises(NumericError, match=f"^{10**400} sensors .*overflow a float$"):
             count(10**400)
@@ -156,6 +159,11 @@ class TestSpectrumCost:
 
 
 class TestValidation:
+    @SENSOR_COUNTS
+    def test_negative_sensor_count_rejected(self, count):
+        with pytest.raises(ValidationError, match="^k_sensors must be >= 0$"):
+            count(-1)
+
     def test_payload_bounds(self):
         with pytest.raises(ValidationError):
             replace(TRAFFIC, payload_bytes=10)

@@ -351,6 +351,12 @@ class TestReport:
         out.mkdir()
         assert run("report", "--out", str(out)) == 2
 
+    def test_missing_dir_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "absent"
+        assert run("report", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: output directory not found: {out}\n"
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_reruns_byte_identical(self, tmp_path):

@@ -198,6 +198,11 @@ class TestPhysicalLine:
         path.write_text(HEADER + GOOD + 'x"' + "a" * 140_000 + "\n")
         assert error_of(ingest_regions, path, AREA).startswith(f"{path}:3: field larger than field limit")
 
+    def test_oversized_header_field_names_line_1(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        path.write_text('"' + "a" * 200_000 + '"\n' + GOOD)
+        assert error_of(ingest_regions, path, AREA) == f"{path}:1: field larger than field limit (131072)"
+
 
 # Sizes around the reader's chunk of 1024 rows.
 SIZES = [1, 2, 7, 1023, 1024, 1025, 2049]

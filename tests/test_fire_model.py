@@ -127,6 +127,11 @@ class TestBurnedArea:
     def test_zero_spread(self):
         assert burned_area_km2(0.0, 8.0) == 0.0
 
+    @pytest.mark.parametrize("u, t", [(-1.0, 2.0), (1.0, -2.0)])
+    def test_negative_input_rejected(self, u, t):
+        with pytest.raises(ValidationError, match="^spread_rate and t must be >= 0$"):
+            burned_area_km2(u, t)
+
     @pytest.mark.parametrize("u, t", [(1.0, 1e200), (0.6, 1e308), (2.0, 1e308)])
     def test_overflow_is_a_numeric_error(self, u, t):
         with pytest.raises(NumericError, match="burned area overflows"):
@@ -231,6 +236,11 @@ class TestSystemUtility:
         grid = grid_from([0.5], [0.5])
         with pytest.raises(ValidationError):
             system_utility(grid, [1, 2], 4.0, params)
+
+    def test_negative_count_rejected(self, params):
+        grid = grid_from([0.5, 0.9], [0.8, 0.7])
+        with pytest.raises(ValidationError, match="^n_sensors must be >= 0$"):
+            system_utility(grid, [1, -1], 4.0, params)
 
     def test_marginal_gain_identity(self, params):
         from firesat.fire_model import ignition_and_miss

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -48,6 +49,11 @@ class TestGeoPoint:
         zeros = [0.0] * len(lons)
         grid = RegionGrid(zeros, lons, zeros, zeros, zeros, zeros, zeros, 100.0)
         assert grid.lon.tolist() == [GeoPoint(0.0, lon).lon for lon in lons]
+
+    @pytest.mark.parametrize("lon, shape", [([0.0, 1.0], "(2,)"), ([[0.0]], "(1, 1)")], ids=["longer", "2-d"])
+    def test_grid_column_of_wrong_shape_rejected(self, lon, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"column lon has shape {shape}, expected (1,)")):
+            RegionGrid([0.0], lon, [0.0], [0.0], [0.0], [0.0], [0.0], 100.0)
 
 
 class TestGreatCircle:

@@ -1,14 +1,20 @@
 """The package's layering: the region grid sits below every model module,
 only the entry points import the campaign, no module imports the CLI, only
-`atomic` writes or reads CSV and JSON itself, and every module uses what
-it imports."""
+`atomic` writes or reads CSV and JSON itself, every module uses what it
+imports, every public function and class has a caller, and the package
+imports nothing but the standard library, numpy and itself."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import firesat
 
 PACKAGE = Path(firesat.__file__).parent
+# The benchmark's files that call or wrap firesat functions by name.
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_FILES = [BENCH / "worker.py", BENCH / "tracing.py"]
 
 
 def package_imports(path: Path) -> set[str]:
@@ -97,3 +103,57 @@ def test_every_imported_name_is_used():
     unused = sorted(f"{m}:{line}:{name}" for m, line, name in found if (m, name) not in TRACED_ONLY)
     assert unused == []
     assert {(m, name) for m, _, name in found} == TRACED_ONLY
+
+
+# Public names that no command reaches yet, and why each stays.
+UNREACHED = {
+    ("placement", "read_placement_csv"): "ROADMAP item 8: `capacity --placement FILE` will read it",
+    ("placement", "read_placement_json"): "ROADMAP item 8: `capacity --placement FILE` will read it",
+}
+
+
+def loaded(tree: ast.AST) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each name or attribute a source tree loads."""
+    return [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def unreached_public_names() -> set[tuple[str, str]]:
+    """(module, name) of each public top-level function or class that no
+    module but `__init__` loads outside its own body, and that the
+    benchmark's files do not name."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    loads = [load for tree in trees.values() for load in loaded(tree)]
+    bench = "\n".join(p.read_text() for p in BENCH_FILES)
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = set(map(id, ast.walk(node)))
+                called = any(name == node.name and id(load) not in own for name, load in loads)
+                if not called and not re.search(rf"\b{node.name}\b", bench):
+                    found.add((module, node.name))
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    assert sorted(unreached_public_names()) == sorted(UNREACHED)
+
+
+def test_imports_only_stdlib_numpy_and_firesat():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "firesat"}
+    found = {}
+    for p in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.split(".")[0], f"{p.name}:{node.lineno}")
+    assert {top: where for top, where in found.items() if top not in allowed} == {}

@@ -283,6 +283,11 @@ class TestFadingSampler:
         b = lb.fading_sample(TABLE_FADING, rng_seed=42, count=1000)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValidationError, match="^count must be >= 1$"):
+            lb.fading_sample(TABLE_FADING, rng_seed=1, count=count)
+
     def test_chi_square_against_pdf(self):
         p = TABLE_FADING
         samples = lb.fading_sample(p, rng_seed=20240, count=200_000)

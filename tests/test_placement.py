@@ -299,6 +299,11 @@ class TestBiomassUniform:
             placement = biomass_uniform(grid, 10)
         assert placement.counts == (0, 0, 0)
 
+    def test_negative_budget_rejected(self):
+        grid = grid_of([region_for(i, 0.5, 0.5) for i in range(3)], 100.0)
+        with pytest.raises(ValidationError, match="^budget must be >= 0$"):
+            biomass_uniform(grid, -1)
+
     def test_optimized_dominates_uniform(self, params):
         rng = np.random.default_rng(5)
         p = rng.uniform(0, 1, 30).tolist()
