@@ -286,7 +286,6 @@ def run_campaign(
     carbon_sum = np.zeros(n_fires)
     time_sum = np.zeros(n_fires)
     detected_count = np.zeros(n_fires, dtype=np.int64)
-    degenerate = np.zeros(n_fires, dtype=bool)
 
     try:
         # One buffer for every trial's draw: allocating it afresh each trial
@@ -318,32 +317,32 @@ def run_campaign(
                 carbon_sum += trial_carbon
             time_sum[hit] += np.divide(dist, u_p[hit], out=np.zeros_like(dist), where=dist != 0.0)
             detected_count += detected
-            degenerate |= stalled & ~detected
     except MemoryError:
         raise ValidationError(
             f"out of memory for {placement.deployed} sensors: each trial's draw needs {16 * drawn} bytes"
         ) from None
 
-    outcomes = []
-    for i, event in enumerate(catalog):
-        n_det = int(detected_count[i])
-        outcomes.append(
-            FireOutcome(
-                fire_id=event.id,
-                region_id=event.region_id,
-                recorded_area_km2=event.recorded_area_km2,
-                detection_rate=n_det / trials,
-                detection_time_h=float(time_sum[i]) / n_det if n_det else None,
-                burned_km2=float(burned_sum[i]) / trials,
-                carbon_ton=float(carbon_sum[i]) / trials,
-                degenerate=bool(degenerate[i]),
-            )
+    degenerate = stalled & (detected_count < trials)
+    fires = tuple(
+        FireOutcome(
+            fire_id=event.id,
+            region_id=event.region_id,
+            recorded_area_km2=event.recorded_area_km2,
+            detection_rate=n_det / trials,
+            detection_time_h=time / n_det if n_det else None,
+            burned_km2=burned / trials,
+            carbon_ton=carbon / trials,
+            degenerate=flag,
         )
+        for event, n_det, time, burned, carbon, flag in zip(
+            catalog, detected_count.tolist(), time_sum.tolist(), burned_sum.tolist(),
+            carbon_sum.tolist(), degenerate.tolist())
+    )
 
-    burned_total = sum(o.burned_km2 for o in outcomes)
+    burned_total = sum(o.burned_km2 for o in fires)
     baseline_burned = sum(base_burned.tolist())
     baseline_carbon = sum(base_carbon.tolist())
-    total_carbon = sum(o.carbon_ton for o in outcomes)
+    total_carbon = sum(o.carbon_ton for o in fires)
     # Every term is non-negative or nan, so an inf or nan in any fire's
     # burned area or carbon, or an overflowing sum of them, leaves one of
     # these inf or nan.
@@ -367,19 +366,13 @@ def run_campaign(
         savings_usd=savings,
     )
     return CampaignResult(scheme=scheme, seed=seed, trials=trials, budget=placement.budget,
-                          sensors_deployed=placement.deployed, fires=tuple(outcomes), totals=totals)
-
-
-def campaign_summary_dict(result: CampaignResult) -> dict:
-    """The result's fields, with n_fires in place of the per-fire outcomes."""
-    summary = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "fires"}
-    summary["totals"] = asdict(result.totals)
-    summary["n_fires"] = len(result.fires)
-    return summary
+                          sensors_deployed=placement.deployed, fires=fires, totals=totals)
 
 
 def write_campaign_json(result: CampaignResult, path) -> None:
-    write_json(path, campaign_summary_dict(result))
+    """Write the result's fields, with n_fires in place of the per-fire outcomes."""
+    summary = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "fires"}
+    write_json(path, {**summary, "totals": asdict(result.totals), "n_fires": len(result.fires)})
 
 
 # Columns of the fires CSV: every FireOutcome field but `degenerate`.

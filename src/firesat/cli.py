@@ -157,8 +157,10 @@ def cmd_capacity(args) -> int:
     return EXIT_OK
 
 
-def _run_scheme_campaign(cfg: RunConfig, grid, catalog, scheme: str, budget: int):
-    """The placement, the economics at device cost case A, and the campaign result."""
+def _run_scheme_campaign(cfg: RunConfig, grid, catalog, scheme: str, budget: int, sweep: bool):
+    """The campaign result of one scheme at one budget, with economics at
+    device cost case A; for a sweep, also the placement's utility and the
+    savings at device cost case B, else None for both."""
     placement = _placement_for(scheme, grid, budget, cfg)
     econ = camp.EconomicsParams(
         carbon_price_usd_per_ton=cfg.carbon_price_usd_per_ton,
@@ -168,36 +170,41 @@ def _run_scheme_campaign(cfg: RunConfig, grid, catalog, scheme: str, budget: int
     result = camp.run_campaign(
         grid, placement, catalog, econ, trials=cfg.trials, seed=cfg.seed, scheme=scheme
     )
-    return placement, econ, result
+    if not sweep:
+        return result, None, None
+    utility = system_utility(grid, placement.counts, cfg.t_hours, cfg.fire_params())
+    # Case B differs only in the device-cost term.
+    case_b = replace(econ, device_cost_usd=cfg.device_cost_case_b_usd)
+    return result, utility, case_b.money(result.totals.carbon_reduction_ton, placement.deployed)[2]
 
 
 def cmd_simulate(args) -> int:
+    sweep = args.sweep is not None
+    if sweep and getattr(args, "plan.budget") is not None:
+        raise ValidationError("--budget and --sweep are exclusive: --sweep names the budgets")
     cfg = load_config(args.config, _overrides(args))
-    budgets = _parse_sweep(args.sweep) if args.sweep else None
+    budgets = _parse_sweep(args.sweep) if sweep else [cfg.budget]
     grid = ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
     catalog = ingest_fires(cfg.fires_csv, grid)
-    schemes = _each(args.scheme, SCHEMES)
-
-    if budgets is not None:
-        tables = _run_sweep(cfg, grid, catalog, schemes, budgets)
-        out = _out_dir(args)
-        for name, (header, rows) in tables.items():
-            write_csv(out / name, header, rows)
-        print(f"wrote sweep outputs to {out}")
-        return EXIT_OK
-
     # Every campaign runs before any file is written, so a failing one leaves none.
-    results = [_run_scheme_campaign(cfg, grid, catalog, s, cfg.budget)[2] for s in schemes]
+    runs = [_run_scheme_campaign(cfg, grid, catalog, scheme, budget, sweep)
+            for budget in budgets for scheme in _each(args.scheme, SCHEMES)]
     out = _out_dir(args)
-    for scheme, result in zip(schemes, results):
-        camp.write_campaign_json(result, out / f"campaign_{scheme}.json")
-        camp.write_fires_csv(result, out / f"fires_{scheme}.csv")
+    if sweep:
+        for name, (header, rows) in _sweep_tables(runs).items():
+            write_csv(out / name, header, rows)
+    for result, _, _ in runs:
         t = result.totals
-        print(
-            f"{scheme}: burned={t.burned_km2:.1f} km2 (baseline {t.baseline_burned_km2:.1f}), "
-            f"carbon={t.carbon_ton:.0f} t, savings={t.savings_usd / 1e9:.3f} B USD"
-        )
-    print(f"wrote campaign outputs to {out}")
+        if sweep:
+            print(f"K={result.budget} {result.scheme}: burned={t.burned_km2:.1f} savings={t.savings_usd/1e9:.3f}B")
+        else:
+            camp.write_campaign_json(result, out / f"campaign_{result.scheme}.json")
+            camp.write_fires_csv(result, out / f"fires_{result.scheme}.csv")
+            print(
+                f"{result.scheme}: burned={t.burned_km2:.1f} km2 (baseline {t.baseline_burned_km2:.1f}), "
+                f"carbon={t.carbon_ton:.0f} t, savings={t.savings_usd / 1e9:.3f} B USD"
+            )
+    print(f"wrote {'sweep' if sweep else 'campaign'} outputs to {out}")
     return EXIT_OK
 
 
@@ -238,27 +245,16 @@ def _parse_sweep(text: str) -> list[int]:
     return budgets
 
 
-def _run_sweep(cfg: RunConfig, grid, catalog, schemes, budgets) -> dict[str, tuple[list[str], list]]:
-    """The sweep's figure CSVs, each file name with its header and rows."""
-    fig3a, fig4b, fig4c, fig4d = [], [], [], []
-    baseline_written = False
-    for budget in budgets:
-        for scheme in schemes:
-            placement, econ, result = _run_scheme_campaign(cfg, grid, catalog, scheme, budget)
-            utility = system_utility(grid, placement.counts, cfg.t_hours, cfg.fire_params())
-            t = result.totals
-            # Case B differs only in the device-cost term.
-            case_b = replace(econ, device_cost_usd=cfg.device_cost_case_b_usd)
-            savings_b = case_b.money(t.carbon_reduction_ton, placement.deployed)[2]
-            fig3a.append([budget, scheme, utility])
-            fig4b.append([budget, scheme, t.burned_km2])
-            fig4c.append([budget, scheme, t.carbon_ton])
-            fig4d.append([budget, scheme, t.savings_usd, savings_b])
-            if not baseline_written:
-                fig4b.append([0, "catalog", t.baseline_burned_km2])
-                fig4c.append([0, "catalog", t.baseline_carbon_ton])
-                baseline_written = True
-            print(f"K={budget} {scheme}: burned={t.burned_km2:.1f} savings={t.savings_usd/1e9:.3f}B")
+def _sweep_tables(runs) -> dict[str, tuple[list[str], list]]:
+    """The sweep's figure CSVs, each file name with its header and rows. The
+    catalog's no-detection baseline, the same in every run, follows the first."""
+    fig3a = [[r.budget, r.scheme, utility] for r, utility, _ in runs]
+    fig4b = [[r.budget, r.scheme, r.totals.burned_km2] for r, _, _ in runs]
+    fig4c = [[r.budget, r.scheme, r.totals.carbon_ton] for r, _, _ in runs]
+    fig4d = [[r.budget, r.scheme, r.totals.savings_usd, savings_b] for r, _, savings_b in runs]
+    baseline = runs[0][0].totals
+    fig4b.insert(1, [0, "catalog", baseline.baseline_burned_km2])
+    fig4c.insert(1, [0, "catalog", baseline.baseline_carbon_ton])
     return {
         "fig3a_utility.csv": (["budget", "scheme", "utility"], fig3a),
         "fig4b_burned_area.csv": (["budget", "scheme", "burned_km2"], fig4b),

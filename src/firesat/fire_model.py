@@ -106,13 +106,14 @@ def ignition_probabilities(grid: RegionGrid, params: FireModelParams) -> np.ndar
 
 def burned_area_km2(spread_rate: float, t: float) -> float:
     """Area of a circular fire after t hours at the given spread rate."""
-    if spread_rate < 0 or t < 0:
+    if not (spread_rate >= 0 and t >= 0):  # NaN fails too
         raise ValidationError("spread_rate and t must be >= 0")
     try:
         area = math.pi * (spread_rate * t) ** 2
     except OverflowError:
         area = math.inf
-    if area == math.inf:
+    # An infinite rate or deadline times a zero one gives NaN, not an area.
+    if not math.isfinite(area):
         raise NumericError(f"burned area overflows at spread rate {spread_rate} km/h over {t} h")
     return area
 

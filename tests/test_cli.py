@@ -251,6 +251,7 @@ class TestSimulate:
             ("nan", "'nan'"),
             ("inf", "'inf'"),
             (" , ", "' , '"),
+            ("", "''"),
             ("1000,1e16", "'1e16'"),
             ("9007199254740993.0", "'9007199254740993.0'"),
             # A float would round either to a whole number.
@@ -268,6 +269,31 @@ class TestSimulate:
         assert code == 2
         assert token in capsys.readouterr().err
         assert not list(out.glob("fig*.csv"))
+
+    def test_budget_beside_sweep_exits_2_naming_both(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run("simulate", "--config", CONFIG, "--out", str(out), "--budget", "5", "--sweep", "1000")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--budget" in err and "--sweep" in err
+        assert not out.exists()
+
+    def test_single_run_equals_a_one_budget_sweep(self, tmp_path):
+        argv = ["--config", CONFIG, "--trials", "2", "--scheme", "both"]
+        single, sweep = tmp_path / "single", tmp_path / "sweep"
+        assert run("simulate", "--out", str(single), "--budget", "1000", *argv) == 0
+        assert run("simulate", "--out", str(sweep), "--sweep", "1000", *argv) == 0
+
+        def cell(name, scheme):
+            """The first value column of the sweep row for `scheme` at K = 1000."""
+            rows = [r.split(",") for r in (sweep / name).read_text().splitlines()]
+            return float(next(r[2] for r in rows if r[:2] == ["1000", scheme]))
+
+        for scheme in ("optimized", "uniform"):
+            totals = json.loads((single / f"campaign_{scheme}.json").read_text())["totals"]
+            assert cell("fig4b_burned_area.csv", scheme) == totals["burned_km2"]
+            assert cell("fig4c_carbon.csv", scheme) == totals["carbon_ton"]
+            assert cell("fig4d_savings.csv", scheme) == totals["savings_usd"]
 
 
 class TestOutputFormats:

@@ -20,7 +20,7 @@ from firesat.fire_model import (
 )
 from firesat.grid import RegionGrid
 from firesat.ingest import ingest_regions
-from firesat.placement import Placement
+from firesat.placement import Placement, optimize_greedy
 
 import fire_model_reference as ref
 from conftest import CFG, TEST_PARAMS, grid_from, region_for
@@ -127,15 +127,20 @@ class TestBurnedArea:
     def test_zero_spread(self):
         assert burned_area_km2(0.0, 8.0) == 0.0
 
-    @pytest.mark.parametrize("u, t", [(-1.0, 2.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("u, t", [(-1.0, 2.0), (1.0, -2.0), (math.nan, 4.0), (4.0, math.nan)])
     def test_negative_input_rejected(self, u, t):
         with pytest.raises(ValidationError, match="^spread_rate and t must be >= 0$"):
             burned_area_km2(u, t)
 
-    @pytest.mark.parametrize("u, t", [(1.0, 1e200), (0.6, 1e308), (2.0, 1e308)])
+    @pytest.mark.parametrize("u, t", [(1.0, 1e200), (0.6, 1e308), (2.0, 1e308), (math.inf, 0.0), (0.0, math.inf)])
     def test_overflow_is_a_numeric_error(self, u, t):
         with pytest.raises(NumericError, match="burned area overflows"):
             burned_area_km2(u, t)
+
+    def test_nan_deadline_fails_the_greedy(self):
+        grid = ingest_regions(CFG.regions_csv, CFG.cell_area_km2)
+        with pytest.raises(ValidationError, match="^spread_rate and t must be >= 0$"):
+            optimize_greedy(grid, 1000, math.nan, CFG.fire_params())
 
 
 class TestIgnitionAndMissCache:

@@ -1,19 +1,39 @@
 """The README's code runs as written."""
 
+import json
 import re
+import shlex
 from pathlib import Path
+
+from firesat.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def fenced_python(heading: str) -> str:
-    """The first ```python block under the README's `## heading`."""
+def fenced(heading: str, language: str = "python") -> str:
+    """The first ```language block under the README's `## heading`."""
     section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```python\n(.*?)```", section, re.S)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S)[1]
 
 
 def test_library_quick_start_runs(capsys):
-    exec(compile(fenced_python("Library quick start"), "README.md", "exec"), {})
+    exec(compile(fenced("Library quick start"), "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert out.startswith("utility: ")
     assert "burned km2: " in out and "savings USD: " in out
+
+
+def test_cli_block_runs(tmp_path):
+    out = str(tmp_path / "out")
+    for line in fenced("CLI", "bash").splitlines():
+        command, *argv = shlex.split(line, comments=True)
+        assert command == "firesat"
+        argv = [out if flag == "--out" else a for flag, a in zip(["", *argv], argv)]
+        assert main(argv) == 0, line
+    assert sorted(json.loads((tmp_path / "out" / "report.json").read_text())["sources"]) == [
+        "campaign_optimized.json",
+        "campaign_uniform.json",
+        "capacity.json",
+        "linkbudget.json",
+        "plan_summary.json",
+    ]
