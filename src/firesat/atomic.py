@@ -52,9 +52,9 @@ def atomic_write(path, newline: str | None = None):
 
 
 def write_json(path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with atomic_write(path) as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -101,8 +101,10 @@ def _fire_state(grid: RegionGrid, catalog: list[FireEvent]) -> tuple[np.ndarray,
     state = grid.memo.get(key)
     if state is None:
         frame = grid.frame
-        xy = np.array([frame.project(e.ignition) for e in catalog]).reshape(len(catalog), 2)
-        burned = np.array([e.recorded_area_km2 for e in catalog], dtype=np.float64)
+        fires = np.array([(e.ignition.lat, e.ignition.lon, e.recorded_area_km2) for e in catalog],
+                         dtype=np.float64).reshape(len(catalog), 3)
+        xy = frame.project_columns(fires[:, 0], fires[:, 1])
+        burned = fires[:, 2].copy()
         radius = np.sqrt(burned / math.pi)
         r_max = math.sqrt(grid.cell_area_km2 / math.pi)
         # A huge cell area or recorded area overflows a carbon to inf, or to nan

@@ -63,7 +63,7 @@ def _bandwidth_cost(cfg: RunConfig, n_sensors: int) -> float:
 def cmd_plan(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     grid = ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
-    rows, cols = grid.frame.rows_cols()
+    rows, cols = (a.tolist() for a in grid.frame.rows_cols())
     summary: dict = {"budget": cfg.budget, "t_hours": cfg.t_hours, "schemes": {}}
     # Every placement and utility is computed before any file is written, so
     # a failing one leaves none.
@@ -78,13 +78,13 @@ def cmd_plan(args) -> int:
         write_csv(
             out / f"heatmap_{scheme}.csv",
             ["region_id", "row", "col", "n_sensors"],
-            ([i, int(rows[i]), int(cols[i]), n] for i, n in enumerate(placement.counts)),
+            zip(range(len(placement.counts)), rows, cols, placement.counts),
         )
         summary["schemes"][scheme] = {
             "utility": utility,
             "deployed": placement.deployed,
             "max_per_region": max(placement.counts),
-            "nonzero_regions": sum(1 for n in placement.counts if n > 0),
+            "nonzero_regions": len(placement.counts) - placement.counts.count(0),
         }
         print(f"{scheme}: utility={utility:.6f} deployed={placement.deployed}")
     write_json(out / "plan_summary.json", summary)

@@ -104,10 +104,14 @@ def ignition_probabilities(grid: RegionGrid, params: FireModelParams) -> np.ndar
     return ignition_columns(grid.biomass, grid.soil_moisture, grid.lightning, grid.p_human, params)
 
 
-def burned_area_km2(spread_rate: float, t: float) -> float:
-    """Area of a circular fire after t hours at the given spread rate."""
+def _require_growth(spread_rate: float, t: float) -> None:
     if not (spread_rate >= 0 and t >= 0):  # NaN fails too
         raise ValidationError("spread_rate and t must be >= 0")
+
+
+def burned_area_km2(spread_rate: float, t: float) -> float:
+    """Area of a circular fire after t hours at the given spread rate."""
+    _require_growth(spread_rate, t)
     try:
         area = math.pi * (spread_rate * t) ** 2
     except OverflowError:
@@ -158,10 +162,16 @@ def ignition_and_miss(
     key = ("ignition_and_miss", type(t), t, params)
     pq = grid.memo.get(key)
     if pq is None:
+        _require_growth(0.0, t)  # RegionGrid checks every spread rate
+        rates = grid.spread_rate.tolist()
+        # burned_area_km2 of each region, inf where that is not finite. From
+        # u * t = 1e154 up, pi * (u * t)**2 exceeds the float range (or ** raises
+        # first), and a NaN u * t fails the test too.
+        burned = np.array([math.pi * (u * t) ** 2 if u * t < 1e154 else math.inf for u in rates])
+        overflow = np.flatnonzero(burned == math.inf)
+        if len(overflow):
+            burned_area_km2(rates[overflow[0]], t)  # raises that region's NumericError
         area = grid.cell_area_km2
-        q = tuple(
-            max(0.0, area - burned_area_km2(u, t)) / area
-            for u in grid.spread_rate.tolist()
-        )
-        pq = grid.memo[key] = (tuple(ignition_probabilities(grid, params).tolist()), q)
+        q = np.maximum(area - burned, 0.0) / area
+        pq = grid.memo[key] = (tuple(ignition_probabilities(grid, params).tolist()), tuple(q.tolist()))
     return pq

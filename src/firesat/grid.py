@@ -18,6 +18,10 @@ from .geo import EARTH_RADIUS_KM, GeoPoint
 
 KM_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS_KM
 
+# (point, cell) pairs a band search takes at a time: one pass over a whole
+# catalog would build temporaries of ~60 000 pairs.
+_BAND_ROWS = 8192
+
 COLUMNS = ("lat", "lon", "biomass", "soil_moisture", "lightning", "p_human", "spread_rate")
 
 
@@ -27,6 +31,18 @@ def _require(ok: np.ndarray, name: str, col: np.ndarray, rule: str) -> None:
     if len(bad):
         i = int(bad[0])
         raise ValidationError(f"region {i}: {name} {float(col[i])} {rule}")
+
+
+def wrap_lon(lon: np.ndarray) -> np.ndarray:
+    """Longitudes wrapped into [-180, 180) exactly as geo._normalize_lon wraps one."""
+    lon = np.fmod(lon, 360.0)
+    return np.where(lon >= 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
+
+
+def _columns_xy(xy) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y columns of (n, 2) points."""
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    return xy[:, 0], xy[:, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +74,7 @@ class RegionGrid:
             _require(col >= 0.0, name, col, "must be >= 0")
         _require((self.p_human >= 0.0) & (self.p_human <= 1.0), "p_human", self.p_human,
                  "outside [0, 1]")
-        # Longitude wraps exactly as geo._normalize_lon does.
-        lon = np.fmod(self.lon, 360.0)
-        lon = np.where(lon >= 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
-        object.__setattr__(self, "lon", lon)
+        object.__setattr__(self, "lon", wrap_lon(self.lon))
         for name in COLUMNS:
             getattr(self, name).flags.writeable = False
 
@@ -96,34 +109,53 @@ class GridFrame:
         self.ref_lat = 0.5 * (lats.min() + lats.max())
         self.ref_lon = 0.5 * (lons.min() + lons.max())
         self.km_per_deg_lon = KM_PER_DEG_LAT * math.cos(math.radians(self.ref_lat))
-        self.centers_xy = np.column_stack(
-            [(lons - self.ref_lon) * self.km_per_deg_lon, (lats - self.ref_lat) * KM_PER_DEG_LAT]
-        )
+        self.centers_xy = self.project_columns(lats, lons)
         self.side_km = math.sqrt(grid.cell_area_km2)
         self.biomass = grid.biomass
 
-    def project(self, p: GeoPoint) -> tuple[float, float]:
-        return (
-            (p.lon - self.ref_lon) * self.km_per_deg_lon,
-            (p.lat - self.ref_lat) * KM_PER_DEG_LAT,
+    def project_columns(self, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+        """(n, 2) planar km of the points at latitudes `lat` and normalized
+        longitudes `lon`, in degrees."""
+        return np.column_stack(
+            [(lon - self.ref_lon) * self.km_per_deg_lon, (lat - self.ref_lat) * KM_PER_DEG_LAT]
         )
 
-    def locate(self, p: GeoPoint) -> int:
-        """Index of the cell containing p; ValidationError when outside the grid.
+    def project(self, p: GeoPoint) -> tuple[float, float]:
+        """One point's project_columns row."""
+        x, y = self.project_columns(np.array([p.lat]), np.array([p.lon]))[0]
+        return x, y
 
-        The cell with the nearest centre, lowest index on ties. A centre that
-        passes the test lies within (side/2 + 1e-9) * sqrt(2) of p, so the
+    def locate_xy(self, xy) -> np.ndarray:
+        """Per finite point of the (n, 2) `xy`, the index of the cell
+        containing it, or -1 where it lies outside the grid.
+
+        The cell with the nearest centre, lowest index on ties, if the point
+        lies within side/2 + 1e-9 of it along both axes. A centre that passes
+        the test lies within (side/2 + 1e-9) * sqrt(2) of the point, so the
         x-band of that half-width, plus rounding slack, holds the nearest one.
         """
-        x, y = self.project(p)
+        x, y = _columns_xy(xy)
         half = self.side_km / 2.0 + 1e-9
-        cells = self._x_band(x, half * math.sqrt(2.0) * (1.0 + 1e-9) + 1e-9)
-        dx = self.centers_xy[cells, 0] - x
-        dy = self.centers_xy[cells, 1] - y
-        k = int(np.argmin(dx * dx + dy * dy)) if len(cells) else -1
-        if k < 0 or abs(dx[k]) > half or abs(dy[k]) > half:
+        found = np.full(len(x), -1)
+        for point, cell in self._x_bands(x, half * math.sqrt(2.0) * (1.0 + 1e-9) + 1e-9):
+            dx = self.centers_xy[cell, 0] - x[point]
+            dy = self.centers_xy[cell, 1] - y[point]
+            d2 = dx * dx + dy * dy
+            # Each point's first smallest d2: its lowest nearest cell.
+            starts = np.flatnonzero(np.diff(point, prepend=-1))
+            lowest = np.minimum.reduceat(d2, starts)
+            nearest = np.flatnonzero(d2 == np.repeat(lowest, np.diff(starts, append=len(point))))
+            k = nearest[np.diff(point[nearest], prepend=-1) != 0]
+            inside = (np.abs(dx[k]) <= half) & (np.abs(dy[k]) <= half)
+            found[point[k[inside]]] = cell[k[inside]]
+        return found
+
+    def locate(self, p: GeoPoint) -> int:
+        """Index of the cell containing p, as locate_xy finds it; ValidationError when outside the grid."""
+        cell = int(self.locate_xy([self.project(p)])[0])
+        if cell < 0:
             raise ValidationError(f"point ({p.lat}, {p.lon}) lies outside the region grid")
-        return int(cells[k])
+        return cell
 
     def rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
         """Row/column indices of each cell, ranked south-to-north / west-to-east."""
@@ -139,42 +171,56 @@ class GridFrame:
         order = np.argsort(self.centers_xy[:, 0])
         return order, self.centers_xy[order, 0]
 
-    def _x_band(self, x: float, half_width: float) -> np.ndarray:
-        """Cells whose centre x lies within half_width of x, in ascending order."""
-        order, xs = self._x_order
-        lo, hi = np.searchsorted(xs, x - half_width), np.searchsorted(xs, x + half_width, "right")
-        return np.sort(order[lo:hi])
+    def _x_bands(self, x: np.ndarray, half_width):
+        """Per block of points, the (point, cell) pairs of each point's
+        cells whose centre x lies within its half_width (a scalar or one per
+        point) of its x: points ascending, each point's cells ascending.
 
-    def cells_within(self, x: float, y: float, reach: float) -> tuple[np.ndarray, np.ndarray]:
-        """Cells whose square lies within `reach` of (x, y), in ascending order,
-        and their squared gaps (0 inside the square), each bit-equal to a scan
-        of all cells. Such a centre lies within reach + side/2 of x, to a few
-        ulp; the x-band adds a relative 1e-9 and 1e-9 km for rounding.
+        A block holds the points whose pairs start in one span of
+        _BAND_ROWS pairs, so its arrays stay near that length.
         """
-        half = self.side_km / 2.0
-        cells = self._x_band(x, (reach + half) * (1.0 + 1e-9) + 1e-9)
-        ddx = np.maximum(np.abs(self.centers_xy[cells, 0] - x) - half, 0.0)
-        ddy = np.maximum(np.abs(self.centers_xy[cells, 1] - y) - half, 0.0)
-        gap_sq = ddx * ddx + ddy * ddy
-        keep = gap_sq <= reach * reach
-        return cells[keep], gap_sq[keep]
+        order, xs = self._x_order
+        lo = np.searchsorted(xs, x - half_width)
+        width = np.maximum(np.searchsorted(xs, x + half_width, "right") - lo, 0)
+        start = np.cumsum(width) - width
+        cuts = np.flatnonzero(np.diff(start // _BAND_ROWS, prepend=-1)).tolist()
+        n_cells = len(order)
+        for a, b in zip(cuts, cuts[1:] + [len(x)]):
+            w = width[a:b]
+            at = np.repeat(lo[a:b] - (start[a:b] - start[a]), w)
+            at += np.arange(len(at))
+            # Sorting point * n_cells + cell orders each point's cells.
+            key = np.sort(np.repeat(np.arange(a, b), w) * n_cells + order[at])
+            yield np.divmod(key, n_cells)
 
     def disks(self, xy, reach) -> tuple[np.ndarray, np.ndarray]:
         """Per point of the (n, 2) `xy`, the cells whose square lies within
-        that row's `reach` (a scalar or n values), as cells_within finds them.
+        that row's `reach` (a scalar or n values), and their squared gaps (0
+        inside the square), each bit-equal to a scan of all cells.
 
         Returns (gap_sq, cells): row i holds point i's cells in ascending
-        order and their squared gaps; rows are padded with gap inf and cell -1.
+        order and their squared gaps; rows are padded with gap inf and cell
+        -1. Such a centre lies within reach + side/2 of x, to a few ulp; the
+        x-band adds a relative 1e-9 and 1e-9 km for rounding.
         """
-        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2).tolist()
-        reach = np.broadcast_to(reach, len(xy)).tolist()
-        found = [self.cells_within(x, y, r) for (x, y), r in zip(xy, reach)]
-        width = max([1] + [len(c) for c, _ in found])
-        gap_sq = np.full((len(found), width), np.inf)
-        cells = np.full((len(found), width), -1)
-        for i, (c, gap) in enumerate(found):
-            gap_sq[i, : len(c)] = gap
-            cells[i, : len(c)] = c
+        x, y = _columns_xy(xy)
+        reach = np.broadcast_to(np.asarray(reach, dtype=np.float64), len(x))
+        half = self.side_km / 2.0
+        found = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)]
+        for point, cell in self._x_bands(x, (reach + half) * (1.0 + 1e-9) + 1e-9):
+            ddx = np.maximum(np.abs(self.centers_xy[cell, 0] - x[point]) - half, 0.0)
+            ddy = np.maximum(np.abs(self.centers_xy[cell, 1] - y[point]) - half, 0.0)
+            gap_sq = ddx * ddx + ddy * ddy
+            keep = gap_sq <= (reach * reach)[point]
+            found.append((point[keep], cell[keep], gap_sq[keep]))
+        point, cell, gap = (np.concatenate(parts) for parts in zip(*found))
+        per_point = np.bincount(point, minlength=len(x))
+        col = np.arange(len(point)) - np.repeat(np.cumsum(per_point) - per_point, per_point)
+        width = max(1, int(per_point.max(initial=0)))
+        gap_sq = np.full((len(x), width), np.inf)
+        cells = np.full((len(x), width), -1)
+        gap_sq[point, col] = gap
+        cells[point, col] = cell
         return gap_sq, cells
 
     def disk_biomass(self, gap_sq: np.ndarray, cells: np.ndarray, radius) -> np.ndarray:

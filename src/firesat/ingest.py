@@ -12,7 +12,7 @@ import numpy as np
 from .atomic import MALFORMED, CsvColumns, read_csv, write_csv
 from .errors import ValidationError
 from .geo import GeoPoint
-from .grid import COLUMNS, FireEvent, RegionGrid
+from .grid import COLUMNS, FireEvent, RegionGrid, wrap_lon
 
 REGION_FIELDS = ["id", *COLUMNS]
 
@@ -32,21 +32,24 @@ def ingest_regions(path, cell_area_km2: float) -> RegionGrid:
 
 def _region_order(table: CsvColumns) -> np.ndarray:
     """Row of each region id from 0 up; an earlier row's fault is raised first."""
-    row_of: dict[int, int] = {}
-    for row, rid in enumerate(table.columns[0]):
-        if row_of.setdefault(rid, row) != row:
-            raise table.fault(row, f"duplicate region id {rid}")
+    ids = table.columns[0]
+    if len(set(ids)) < len(ids):
+        seen: set[int] = set()
+        for row, rid in enumerate(ids):
+            if rid in seen:
+                raise table.fault(row, f"duplicate region id {rid}")
+            seen.add(rid)
     table.raise_error()
-    n = len(row_of)
+    n = len(ids)
     if not n:
         raise ValidationError(f"{table.path}: no region rows found")
-    try:
-        return np.fromiter(map(row_of.__getitem__, range(n)), np.intp, n)
-    except KeyError:
-        missing = [i for i in range(n) if i not in row_of]
-        raise ValidationError(
-            f"{table.path}: region ids not contiguous; missing {missing[:5]}"
-        ) from None
+    # n distinct ids cover 0..n-1 exactly when all lie in that range.
+    if min(ids) < 0 or max(ids) >= n:
+        missing = sorted(set(range(n)).difference(ids))
+        raise ValidationError(f"{table.path}: region ids not contiguous; missing {missing[:5]}")
+    order = np.empty(n, dtype=np.intp)
+    order[np.array(ids, dtype=np.intp)] = np.arange(n)
+    return order
 
 
 def write_regions_csv(grid: RegionGrid, path) -> None:
@@ -58,10 +61,17 @@ def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
     """Load a fire catalog of at least one fire; each ignition is assigned to
     its containing cell."""
     table = read_csv(path, FIRE_FIELDS, (int, float, float, str))
+    fids, lats, lons, areas = table.columns
     frame = grid.frame
+    # The whole catalog is located at once. A point that GeoPoint rejects
+    # fails its row before the row's cell is read, so its arithmetic here
+    # may overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = frame.locate_xy(frame.project_columns(lats, wrap_lon(lons))).tolist()
     events: list[FireEvent] = []
     seen: set[int] = set()
-    for row, (fid, lat, lon, area) in enumerate(table.rows()):
+    rows = zip(fids, lats.tolist(), lons.tolist(), areas, cells)
+    for row, (fid, lat, lon, area, cell) in enumerate(rows):
         try:  # in order: the point, the area's text, the id, the cell and area
             ignition = GeoPoint(lat, lon)
             try:
@@ -71,7 +81,8 @@ def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
             if fid in seen:
                 raise ValidationError(f"duplicate fire id {fid}")
             seen.add(fid)
-            events.append(FireEvent(fid, ignition, frame.locate(ignition), area))
+            # locate raises the error of a point outside the grid.
+            events.append(FireEvent(fid, ignition, cell if cell >= 0 else frame.locate(ignition), area))
         except ValidationError as exc:
             raise table.fault(row, exc) from exc
     table.raise_error()

@@ -38,12 +38,16 @@ class Placement:
     budget: int
 
     def __post_init__(self):
-        counts = tuple(map(_whole, self.counts))
-        for i, n in enumerate(counts):
-            if n is None:
-                raise ValidationError(f"region {i}: sensor count {self.counts[i]!r} is not an integer")
-            if n < 0:
-                raise ValidationError(f"region {i}: sensor count {n} must be >= 0")
+        counts = tuple(self.counts)
+        # Python ints, none negative, stand as they are; otherwise `_whole`
+        # converts each count and names the first bad one.
+        if not (set(map(type, counts)) <= {int} and min(counts, default=0) >= 0):
+            counts = tuple(map(_whole, counts))
+            for i, n in enumerate(counts):
+                if n is None:
+                    raise ValidationError(f"region {i}: sensor count {self.counts[i]!r} is not an integer")
+                if n < 0:
+                    raise ValidationError(f"region {i}: sensor count {n} must be >= 0")
         if _whole(self.budget) is None or self.budget < 0:
             raise ValidationError(f"budget {self.budget!r} must be an integer >= 0")
         object.__setattr__(self, "counts", counts)
@@ -91,13 +95,14 @@ def optimize_greedy(
         raise ValidationError("budget must be >= 0")
     p, q = ignition_and_miss(grid, t, params)
     counts = _warm_start(p, q, budget)
-    heap = []
-    for i, w in enumerate(counts):
-        gain = p[i] * q[i] ** w * (1.0 - q[i])
-        if gain > 0.0:
-            heap.append((-gain, i))
-    heapq.heapify(heap)
     remaining = budget - sum(counts)
+    heap = []
+    if remaining > 0:  # else the warm start placed the whole budget
+        for i, w in enumerate(counts):
+            gain = p[i] * q[i] ** w * (1.0 - q[i])
+            if gain > 0.0:
+                heap.append((-gain, i))
+        heapq.heapify(heap)
     while remaining > 0 and heap:
         _, i = heapq.heappop(heap)
         counts[i] += 1
@@ -105,7 +110,7 @@ def optimize_greedy(
         nxt = p[i] * q[i] ** counts[i] * (1.0 - q[i])
         if nxt > 0.0:
             heapq.heappush(heap, (-nxt, i))
-    return Placement(tuple(counts), budget)
+    return Placement(counts, budget)
 
 
 def _warm_start(p: list[float], q: list[float], budget: int) -> list[int]:
@@ -113,37 +118,41 @@ def _warm_start(p: list[float], q: list[float], budget: int) -> list[int]:
 
     Bisection finds the smallest threshold lam, not below _THRESHOLD_FLOOR,
     at which the upper bounds of `_count_bounds` sum to at most `budget`; the
-    lower bounds at that lam are the warm start. Only the bisection uses
+    lower bounds at that lam are the warm start. It stops early at a lam
+    whose lower bounds already sum to `budget`: every threshold it accepts
+    has at most `budget` gains above it, so those bounds are a warm start
+    too, and nothing is left to place. Only the bisection uses
     numpy; the heap's gains stay Python floats. A bound sum meets `budget`
     as a Python float, whose comparison with any int is exact.
     """
     q_arr = np.array(q)
     first = np.array(p) * (1.0 - q_arr)  # each region's first gain
     live = np.flatnonzero(first > _THRESHOLD_FLOOR)
-    counts = [0] * len(p)
     if not len(live):
-        return counts
+        return [0] * len(p)
     a = first[live]
     with np.errstate(divide="ignore"):
         log_q = np.log(q_arr[live])
-    if float(_count_bounds(_THRESHOLD_FLOOR, a, log_q)[1].sum()) <= budget:
-        lam = _THRESHOLD_FLOOR
-    else:
+    lo, hi = _count_bounds(_THRESHOLD_FLOOR, a, log_q)
+    if float(hi.sum()) > budget:
         # Invariant: more than `budget` upper bounds at exp(lo_t), at most at
-        # exp(hi_t). No gain exceeds 2 max(a), where every bound is 0.
+        # exp(hi_t), where `lo` holds the lower bounds. No gain exceeds
+        # 2 max(a), where every bound is 0.
         lo_t, hi_t = math.log(_THRESHOLD_FLOOR), math.log(2.0 * float(a.max()))
-        while True:
+        lo = _count_bounds(math.exp(hi_t), a, log_q)[0]
+        # Lower bounds that sum to the budget already place all of it.
+        while float(lo.sum()) < budget:
             mid = 0.5 * (lo_t + hi_t)
             if mid in (lo_t, hi_t):
                 break
-            if float(_count_bounds(math.exp(mid), a, log_q)[1].sum()) > budget:
+            at_mid = _count_bounds(math.exp(mid), a, log_q)
+            if float(at_mid[1].sum()) > budget:
                 lo_t = mid
             else:
-                hi_t = mid
-        lam = math.exp(hi_t)
-    for i, w in zip(live.tolist(), _count_bounds(lam, a, log_q)[0].tolist()):
-        counts[i] = int(w)
-    return counts
+                hi_t, lo = mid, at_mid[0]
+    counts = np.zeros(len(p))
+    counts[live] = lo
+    return list(map(int, counts.tolist()))
 
 
 def _count_bounds(
@@ -178,13 +187,13 @@ def biomass_uniform(grid: RegionGrid, budget: int) -> Placement:
     counts = np.zeros(len(grid), dtype=np.int64)
     if not len(qualifying):
         warnings.warn("no region has positive biomass; placing no sensors")
-        return Placement(tuple(counts.tolist()), budget)
+        return Placement(counts.tolist(), budget)
     base, extra = divmod(budget, len(qualifying))
     if base + (extra > 0) > np.iinfo(np.int64).max:
         raise ValidationError(f"budget {budget}: a region's share does not fit an int64")
     counts[qualifying] = base
     counts[qualifying[:extra]] += 1
-    return Placement(tuple(counts.tolist()), budget)
+    return Placement(counts.tolist(), budget)
 
 
 PLACEMENT_FIELDS = ["region_id", "n_sensors"]

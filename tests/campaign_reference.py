@@ -9,6 +9,8 @@ biomass over the whole grid for every detected or escaped fire.
 `locate_kdtree` finds the containing cell through a KD-tree over the cell
 centres. `gap_sq`, `intersecting_mask`, `biomass_avg_full` and
 `locate_full` scan every cell, as GridFrame did before its x-band lookup.
+`cells_within` is that x-band lookup for one point, and `disks_loop` runs it
+point by point, as `GridFrame.disks` did before its batched band search.
 `simulate_fire` resolves one fire against given sensor positions with the
 same rule, and `FireRecord` holds its outcome. The baseline of
 `run_campaign_kdtree` comes from `biomass_avg_full` too, so no part of it
@@ -76,6 +78,37 @@ def locate_full(frame: GridFrame, p) -> int:
     if abs(x - cx) > half or abs(y - cy) > half:
         raise ValidationError(f"point ({p.lat}, {p.lon}) lies outside the region grid")
     return idx
+
+
+def cells_within(frame: GridFrame, x: float, y: float, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cells whose square lies within `reach` of (x, y), in ascending order,
+    and their squared gaps, from an x-band of the centres sorted by x."""
+    order = np.argsort(frame.centers_xy[:, 0])
+    xs = frame.centers_xy[order, 0]
+    half = frame.side_km / 2.0
+    band = (reach + half) * (1.0 + 1e-9) + 1e-9
+    lo, hi = np.searchsorted(xs, x - band), np.searchsorted(xs, x + band, "right")
+    cells = np.sort(order[lo:hi])
+    ddx = np.maximum(np.abs(frame.centers_xy[cells, 0] - x) - half, 0.0)
+    ddy = np.maximum(np.abs(frame.centers_xy[cells, 1] - y) - half, 0.0)
+    gap_sq = ddx * ddx + ddy * ddy
+    keep = gap_sq <= reach * reach
+    return cells[keep], gap_sq[keep]
+
+
+def disks_loop(frame: GridFrame, xy, reach) -> tuple[np.ndarray, np.ndarray]:
+    """`cells_within` of each point, padded into (gap_sq, cells) rows with gap
+    inf and cell -1."""
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2).tolist()
+    reach = np.broadcast_to(reach, len(xy)).tolist()
+    found = [cells_within(frame, x, y, r) for (x, y), r in zip(xy, reach)]
+    width = max([1] + [len(c) for c, _ in found])
+    gap_sq = np.full((len(found), width), np.inf)
+    cells = np.full((len(found), width), -1)
+    for i, (c, gap) in enumerate(found):
+        gap_sq[i, : len(c)] = gap
+        cells[i, : len(c)] = c
+    return gap_sq, cells
 
 
 def locate_kdtree(frame: GridFrame, p) -> int:

@@ -74,9 +74,9 @@ class TestGridFrame:
         grid = small_grid()
         frame = grid.frame
         cx, cy = frame.centers_xy[5]
-        cells, gap_sq = frame.cells_within(float(cx), float(cy), 0.0)
-        assert cells.tolist() == [5]
-        assert gap_sq.tolist() == [0.0]
+        gap_sq, cells = frame.disks([(cx, cy)], 0.0)
+        assert cells.tolist() == [[5]]
+        assert gap_sq.tolist() == [[0.0]]
 
 
 class TestScatter:

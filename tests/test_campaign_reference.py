@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import firesat
 from firesat import campaign
+from firesat import grid as grid_module
 from firesat.campaign import EconomicsParams, baseline_outcomes, run_campaign
 from firesat.errors import ValidationError
 from firesat.geo import GeoPoint
@@ -23,6 +25,8 @@ from conftest import ECON, grid_of
 
 from campaign_reference import (
     biomass_avg_full,
+    cells_within,
+    disks_loop,
     gap_sq,
     intersecting_mask,
     locate_full,
@@ -210,10 +214,10 @@ def outcome(fn, *args):
 @PROPERTY
 @given(st.data())
 def test_banded_lookups_equal_full_scan(data):
-    """cells_within, biomass_avg and locate scan an x-band of cells; they
-    return what a scan over all cells returns, bit for bit, at points on
-    cell edges and corners and outside the grid, for reaches of 0 to 3 sides
-    and reaches at a cell's own gap."""
+    """The x-band lookup of one point, biomass_avg and locate return what a
+    scan over all cells returns, bit for bit, at points on cell edges and
+    corners and outside the grid, for reaches of 0 to 3 sides and reaches at
+    a cell's own gap."""
     grid = data.draw(grids())
     frame = grid.frame
     x, y = data.draw(points(frame))
@@ -222,13 +226,50 @@ def test_banded_lookups_equal_full_scan(data):
         reach = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))) * frame.side_km
     else:
         reach = math.sqrt(float(full[data.draw(st.integers(0, len(full) - 1))]))
-    cells, gaps = frame.cells_within(x, y, reach)
+    cells, gaps = cells_within(frame, x, y, reach)
     want = np.flatnonzero(full <= reach * reach)
     assert cells.tolist() == want.tolist()
     assert gaps.view(np.int64).tolist() == full[want].view(np.int64).tolist()
     assert frame.biomass_avg(x, y, reach) == biomass_avg_full(frame, x, y, reach)
     p = frame_point(frame, x, y)
     assert outcome(frame.locate, p) == outcome(locate_full, frame, p)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.data())
+def test_batched_band_search_equals_point_by_point(data):
+    """One disks call and one locate_xy call over many points give, bit for
+    bit, what the x-band lookup and the full-scan locate give point by point:
+    on every grid layout, for reach 0, at points on cell edges and corners
+    and outside the grid, and for zero points. A small block size makes the
+    band search cross blocks, and a point's candidates span them."""
+    grid = data.draw(grids())
+    frame = grid.frame
+    xy = data.draw(st.lists(points(frame), max_size=12))
+    reach = [data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))) * frame.side_km for _ in xy]
+    with mock.patch.object(grid_module, "_BAND_ROWS", data.draw(st.sampled_from([1, 3, 8192]))):
+        gap_sq, cells = frame.disks(xy, reach)
+        want_gap_sq, want_cells = disks_loop(frame, xy, reach)
+        assert cells.tolist() == want_cells.tolist()
+        assert gap_sq.view(np.int64).tolist() == want_gap_sq.view(np.int64).tolist()
+        ignitions = [frame_point(frame, x, y) for x, y in xy]
+        located = frame.locate_xy([frame.project(p) for p in ignitions]).tolist()
+        assert located == [located_full(frame, p) for p in ignitions]
+
+
+def located_full(frame: GridFrame, p: GeoPoint) -> int:
+    """locate_full's cell for p, or -1 where p lies outside the grid."""
+    try:
+        return locate_full(frame, p)
+    except ValidationError:
+        return -1
+
+
+def test_band_search_of_no_points():
+    frame = cell_grid([(0, 0), (1, 0)], 10.0).frame
+    gap_sq, cells = frame.disks(np.empty((0, 2)), 5.0)
+    assert gap_sq.shape == cells.shape == (0, 1)
+    assert frame.locate_xy([]).tolist() == []
 
 
 @settings(PROPERTY, max_examples=100)
@@ -455,8 +496,8 @@ def test_empty_own_cell_nearest_sensor_in_the_farther_neighbour():
     (wx, _), (ox, oy), (_, ny) = frame.centers_xy
     fire = FireEvent(0, frame_point(frame, wx + side / 2 + 0.04 * side, ny - side / 2 - 0.06 * side), 1, 60.0)
     assert frame.locate(fire.ignition) == 1
-    cells, gaps = frame.cells_within(*frame.project(fire.ignition), 0.1 * side)
-    assert cells.tolist() == [0, 1, 2] and gaps[0] < gaps[2]
+    gaps, cells = frame.disks([frame.project(fire.ignition)], 0.1 * side)
+    assert cells.tolist() == [[0, 1, 2]] and gaps[0, 0] < gaps[0, 2]
     placement = Placement((1, 0, 400), budget=401)
     assert nearest_cells(grid, placement, fire, seed, trials) == [2] * trials
     fast = run_campaign(grid, placement, [fire], ECON, trials=trials, seed=seed)
@@ -471,7 +512,7 @@ def test_fire_on_a_corner_of_four_occupied_cells():
     grid = cell_grid([(0, 0), (1, 0), (0, 1), (1, 1)], side)
     frame = grid.frame
     corner = FireEvent(0, frame_point(frame, *frame.centers_xy.mean(axis=0)), 0, 40.0)
-    assert frame.cells_within(*frame.project(corner.ignition), 0.0)[0].tolist() == [0, 1, 2, 3]
+    assert frame.disks([frame.project(corner.ignition)], 0.0)[1].tolist() == [[0, 1, 2, 3]]
     placement = Placement((3, 5, 2, 4), budget=14)
     assert len(set(nearest_cells(grid, placement, corner, seed, trials))) > 1
     fast = run_campaign(grid, placement, [corner], ECON, trials=trials, seed=seed)

@@ -73,6 +73,25 @@ class TestPlan:
         assert lines[0] == "region_id,row,col,n_sensors"
         assert len(lines) == 1 + 11000
 
+    # SHA-256 of every file `plan --scheme both --budget 1000` writes. A change
+    # of the placement model re-records them on purpose; any other change
+    # must leave the bytes as they are, and must add no file.
+    PLAN_SHA256 = {
+        "heatmap_optimized.csv": "1b6887b935d4e6972260a786ef924b4ec5eec9de1e5de47ca40a91d01296abf0",
+        "heatmap_uniform.csv": "2595b0d60eb137eb96924eeca658c277f2211a7aebee80c22b20fb589255261d",
+        "placement_optimized.csv": "f85f83dbe1717d6d7b1c22986960eefef073dec097bea142f50bdcf959ae6dc0",
+        "placement_optimized.json": "ee43a652c3fc17740839b50a37ceb9549bfba5fb238190d3cc25b574bcf1b77e",
+        "placement_uniform.csv": "0ecfdd20dacdcc81f16bdc9e9619bc482309a8278b9e18d4e91e675053f18918",
+        "placement_uniform.json": "5a73f8a91356836ab8f5fd6de45e683d1d669ee6c9c31c2a27c9d0235b9e79ae",
+        "plan_summary.json": "8a5a4bc258d572d70522bb5896b7d6970ff34589f3fb30718bffacabbfd4bb1d",
+    }
+
+    def test_plan_bytes_are_recorded(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("plan", "--config", CONFIG, "--out", str(out), "--scheme", "both", "--budget", "1000") == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == self.PLAN_SHA256
+
 
 class TestLinkBudget:
     def test_center_device(self, tmp_path):
@@ -225,6 +244,22 @@ class TestSimulate:
         assert code == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("fig*.csv")}
         assert digests == self.SWEEP_SHA256
+
+    # SHA-256 of the per-campaign files of `simulate --budget 1000 --trials 2`
+    # (both schemes). A change of the campaign model re-records them on
+    # purpose; any other change must leave the bytes as they are.
+    SIMULATE_SHA256 = {
+        "campaign_optimized.json": "581ec0f92a09aa7c4a4db6f4564e2d9a5794cd509739956493086ff19f4281c6",
+        "campaign_uniform.json": "58a7bf6432ee273a75906faf511002e5e2887cef241dc1256c23511a9e634229",
+        "fires_optimized.csv": "ce99bd59199c309c6da6dea51ffa514f8ca792f0ce6f7d905b7937ae3f89975d",
+        "fires_uniform.csv": "e61b87b7152eb79ab84c12ff1b3a801c604cc3dfcd739c4f3941855caa7af17a",
+    }
+
+    def test_simulate_bytes_are_recorded(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("simulate", "--config", CONFIG, "--out", str(out), "--budget", "1000", "--trials", "2") == 0
+        files = [*out.glob("campaign_*.json"), *out.glob("fires_*.csv")]
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == self.SIMULATE_SHA256
 
     def test_sweep_builds_fire_geometry_once(self, tmp_path, monkeypatch):
         # The catalog's candidate cells and its baseline disks are found once

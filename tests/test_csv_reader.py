@@ -94,6 +94,42 @@ class TestPrecedence:
         path.write_text(self.FIRE + row + "\n")
         assert error_of(ingest_fires, path, grid) == f"{path}:3: {message}"
 
+    @pytest.mark.parametrize(
+        "later",
+        [
+            "2,37.39624,-118.432896,abc",
+            "2,37.39624,-118.432896,-1.0",
+            "2,37.39624,-118.432896,nan",
+            "2,100.0,-118.432896,39.4",
+            "0,37.39624,-118.432896,39.4",
+        ],
+        ids=["area-text", "negative-area", "nan-area", "point", "repeated-id"],
+    )
+    def test_earlier_fire_outside_the_grid_wins_over_a_later_fault(self, tmp_path, later):
+        grid = ingest_regions(DATA_DIR / "regions.csv", AREA)
+        path = tmp_path / "fires.csv"
+        path.write_text(self.FIRE + "1,50.0,-100.0,39.4\n" + later + "\n")
+        assert error_of(ingest_fires, path, grid) == (
+            f"{path}:3: point (50.0, -100.0) lies outside the region grid"
+        )
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([0, 1, 1, 1], ":4: duplicate region id 1"),
+            ([10**30, 10**30, 0], f":3: duplicate region id {10**30}"),
+            ([0, 3, 4, 5, 6, 9, 10], ": region ids not contiguous; missing [1, 2]"),
+            ([1, 2], ": region ids not contiguous; missing [0]"),
+            ([-1, 0], ": region ids not contiguous; missing [1]"),
+            ([0, 10**30], ": region ids not contiguous; missing [1]"),
+        ],
+        ids=["duplicate", "huge-duplicate", "missing", "missing-zero", "negative", "huge"],
+    )
+    def test_region_id_faults_keep_their_messages(self, tmp_path, ids, message):
+        path = tmp_path / "regions.csv"
+        path.write_text(HEADER + "".join(f"{i},36.0,-120.0,1.0,0.1,0.0,0.5,0.5\n" for i in ids))
+        assert error_of(ingest_regions, path, AREA) == f"{path}{message}"
+
     def test_earlier_duplicate_wins_over_later_malformed_row(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + GOOD + GOOD + "x" + GOOD)

@@ -137,6 +137,26 @@ class TestBurnedArea:
         with pytest.raises(NumericError, match="burned area overflows"):
             burned_area_km2(u, t)
 
+    @pytest.mark.parametrize(
+        "rates, t, named",
+        [
+            # The faster region 2 overflows too, but region 1 comes first.
+            ([0.0, 1.0, 3.0, 2.0], 1e200, 1.0),
+            # Region 0's area still fits a float; region 2's is the first inf.
+            ([1.0, 3.0, 2.0], 5e153, 3.0),
+            # 0 km/h over inf h gives NaN, not an area.
+            ([0.0, 2.0], math.inf, 0.0),
+            ([0.5, 4.0], 1e308, 0.5),
+        ],
+        ids=["faster-later", "first-inf", "nan", "all"],
+    )
+    def test_miss_probability_overflow_names_the_first_region(self, rates, t, named):
+        regions = [dict(region_for(i, 0.5, 0.5), spread_rate=u) for i, u in enumerate(rates)]
+        grid = RegionGrid(**{k: [r[k] for r in regions] for k in regions[0]}, cell_area_km2=100.0)
+        message = f"^burned area overflows at spread rate {named} km/h over {t} h$"
+        with pytest.raises(NumericError, match=message.replace("+", r"\+")):
+            ignition_and_miss(grid, t, TEST_PARAMS)
+
     def test_nan_deadline_fails_the_greedy(self):
         grid = ingest_regions(CFG.regions_csv, CFG.cell_area_km2)
         with pytest.raises(ValidationError, match="^spread_rate and t must be >= 0$"):
@@ -148,24 +168,24 @@ class TestIgnitionAndMissCache:
 
     def test_computed_once_per_t_and_params(self, monkeypatch, params):
         grid = grid_from(self.P, self.Q)
-        deadlines = []
-        real = fire_model.burned_area_km2
+        computed = []
+        real = fire_model.ignition_probabilities
         monkeypatch.setattr(
-            fire_model, "burned_area_km2", lambda u, t: deadlines.append(t) or real(u, t)
+            fire_model, "ignition_probabilities", lambda g, p: computed.append(p) or real(g, p)
         )
         first = ignition_and_miss(grid, 4.0, params)
-        assert deadlines == [4.0] * 4
+        assert len(computed) == 1
         equal_params = replace(params)
         assert ignition_and_miss(grid, 4.0, equal_params) == first
-        assert len(deadlines) == 4
+        assert len(computed) == 1
         assert ignition_and_miss(grid, 5.0, params) != first
         assert ignition_and_miss(grid, 4.0, replace(params, theta_wilt=0.05)) != first
-        assert len(deadlines) == 12
+        assert len(computed) == 3
         # A deadline of another type (numpy's powers differ from Python's) and
         # a fresh but equal grid each compute their own.
         assert ignition_and_miss(grid, 4, params) == first
         assert ignition_and_miss(grid_from(self.P, self.Q), 4.0, params) == first
-        assert len(deadlines) == 20
+        assert len(computed) == 5
 
     def test_returns_immutable_python_floats(self, params):
         grid = grid_from(self.P, self.Q)

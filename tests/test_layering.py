@@ -52,7 +52,10 @@ def test_no_module_imports_cli():
 
 def data_file_calls(path: Path) -> set[str]:
     """The data-file primitives a source file names, imported or dotted."""
-    primitives = {"csv.writer", "csv.reader", "csv.DictReader", "json.dump", "atomic_write"}
+    primitives = {
+        "csv.writer", "csv.reader", "csv.DictReader",
+        "json.dump", "json.dumps", "json.load", "json.loads", "atomic_write",
+    }
     named = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):

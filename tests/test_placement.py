@@ -324,6 +324,30 @@ def test_counts_are_integers_never_rounded():
     assert Placement(np.array([1, 2]), np.int64(3)) == Placement((1, 2), 3)
 
 
+@pytest.mark.parametrize(
+    "counts, fault",
+    [
+        ((1, np.int64(2), True, -1), "region 2: sensor count True is not an integer"),
+        ((np.int64(1), 2, -3, 2.0), "region 2: sensor count -3 must be >= 0"),
+        ((1, np.int32(-2), 2.5), "region 1: sensor count -2 must be >= 0"),
+        ((1, 2, np.bool_(True)), f"region 2: sensor count {np.bool_(True)!r} is not an integer"),
+        ((0, 2.0), "region 1: sensor count 2.0 is not an integer"),
+        ((np.int64(-1),), "region 0: sensor count -1 must be >= 0"),
+        ((3, 0, -1, -5), "region 2: sensor count -1 must be >= 0"),
+    ],
+    ids=["bool", "negative-before-float", "numpy-negative", "numpy-bool", "float", "numpy-only", "python-only"],
+)
+def test_first_bad_count_is_named(counts, fault):
+    with pytest.raises(ValidationError, match=f"^{re.escape(fault)}$"):
+        Placement(counts, 100)
+
+
+def test_mixed_integer_counts_become_python_ints():
+    placement = Placement((3, np.int64(4), np.int32(0)), 7)
+    assert placement.counts == (3, 4, 0)
+    assert {type(n) for n in placement.counts} == {int}
+
+
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         placement = Placement((3, 0, 7), budget=12)
