@@ -213,56 +213,25 @@ def _lower_nearest(nearest_sq: np.ndarray, unit: np.ndarray, side: float, pairs:
         np.minimum.at(nearest_sq, pairs.fire[a:b], np.minimum.reduceat(d[:, 0] + d[:, 1], local))
 
 
-def run_campaign(
-    grid: RegionGrid,
-    placement: Placement,
-    catalog: list[FireEvent],
-    econ: EconomicsParams,
-    trials: int,
-    seed: int,
-    scheme: str = "",
-) -> CampaignResult:
-    """Average fire outcomes over independent sensor scatters.
+def _nearest_by_trial(grid: RegionGrid, placement: Placement, catalog: list[FireEvent],
+                      trials: int, seed: int) -> np.ndarray:
+    """Each trial's nearest-sensor distance from each fire, as a C-ordered
+    (trials, fires) array: exact wherever it is at most r_max =
+    sqrt(cell area / pi), inf where no candidate cell holds a sensor.
 
-    Each trial draws its generator stream from (seed, trial_index), so results
-    do not depend on execution order. Savings follow
-    carbon reduction x carbon price - device cost - bandwidth cost, with the
-    device cost charged on deployed sensors.
-
-    A fire grows from its ignition point until it touches the nearest sensor.
-    It is detected when that sensor lies within r_max = sqrt(cell area / pi)
-    and the fire spreads (or the sensor sits on the ignition point); it then
-    burns pi * d**2, and its carbon uses the mean biomass of the cells its
-    circle touches. Otherwise it burns its cataloged area, or nothing if it
-    cannot spread.
-
-    A scattered sensor never leaves its cell's square, so only cells whose
-    square reaches within r_max of a fire can detect it; those candidate
-    cells are found once per (grid, catalog), by _fire_state. Trial t's
-    sensors are the full draw default_rng([seed, t]).random((deployed, 2)):
+    Trial t's sensors are the full draw default_rng([seed, t]).random((deployed, 2)):
     cell k's sensors are its rows cumsum(counts)[k-1] to cumsum(counts)[k],
-    a row u placing one at the cell's centre plus (u - 0.5) * side. A trial
-    draws only the rows of the occupied candidate cells (see _draw_plan),
-    and gathers in two phases: each fire's occupied candidates at its
-    smallest gap, then only those others whose square lies within the
-    nearest distance found plus _SLACK_KM.
-    Positions and squared distances use the same elementwise arithmetic as a
-    KD-tree over all sensors, and a minimum does not depend on order, so the
-    nearest distance matches it bit for bit whenever it is at most r_max.
-    Detection is then resolved for all fires at once; see
-    GridFrame.disk_biomass for why the biomass mean is exact.
+    a row u placing one at the cell's centre plus (u - 0.5) * side. A sensor
+    never leaves its cell's square, so a trial draws only the rows of the
+    occupied candidate cells of _fire_state (see _draw_plan). It gathers in
+    two phases: each fire's occupied candidates at its smallest gap, then
+    only those others whose square lies within the nearest distance found
+    plus _SLACK_KM. Positions and squared distances use the same elementwise
+    arithmetic as a KD-tree over all sensors, and a minimum does not depend
+    on order, so a distance within r_max matches the tree's bit for bit.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if len(placement.counts) != len(grid):
-        raise ValidationError("placement length does not match grid size")
     frame = grid.frame
-    if not catalog:
-        warnings.warn("empty fire catalog; campaign totals are zero")
-    fire_xy, u_p, gap_sq, cells, base_burned, base_carbon = _fire_state(grid, catalog)
-    n_fires = len(catalog)
-    stalled = u_p == 0.0
-    r_max = math.sqrt(grid.cell_area_km2 / math.pi)
+    fire_xy, _, gap_sq, cells = _fire_state(grid, catalog)[:4]
     counts = np.asarray(placement.counts, dtype=np.int64)
 
     # (fire, occupied candidate) pairs; those at the fire's smallest gap go first.
@@ -279,16 +248,11 @@ def run_campaign(
                    frame.centers_xy[cell], fire_xy[fire])
     nearest_cell = pairs.gap_sq == np.min(gap_sq, axis=1, initial=np.inf, where=occupied)[fire]
     first, second = pairs.take(nearest_cell), pairs.take(~nearest_cell)
-    # What an undetected fire adds: its catalog record, or nothing when stalled.
-    escaped_burned = np.where(stalled, 0.0, base_burned)
-    escaped_carbon = np.where(stalled, 0.0, base_carbon)
 
-    nearest_sq = np.full(n_fires, np.inf)
-    burned_sum = np.zeros(n_fires)
-    carbon_sum = np.zeros(n_fires)
-    time_sum = np.zeros(n_fires)
-    detected_count = np.zeros(n_fires, dtype=np.int64)
-
+    try:
+        nearest_sq = np.full((trials, len(catalog)), np.inf)  # stays inf for a fire with no sensor to scan
+    except ValueError:  # more entries than numpy can index
+        raise MemoryError from None
     try:
         # One buffer for every trial's draw: allocating it afresh each trial
         # costs page faults and leaves the heap fragmented.
@@ -296,32 +260,77 @@ def run_campaign(
             unit = np.empty((drawn, 2))
         except ValueError:  # more rows than numpy can index
             raise MemoryError from None
-        for trial in range(trials):
+        for trial, row in enumerate(nearest_sq):
             _draw(unit, segments, seed, trial)
-            nearest_sq.fill(np.inf)  # stays inf for fires with no sensor to scan
-            _lower_nearest(nearest_sq, unit, frame.side_km, first)
+            _lower_nearest(row, unit, frame.side_km, first)
             # Only a cell within the nearest distance found so far can hold a
             # nearer sensor; a fire with none found scans all its cells.
-            reach = np.sqrt(nearest_sq) + _SLACK_KM
+            reach = np.sqrt(row) + _SLACK_KM
             within = second.gap_sq <= (reach * reach)[second.fire]
-            _lower_nearest(nearest_sq, unit, frame.side_km, second.take(within))
-            nearest = np.sqrt(nearest_sq)
-            detected = (nearest <= r_max) & ((u_p > 0.0) | (nearest == 0.0))
-            hit = np.flatnonzero(detected)
-            dist = nearest[hit]
-            burned = np.array([math.pi * r**2 for r in dist.tolist()])
-            trial_burned = escaped_burned.copy()
-            trial_burned[hit] = burned
-            trial_carbon = escaped_carbon.copy()
-            with np.errstate(over="ignore", invalid="ignore"):  # the totals are checked
-                trial_carbon[hit] = carbon_emission_ton(burned, frame.disk_biomass(gap_sq[hit], cells[hit], dist))
-                burned_sum += trial_burned
-                carbon_sum += trial_carbon
-            time_sum[hit] += np.divide(dist, u_p[hit], out=np.zeros_like(dist), where=dist != 0.0)
-            detected_count += detected
+            _lower_nearest(row, unit, frame.side_km, second.take(within))
     except MemoryError:
         raise ValidationError(
             f"out of memory for {placement.deployed} sensors: each trial's draw needs {16 * drawn} bytes"
+        ) from None
+    return np.sqrt(nearest_sq, out=nearest_sq)
+
+
+def run_campaign(
+    grid: RegionGrid,
+    placement: Placement,
+    catalog: list[FireEvent],
+    econ: EconomicsParams,
+    trials: int,
+    seed: int,
+    scheme: str = "",
+) -> CampaignResult:
+    """Average fire outcomes over independent sensor scatters.
+
+    Trial t's sensors come from the stream (seed, t), so results do not
+    depend on execution order; _nearest_by_trial finds each fire's nearest
+    sensor in each trial. A fire grows from its ignition point until it
+    touches that sensor. It is detected when the sensor lies within
+    r_max = sqrt(cell area / pi) and the fire spreads (or the sensor sits on
+    the ignition point); it then burns pi * d**2, and its carbon uses the
+    mean biomass of the cells its circle touches. Otherwise it burns its
+    cataloged area, or nothing if it cannot spread. Savings follow
+    carbon reduction x carbon price - device cost - bandwidth cost, with the
+    device cost charged on deployed sensors. The rule runs on every
+    (trial, fire) at once; GridFrame.disk_biomass says why its mean is exact.
+    """
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    if len(placement.counts) != len(grid):
+        raise ValidationError("placement length does not match grid size")
+    if not catalog:
+        warnings.warn("empty fire catalog; campaign totals are zero")
+    _, u_p, gap_sq, cells, base_burned, base_carbon = _fire_state(grid, catalog)
+    stalled = u_p == 0.0
+    r_max = math.sqrt(grid.cell_area_km2 / math.pi)
+
+    try:
+        nearest = _nearest_by_trial(grid, placement, catalog, trials, seed)
+        detected = (nearest <= r_max) & ((u_p > 0.0) | (nearest == 0.0))
+        hit = np.nonzero(detected)[1]  # the fire of each detected entry, trial by trial
+        dist = nearest[detected]
+        escaped = ~detected & ~stalled  # an undetected fire that spreads burns its record
+        trial_burned = np.where(escaped, base_burned, 0.0)
+        trial_carbon = np.where(escaped, base_carbon, 0.0)
+        area = np.array([math.pi * r**2 for r in dist.tolist()])
+        trial_burned[detected] = area
+        trial_time = np.divide(nearest, u_p, out=np.zeros_like(nearest), where=detected & (nearest != 0.0))
+        # accumulate adds trials in order; np.add.reduce sums one fire's pairwise.
+        with np.errstate(over="ignore", invalid="ignore"):  # the totals are checked
+            biomass = grid.frame.disk_biomass(gap_sq[hit], cells[hit], dist)
+            trial_carbon[detected] = carbon_emission_ton(area, biomass)
+            burned_sum = np.add.accumulate(trial_burned, axis=0)[-1]
+            carbon_sum = np.add.accumulate(trial_carbon, axis=0)[-1]
+        time_sum = np.add.accumulate(trial_time, axis=0)[-1]
+        detected_count = np.count_nonzero(detected, axis=0)
+    except MemoryError:
+        raise ValidationError(
+            f"out of memory for {trials} trials of {len(catalog)} fires: "
+            f"each (trials, fires) array needs {8 * trials * len(catalog)} bytes"
         ) from None
 
     degenerate = stalled & (detected_count < trials)

@@ -2,10 +2,12 @@
 cell lookups.
 
 `scatter_sensors` is the full draw: every sensor of a placement, from one
-stream. `run_campaign_kdtree` is the campaign loop as it stood before the
+stream. `nearest_kdtree` is the nearest-sensor search as it stood before the
 cell-local scan: every trial scatters every sensor with `scatter_sensors`,
-indexes them all in a KD-tree, queries it for each fire, and averages
-biomass over the whole grid for every detected or escaped fire.
+indexes them all in a KD-tree and queries it for each fire.
+`run_campaign_kdtree` is the campaign loop over those distances: it
+resolves one fire at a time and averages biomass over the whole grid for
+every detected or escaped fire.
 `locate_kdtree` finds the containing cell through a KD-tree over the cell
 centres. `gap_sq`, `intersecting_mask`, `biomass_avg_full` and
 `locate_full` scan every cell, as GridFrame did before its x-band lookup.
@@ -178,12 +180,33 @@ def simulate_fire(event: FireEvent, sensors: np.ndarray, grid: RegionGrid) -> Fi
     return _resolve_fire(event, nearest, u_p, r_max, frame, (fx, fy))
 
 
+def _fire_xy(grid: RegionGrid, catalog: list[FireEvent]) -> np.ndarray:
+    return np.array([grid.frame.project(e.ignition) for e in catalog]).reshape(len(catalog), 2)
+
+
+def nearest_kdtree(grid: RegionGrid, placement: Placement, catalog: list[FireEvent],
+                   trials: int, seed: int) -> np.ndarray:
+    """(trials, fires) nearest-sensor distances: trial t scatters every
+    sensor with `scatter_sensors(..., [seed, t])`, indexes them all in a
+    KD-tree and queries it for each fire, up to just past r_max; inf beyond
+    that or when no sensor is deployed."""
+    fire_xy = _fire_xy(grid, catalog)
+    r_max = math.sqrt(grid.cell_area_km2 / math.pi)
+    dists = np.full((trials, len(catalog)), np.inf)
+    for trial in range(trials):
+        positions = scatter_sensors(placement, grid, [seed, trial])
+        if len(positions):
+            tree = cKDTree(positions)
+            dists[trial], _ = tree.query(fire_xy, k=1, distance_upper_bound=r_max * (1.0 + 1e-9))
+    return dists
+
+
 def run_campaign_kdtree(grid, placement, catalog, econ, trials, seed, scheme="") -> CampaignResult:
     frame = grid.frame
     baseline = [_escaped(e, frame, frame.project(e.ignition)) for e in catalog]
 
     n_fires = len(catalog)
-    fire_xy = np.array([frame.project(e.ignition) for e in catalog]).reshape(n_fires, 2)
+    fire_xy = _fire_xy(grid, catalog)
     u_p = np.array([grid.spread_rate[e.region_id] for e in catalog])
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
 
@@ -193,13 +216,7 @@ def run_campaign_kdtree(grid, placement, catalog, econ, trials, seed, scheme="")
     detected_count = np.zeros(n_fires, dtype=np.int64)
     degenerate = np.zeros(n_fires, dtype=bool)
 
-    for trial in range(trials):
-        positions = scatter_sensors(placement, grid, [seed, trial])
-        if len(positions):
-            tree = cKDTree(positions)
-            dists, _ = tree.query(fire_xy, k=1, distance_upper_bound=r_max * (1.0 + 1e-9))
-        else:
-            dists = np.full(n_fires, np.inf)
+    for dists in nearest_kdtree(grid, placement, catalog, trials, seed):
         for i, event in enumerate(catalog):
             record = _resolve_fire(
                 event, float(dists[i]), float(u_p[i]), r_max, frame,

@@ -31,6 +31,7 @@ from campaign_reference import (
     intersecting_mask,
     locate_full,
     locate_kdtree,
+    nearest_kdtree,
     run_campaign_kdtree,
     scatter_sensors,
 )
@@ -154,6 +155,42 @@ def test_run_campaign_equals_kdtree_reference(case, trials, seed):
     fast = run_campaign(grid, placement, catalog, econ, trials=trials, seed=seed, scheme="s")
     slow = run_campaign_kdtree(grid, placement, catalog, econ, trials=trials, seed=seed, scheme="s")
     assert fast == slow
+
+
+@PROPERTY
+@given(campaigns(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_nearest_by_trial_equals_kdtree_reference(case, trials, seed):
+    """Trial by trial, bit for bit, once both sides are censored at r_max:
+    the reference looks no further, and the kernel is exact only up to it."""
+    grid, placement, catalog, _ = case
+    r_max = math.sqrt(grid.cell_area_km2 / math.pi)
+    fast = campaign._nearest_by_trial(grid, placement, catalog, trials, seed)
+    slow = nearest_kdtree(grid, placement, catalog, trials, seed)
+    assert fast.shape == (trials, len(catalog)) and fast.dtype == np.float64 and fast.flags.c_contiguous
+    for fast_row, slow_row in zip(fast, slow):
+        censored = [np.where(row <= r_max, row, np.inf).tobytes() for row in (fast_row, slow_row)]
+        assert censored[0] == censored[1]
+
+
+def test_one_fire_sums_its_trials_in_order():
+    """A one-fire catalog's per-fire sums add its 40 trials one after
+    another, as the reference does; numpy's pairwise sum of the same burned
+    areas differs in the last bit."""
+    side, seed, trials = 10.0, 0, 40
+    grid = cell_grid([(0, 0)], side)
+    frame = grid.frame
+    fire = FireEvent(0, frame_point(frame, *frame.centers_xy[0]), 0, 60.0)
+    placement = Placement((3,), budget=3)
+    nearest = campaign._nearest_by_trial(grid, placement, [fire], trials, seed)[:, 0]
+    burned = [math.pi * r**2 for r in nearest.tolist()]
+    assert max(nearest) <= math.sqrt(grid.cell_area_km2 / math.pi)
+    in_order = 0.0
+    for b in burned:
+        in_order += b
+    assert in_order != np.add.reduce(np.array(burned)[:, None], axis=0)[0]
+    fast = run_campaign(grid, placement, [fire], ECON, trials=trials, seed=seed)
+    assert fast == run_campaign_kdtree(grid, placement, [fire], ECON, trials=trials, seed=seed)
+    assert fast.fires[0].burned_km2 == in_order / trials
 
 
 def test_detecting_sensor_in_a_neighbour_cell():

@@ -261,6 +261,23 @@ class TestSimulate:
         files = [*out.glob("campaign_*.json"), *out.glob("fires_*.csv")]
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == self.SIMULATE_SHA256
 
+    # The same at 12 trials: numpy sums pairwise from 8 terms on, so a sum
+    # over trials taken in another order would change these bytes. Budget
+    # 1000 leaves many fires undetected in some trials.
+    SIMULATE_12_SHA256 = {
+        "campaign_optimized.json": "134dd7a7835b094ddaef315d2a9969d143dd57790434014a103164260726bff9",
+        "campaign_uniform.json": "20203c9c38f34961709503412360a5e7a5b80b6a67501447ec632376bc4c7bb9",
+        "fires_optimized.csv": "6f0d37486eefe391642da186bf9456ed95d0371005b2e1aa12aba3cb1c4a7fa1",
+        "fires_uniform.csv": "0f79efb04327086ed06ee831c749a3645c7cec17ba3ad5c893551bb8d1323188",
+    }
+
+    def test_simulate_12_trials_bytes_are_recorded(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--budget", "1000", "--trials", "12", "--scheme", "both"]
+        assert run("simulate", "--config", CONFIG, "--out", str(out), *argv) == 0
+        files = [*out.glob("campaign_*.json"), *out.glob("fires_*.csv")]
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == self.SIMULATE_12_SHA256
+
     def test_sweep_builds_fire_geometry_once(self, tmp_path, monkeypatch):
         # The catalog's candidate cells and its baseline disks are found once
         # per (grid, catalog), not once per campaign.
@@ -609,6 +626,53 @@ class TestNoTraceback:
         assert "error: out of memory for 1000000000000 sensors: " in err
         # 16 bytes for each of the 153 954 404 741 rows of cells near a fire.
         assert "needs 2463270475856 bytes" in err
+
+    @staticmethod
+    def trials_message(trials: int) -> str:
+        # 8 bytes for each of `trials` trials of the sample's 255 fires.
+        return (f"error: out of memory for {trials} trials of 255 fires: "
+                f"each (trials, fires) array needs {8 * trials * 255} bytes\n")
+
+    def test_trials_out_of_memory_exits_2(self, tmp_path, capsys):
+        # numpy refuses the 2 PiB at once.
+        out = tmp_path / "out"
+        argv = ["--budget", "100", "--trials", str(2**40)]
+        assert run("simulate", "--config", CONFIG, "--out", str(out), *argv) == 2
+        err = capsys.readouterr().err
+        assert err == self.trials_message(2**40)
+        assert "needs 2243003720663040 bytes" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [ValueError, MemoryError])
+    def test_trials_array_refused_exits_2(self, tmp_path, capsys, monkeypatch, error):
+        # Whether numpy refuses the (trials, fires) shape or its allocation.
+        full = np.full
+
+        def refusing_full(shape, *args, **kwargs):
+            if shape == (5, 255):
+                raise error
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", refusing_full)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", CONFIG, "--out", str(out), "--budget", "100", "--trials", "5") == 2
+        assert capsys.readouterr().err == self.trials_message(5)
+        assert not out.exists()
+
+    def test_resolution_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The search fits; a (trials, fires) array of the outcome rule does not.
+        divide = np.divide
+
+        def refusing_divide(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                raise MemoryError
+            return divide(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "divide", refusing_divide)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", CONFIG, "--out", str(out), "--budget", "100", "--trials", "5") == 2
+        assert capsys.readouterr().err == self.trials_message(5)
+        assert not out.exists()
 
     def test_header_only_fires_exits_2(self, tmp_path, capsys):
         fires = tmp_path / "fires.csv"

@@ -1,8 +1,9 @@
 """The package's layering: the region grid sits below every model module,
 only the entry points import the campaign, no module imports the CLI, only
 `atomic` writes or reads CSV and JSON itself, every module uses what it
-imports, every public function and class has a caller, and the package
-imports nothing but the standard library, numpy and itself."""
+imports, every public function and class has a caller, only the
+campaign's search kernel draws sensors and searches for the nearest, and
+the package imports nothing but the standard library, numpy and itself."""
 
 import ast
 import re
@@ -144,6 +145,33 @@ def unreached_public_names() -> set[tuple[str, str]]:
 
 def test_every_public_name_has_a_caller():
     assert sorted(unreached_public_names()) == sorted(UNREACHED)
+
+
+def callers_of(names: set[str]) -> dict[str, set[str]]:
+    """For each name, the `module.function` of every top-level function or
+    class in the package whose body calls it, `module.<module>` for a call
+    outside any."""
+    found = {name: set() for name in names}
+    for p in PACKAGE.glob("*.py"):
+        for node in ast.parse(p.read_text()).body:
+            where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in names:
+                        found[name].add(f"{p.stem}.{where}")
+    return found
+
+
+def test_search_kernel_alone_draws_and_searches():
+    # A change to the draw or the search stays inside campaign._nearest_by_trial,
+    # and run_campaign resolves all trials at once, with no loop or running sum.
+    kernel = {"campaign._nearest_by_trial"}
+    assert callers_of({"_draw", "_lower_nearest"}) == {"_draw": kernel, "_lower_nearest": kernel}
+    tree = ast.parse((PACKAGE / "campaign.py").read_text())
+    (run,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_campaign"]
+    assert [type(n).__name__ for n in ast.walk(run) if isinstance(n, (ast.For, ast.While, ast.AugAssign))] == []
 
 
 def test_imports_only_stdlib_numpy_and_firesat():
