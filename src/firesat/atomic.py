@@ -3,16 +3,20 @@
 Every file the package writes goes through `atomic_write`: a temporary file
 that is renamed into place. JSON is indented by 2 with sorted keys and ends
 in a newline; CSV rows end in a bare newline and floats are written by repr,
-so files round-trip losslessly. CSV is read column-wise, a fixed number of
-rows at a time.
+so files round-trip losslessly. A CSV file's bytes are read once: a clean
+numeric body is parsed by one np.loadtxt, and any other by a column-wise row
+scan, a fixed number of rows at a time, which also names a faulty row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
+import string
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -52,9 +56,25 @@ def atomic_write(path, newline: str | None = None):
 
 
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
     with atomic_write(path) as f:
-        f.write(text + "\n")
+        f.write(_json_text(payload) + "\n")
+
+
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), with each top-level
+    list of ints laid out here: an indent makes json run its pure-Python
+    encoder, which is slow over a long list of counts."""
+    if not payload or not all(isinstance(key, str) for key in payload):
+        return json.dumps(payload, indent=2, sort_keys=True)
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, list) and value and set(map(type, value)) == {int}:
+            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
+        else:  # json escapes every newline within a string, so each one here is layout
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -122,11 +142,16 @@ def read_csv(path, header: list[str], types: tuple) -> CsvColumns:
     names the line it starts on, and a rejected field's message follows
     MALFORMED.
     """
+    with open(path, "rb") as f:
+        data = f.read()  # read once: `path` may be a pipe
+    if (columns := _loadtxt_columns(data, header, types)) is not None:
+        return CsvColumns(path, columns, None, np.arange(2, len(columns[0]) + 2, dtype=np.int64))
     parts: list[list] = [[] for _ in types]
     lines: list[np.ndarray] = []
     error = None
     try:
-        with open(path, newline="") as f:
+        # Decoded as open(path, newline="") would decode the file.
+        with io.TextIOWrapper(io.BytesIO(data), newline="") as f:
             reader = csv.reader(f)
             try:
                 fieldnames = next(reader, None)
@@ -171,6 +196,44 @@ def read_csv(path, header: list[str], types: tuple) -> CsvColumns:
         for t, part in zip(types, parts)
     )
     return CsvColumns(path, columns, error, np.concatenate(lines))
+
+
+# The bytes of a clean numeric body. csv.reader splits such a body at its
+# commas and newlines alone, and on its fields loadtxt agrees with float()
+# and int(): both read floats with PyOS_string_to_double, and an int past
+# int64, which int() accepts, fails loadtxt.
+_CLEAN = (string.ascii_letters + string.digits + "+-.,\n").encode()
+
+
+def _loadtxt_columns(data: bytes, header: list[str], types: tuple) -> tuple | None:
+    """The columns of the CSV text `data`, parsed by one np.loadtxt, or None
+    unless the text is a clean numeric body under `header` whose int fields
+    fit an int64.
+
+    None leaves the text to the row scan, which also finds its faults.
+    """
+    head = (",".join(header) + "\n").encode()
+    # `data` starts with `head`, so its bytes outside _CLEAN are head's and
+    # then the body's.
+    if str in types or not (data.startswith(head) and data.endswith(b"\n")
+            and data.translate(None, _CLEAN) == head.translate(None, _CLEAN)):
+        return None
+    dtype = np.dtype([(f"f{i}", np.float64 if t is float else np.int64) for i, t in enumerate(types)])
+    body = io.BytesIO(data)
+    body.seek(len(head))
+    try:
+        # An older numpy parses an int field via a float, with a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    if len(table) != data.count(b"\n") - 1:  # loadtxt skips the blank lines the row scan counts
+        return None
+    return tuple(
+        table[name].copy() if t is float else table[name].tolist()
+        for name, t in zip(dtype.names, types)
+    )
 
 
 def _columns(rows: list[list[str]], types: tuple) -> list:

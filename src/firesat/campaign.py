@@ -253,6 +253,8 @@ def _nearest_by_trial(grid: RegionGrid, placement: Placement, catalog: list[Fire
         nearest_sq = np.full((trials, len(catalog)), np.inf)  # stays inf for a fire with no sensor to scan
     except ValueError:  # more entries than numpy can index
         raise MemoryError from None
+    if not len(pairs.fire):  # no fire has a sensor to scan in any trial
+        return nearest_sq
     try:
         # One buffer for every trial's draw: allocating it afresh each trial
         # costs page faults and leaves the heap fragmented.

@@ -1,11 +1,13 @@
 """Output files are replaced atomically: a writer that fails part-way leaves
 the previous file as it was and no temporary file behind."""
 
+import json
 import os
 import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from firesat.atomic import atomic_write, read_json, write_csv, write_json
 from firesat.campaign import (
@@ -117,3 +119,50 @@ def test_read_json_rejects_non_finite_numbers(tmp_path, token):
     message = f"{path}: not valid JSON: {token} is not a finite number"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         read_json(path)
+
+
+json_values = st.recursive(
+    st.one_of(st.integers(), st.booleans(), st.floats(), st.text(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12,
+)
+top_values = st.one_of(
+    json_values,
+    st.lists(st.integers(), min_size=1),
+    st.lists(st.one_of(st.integers(), st.booleans()), min_size=1),
+    st.lists(st.integers(), max_size=0),
+)
+payloads = st.one_of(
+    st.dictionaries(st.text(), top_values),
+    st.dictionaries(st.one_of(st.text(), st.integers(), st.booleans(), st.floats(), st.none()), top_values),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_write_json_writes_json_dumps_bytes(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    try:
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    except TypeError:  # keys of types that do not sort together
+        with pytest.raises(TypeError):
+            write_json(path, payload)
+        return
+    write_json(path, payload)
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"counts": [3, 0, -7, 2**70], "flags": [True, 1], "empty": [], "none": None},
+        {"nested": {"b": [1, 2], "a": {"c": [[1], []]}}, "text": "a\nb\"\\é\u2028"},
+        {1: [1, 2], 2: "x"},
+        {},
+    ],
+    ids=["int-lists", "nested", "int-keys", "empty"],
+)
+def test_write_json_fixed_payloads(tmp_path, payload):
+    path = tmp_path / "out.json"
+    write_json(path, payload)
+    assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()

@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from firesat import campaign
 from firesat.campaign import (
     EconomicsParams,
     baseline_outcomes,
@@ -238,6 +240,23 @@ class TestRunCampaign:
         with pytest.warns(UserWarning):
             result = run_campaign(grid, placement, [], ECON, trials=2, seed=1)
         assert result.totals.burned_km2 == 0.0
+
+    def test_empty_catalog_skips_the_trial_loop(self, monkeypatch):
+        # Its (trials, fires) array has 0 bytes; no trial draws or searches.
+        def no_draw(*args):
+            raise AssertionError("a trial drew sensors")
+
+        monkeypatch.setattr(campaign, "_draw", no_draw)
+        grid = small_grid()
+        placement = Placement((1,) * 16, budget=16)
+        start = time.perf_counter()
+        with pytest.warns(UserWarning, match="^empty fire catalog; campaign totals are zero$"):
+            result = run_campaign(grid, placement, [], ECON, trials=10**7, seed=1)
+        assert time.perf_counter() - start < 5.0
+        assert result.trials == 10**7 and result.fires == ()
+        t = result.totals
+        assert (t.burned_km2, t.carbon_ton, t.baseline_burned_km2, t.baseline_carbon_ton,
+                t.carbon_reduction_ton, t.carbon_revenue_usd) == (0.0,) * 6
 
     def test_more_sensors_burn_less_on_average(self):
         grid = small_grid()

@@ -340,14 +340,44 @@ def test_batched_disk_biomass_equals_full_scan(data):
     assert selected[0] == 0 and selected[1] >= 1 and selected[2] == len(grid)
 
 
-def test_cli_import_leaves_out_scipy_spatial():
+def test_cli_import_leaves_out_scipy_spatial(tmp_path):
+    """Neither the import nor a `plan` and a `simulate` load scipy or numpy.ma
+    (numpy.ma's first import costs about 10 ms; see campaign._lower_nearest)."""
     src = str(Path(firesat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, firesat.cli; print(*sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    code = (
+        "import sys, firesat.cli\n"
+        "out = sys.argv[1]\n"
+        "assert firesat.cli.main(['plan', '--budget', '1000', '--out', out]) == 0\n"
+        "assert firesat.cli.main(['simulate', '--budget', '1000', '--trials', '2', '--out', out]) == 0\n"
+        "print(*sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, check=True)
     loaded = out.stdout.split()
-    for package in ("scipy.spatial", "scipy"):
+    for package in ("scipy", "numpy.ma"):
         assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
+
+
+def test_zero_placement_skips_the_trial_loop(monkeypatch):
+    """No trial draws when no sensor is deployed; the outcomes equal those of
+    the reference, which runs every trial."""
+    side = 10.0
+    grid = cell_grid([(0, 0), (1, 0), (0, 1)], side, seed=3)
+    frame = grid.frame
+    catalog = [
+        FireEvent(k, frame_point(frame, *frame.centers_xy[k] + 0.2 * side), k, 40.0 + k)
+        for k in range(3)
+    ]
+    placement = Placement((0, 0, 0), budget=5)
+    slow = run_campaign_kdtree(grid, placement, catalog, ECON, trials=3, seed=4)
+
+    def no_draw(*args):
+        raise AssertionError("a trial drew sensors")
+
+    monkeypatch.setattr(campaign, "_draw", no_draw)
+    assert run_campaign(grid, placement, catalog, ECON, trials=3, seed=4) == slow
+    assert all(o.detection_rate == 0.0 for o in slow.fires)
 
 
 def cell_grid(xy_sides, side, seed=0):

@@ -8,11 +8,14 @@ grid bit for bit, or its error text.
 
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from firesat import atomic
+from firesat.atomic import read_csv
 from firesat.cli import main
 from firesat.errors import ValidationError
 from firesat.ingest import REGION_FIELDS, ingest_fires, ingest_regions
@@ -398,3 +401,132 @@ def test_chunk_boundary_error_names_its_line(tmp_path):
     assert error_of(ingest_regions, path, AREA) == (
         f"{path}:1026: malformed row: could not convert string to float: '?'"
     )
+
+
+# The loadtxt path against the row scan: on every text either the two give
+# the same columns, bit for bit, and the same lines, or loadtxt declines.
+
+NAMES = ["a", "b", "c", "d"]
+PIECES = [*"0123456789+-.eE_ \"\r", "inf", "nan", "Infinity", "١", "٣", "\t", "x"]
+
+
+def clean_token(t):
+    """A token the row scan accepts in a field of type t."""
+    if t is int:
+        return st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(2**70), 2**70)).map(str)
+    return st.one_of(
+        st.floats().map(repr),
+        st.floats(allow_nan=False).map(lambda x: f"{x:.55e}"),  # a 56-digit mantissa
+        st.sampled_from(["1e400", "-1e400", "4.9e-324", "2.4e-324", "-nan", "+.5", "5.", "-0",
+                         "Infinity", "-inf", "NAN", "1E5", "05"]),
+    )
+
+
+messy_token = st.lists(st.sampled_from(PIECES), max_size=4).map("".join)
+
+
+@st.composite
+def numeric_csvs(draw):
+    """(text, field names, field types) of a numeric CSV: clean, or off in
+    one or more ways drawn independently."""
+    types = tuple(draw(st.lists(st.sampled_from([int, float]), min_size=1, max_size=4)))
+    header = NAMES[:len(types)]
+
+    def off():
+        return draw(st.integers(0, 3)) == 0
+
+    # A header the row scan reads as `header` but spelled otherwise, or another.
+    first = draw(st.sampled_from([f'"{header[0]}"', "z"])) if off() else header[0]
+    lines = [",".join([first, *header[1:]])]
+    messy_fields, blank_lines, wrong_widths = off(), off(), off()
+    for _ in range(draw(st.integers(0, 6))):
+        width = len(types) + (draw(st.sampled_from([-1, 1])) if wrong_widths and off() else 0)
+        fields = [draw(clean_token(types[min(i, len(types) - 1)])) for i in range(max(width, 0))]
+        if messy_fields:
+            fields = [draw(st.one_of(st.just(f), messy_token)) for f in fields]
+        if blank_lines:
+            lines.extend([""] * draw(st.integers(0, 1)))
+        lines.append(",".join(fields))
+    newline = "\r\n" if off() else "\n"
+    return newline.join(lines) + ("" if off() else newline), header, types
+
+
+def read_both(tmp_path, text, header, types):
+    """read_csv's outcome, then the row scan's, each as (columns, lines, error text)."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+
+    def outcome():
+        try:
+            table = read_csv(path, header, types)
+        except ValidationError as exc:
+            return None, None, str(exc)
+        columns = [np.asarray(c).view(np.int64).tolist() if t is float else c
+                   for c, t in zip(table.columns, types)]
+        return columns, table.lines.tolist(), table.error and str(table.error)
+
+    fast = outcome()
+    with mock.patch.object(atomic, "_loadtxt_columns", lambda *args: None):
+        return fast, outcome()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(numeric_csvs())
+def test_loadtxt_path_equals_row_scan_or_declines(tmp_path_factory, case):
+    text, header, types = case
+    fast, scan = read_both(tmp_path_factory.mktemp("csv"), text, header, types)
+    assert fast == scan
+    if atomic._loadtxt_columns(text.encode(), header, types) is not None:
+        assert scan[2] is None
+
+
+@pytest.mark.parametrize(
+    "token, t, parsed",
+    [
+        ("1e400", float, True),
+        ("4.9e-324", float, True),
+        ("1234567890123456789012345678901234567890123456789012345e-40", float, True),
+        ("0." + "9" * 55, float, True),
+        ("-nan", float, True),
+        ("+.5", float, True),
+        ("5.", float, True),
+        ("9223372036854775807", int, True),
+        ("0x1p3", float, False),
+        ("١", float, False),
+        ("1_0", float, False),
+        ("1_0", int, False),
+        ("9223372036854775808", int, False),
+        ("1e5", int, False),
+    ],
+)
+def test_loadtxt_path_edges(tmp_path, token, t, parsed):
+    """Tokens where Python's and numpy's parsers could part: loadtxt gives
+    the row scan's bits, or declines and the row scan decides."""
+    text = f"a,b\n{token},1\n2,{token}\n"
+    types = (t, t)
+    fast, scan = read_both(tmp_path, text, ["a", "b"], types)
+    assert fast == scan
+    assert (atomic._loadtxt_columns(text.encode(), ["a", "b"], types) is not None) == parsed
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "z,b\n1,2\n",
+        '"a",b\n1,2\n',
+        "a,b\n1,2\n\n3,4\n",
+        "a,b\n\n",
+        "a,b\r\n1,2\r\n",
+        "a,b\n1,2",
+        'a,b\n"1",2\n',
+        "a,b\n1, 2\n",
+        "a,b\n1,2,3\n",
+        "a,b\n",
+    ],
+    ids=["header", "quoted-header", "blank-line", "only-blank", "crlf", "no-final-newline",
+         "quoted-field", "space", "width", "no-rows"],
+)
+def test_loadtxt_path_declines_other_layouts(tmp_path, text):
+    fast, scan = read_both(tmp_path, text, ["a", "b"], (int, float))
+    assert fast == scan
+    assert atomic._loadtxt_columns(text.encode(), ["a", "b"], (int, float)) is None

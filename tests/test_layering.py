@@ -56,6 +56,7 @@ def data_file_calls(path: Path) -> set[str]:
     primitives = {
         "csv.writer", "csv.reader", "csv.DictReader",
         "json.dump", "json.dumps", "json.load", "json.loads", "atomic_write",
+        "np.loadtxt", "np.genfromtxt", "np.savetxt",
     }
     named = set()
     for node in ast.walk(ast.parse(path.read_text())):
