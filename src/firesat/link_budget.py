@@ -212,8 +212,15 @@ def beam_rolloff_factor(d_km: float, beam_radius_km: float) -> float:
     u = BEAM_APERTURE_COEFF / beam_radius_km * d_km
     if u < 1e-6:
         return 1.0
+    try:
+        cube = u**3
+    except OverflowError:
+        cube = math.inf
+    if not cube < math.inf:  # u is inf or nan too
+        raise NumericError(f"beam rolloff overflows a float at d_km = {d_km} "
+                           f"and beam_radius_km = {beam_radius_km}")
     j1, j3 = bessel.j1_j3(u)
-    inner = j1 / (2.0 * u) + 36.0 * j3 / u**3
+    inner = j1 / (2.0 * u) + 36.0 * j3 / cube
     return inner * inner
 
 
@@ -292,6 +299,7 @@ def fading_params(elevation: float) -> FadingParams:
 
 
 _HYP_SERIES_CAP = 20000
+_HYP_BLOCK = 512
 _HYP_LOG_SWITCH = 600.0
 
 
@@ -299,18 +307,32 @@ def _hyp1f1_m1(m: float, z: float) -> float:
     """Confluent hypergeometric 1F1(m, 1, z) by its ascending series.
 
     Callers pass m > 0 and z >= 0, so every term and partial sum is >= 0
-    and the convergence test needs no abs. kk is k + 1 as a float, counted
-    exactly, and kk * kk is exact too, as the integer (k + 1)**2 was.
+    and the convergence test needs no abs. Term k + 1 is term k times
+    (m + k) * z / ((k + 1) * (k + 1)); k and k + 1 are exact floats, and so
+    is their square. The terms are summed in blocks of _HYP_BLOCK: numpy
+    forms each ratio with the loop's operations in the loop's order, and
+    multiply.accumulate and add.accumulate run strictly left to right from
+    the term and total carried in, so every term and partial sum is rounded
+    exactly as a scalar loop rounds it. The series stops at the first term
+    within 1e-15 of its sum; later terms of its block are discarded.
     """
-    term = 1.0
-    total = 1.0
-    kk = 0.0
-    for k in range(_HYP_SERIES_CAP):
-        kk += 1.0
-        term *= (m + k) * z / (kk * kk)
-        total += term
-        if term <= 1e-15 * total:
-            return total
+    term = total = 1.0
+    for start in range(0, _HYP_SERIES_CAP, _HYP_BLOCK):
+        k = np.arange(start, min(start + _HYP_BLOCK, _HYP_SERIES_CAP), dtype=np.float64)
+        kk = k + 1.0
+        # A Python float overflows to inf silently; numpy would warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = (m + k) * z / (kk * kk)
+            ratios[0] *= term
+            terms = np.multiply.accumulate(ratios)
+            totals = terms.copy()
+            totals[0] += total
+            np.add.accumulate(totals, out=totals)
+            done = terms <= 1e-15 * totals
+        i = int(done.argmax())
+        if done[i]:
+            return float(totals[i])
+        term, total = float(terms[-1]), float(totals[-1])
     raise NumericError(f"1F1({m}, 1, {z}) series did not converge")
 
 
@@ -337,6 +359,8 @@ def fading_pdf(x: float, p: FadingParams) -> float:
     z = delta * x
     if z <= _HYP_LOG_SWITCH:
         return alpha * math.exp(-beta * x) * _hyp1f1_m1(p.m, z)
+    if x == math.inf:  # the density's limit; -beta * x + z would be -inf + inf
+        return 0.0
     log_val = math.log(alpha) - beta * x + _log_hyp1f1_m1_large(p.m, z)
     if log_val < -745.0:  # below the double-precision underflow threshold
         return 0.0

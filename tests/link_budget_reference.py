@@ -137,7 +137,14 @@ def beam_rolloff_factor(d_km: float, beam_radius_km: float) -> float:
     u = BEAM_APERTURE_COEFF / beam_radius_km * d_km
     if u < 1e-6:
         return 1.0
-    inner = j1(u) / (2.0 * u) + 36.0 * j3(u) / u**3
+    try:
+        cube = u**3
+    except OverflowError:
+        cube = math.inf
+    if not math.isfinite(cube):
+        raise NumericError(f"beam rolloff overflows a float at d_km = {d_km} "
+                           f"and beam_radius_km = {beam_radius_km}")
+    inner = j1(u) / (2.0 * u) + 36.0 * j3(u) / cube
     return inner * inner
 
 

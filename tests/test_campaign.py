@@ -316,6 +316,9 @@ class TestRunCampaign:
                     raise MemoryError
                 return super().__getitem__(key)
 
+            def take(self, *args, **kwargs):  # the gather kernel's row gather
+                raise MemoryError
+
         empty = np.empty
         grid = small_grid()
         catalog = self.make_catalog(grid, grid.frame)

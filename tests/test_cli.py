@@ -828,6 +828,24 @@ class TestNoTraceback:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("radius", ["1e-200", "1e-308"])
+    def test_tiny_beam_radius_exits_3(self, tmp_path, capsys, radius):
+        # The Bessel argument's cube overflows at 1e-200; at 1e-308 the
+        # argument itself is inf.
+        config = self.config_with(tmp_path)
+        text = config.read_text().replace("satellite.beam_radius_km = 1000",
+                                          f"satellite.beam_radius_km = {radius}")
+        assert text != config.read_text()
+        config.write_text(text)
+        out = tmp_path / "out"
+        argv = ["linkbudget", "--lat", "37", "--lon", "-120", "--config", str(config), "--out", str(out)]
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: beam rolloff overflows a float "
+            f"at d_km = 177.60516784851185 and beam_radius_km = {radius}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "error",
         [

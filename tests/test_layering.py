@@ -2,8 +2,10 @@
 only the entry points import the campaign, no module imports the CLI, only
 `atomic` writes or reads CSV and JSON itself, every module uses what it
 imports, every public function and class has a caller, only the
-campaign's search kernel draws sensors and searches for the nearest, and
-the package imports nothing but the standard library, numpy and itself."""
+campaign's search kernel draws sensors and searches for the nearest, the
+link chain names no numpy function that rounds differently from `math`,
+and the package imports nothing but the standard library, numpy and
+itself."""
 
 import ast
 import re
@@ -173,6 +175,39 @@ def test_search_kernel_alone_draws_and_searches():
     tree = ast.parse((PACKAGE / "campaign.py").read_text())
     (run,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_campaign"]
     assert [type(n).__name__ for n in ast.walk(run) if isinstance(n, (ast.For, ast.While, ast.AugAssign))] == []
+
+
+# The scalar link chain and fading model. numpy's exp, log10, sin/cos, tanh
+# and integer powers differ from math's in the last bit, so these functions
+# may name only the numpy arithmetic that rounds as Python's does (ROADMAP
+# "What stays scalar").
+EXACT_CHAIN = {
+    "geo": {"_view", "_haversine_km", "_geocentric_angle_rad", "_slant_range_km", "_elevation_deg"},
+    "bessel": {"j1_j3", "_j01_asymptotic"},
+    "link_budget": {"antenna_gain_dbi", "beam_rolloff_factor", "fspl_db", "_link_terms", "snr_db",
+                    "fading_params", "fading_pdf", "_hyp1f1_m1", "_log_hyp1f1_m1_large"},
+}
+EXACT_NUMPY = {"add", "multiply", "empty", "arange", "errstate", "float64"}
+
+
+def test_exact_chain_names_only_exact_numpy():
+    found = {}
+    for module, names in EXACT_CHAIN.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        # A name imported from numpy would escape the np.<name> check below.
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module
+                    and n.module.split(".")[0] == "numpy"], module
+        functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        assert names <= functions.keys(), f"{module}: {sorted(names - functions.keys())} moved"
+        for name in names:
+            numpy_names = {
+                n.attr for n in ast.walk(functions[name])
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in ("np", "numpy")
+            }
+            if numpy_names - EXACT_NUMPY:
+                found[f"{module}.{name}"] = sorted(numpy_names - EXACT_NUMPY)
+    assert found == {}
 
 
 def test_imports_only_stdlib_numpy_and_firesat():

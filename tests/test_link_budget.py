@@ -264,6 +264,13 @@ class TestFadingPdf:
         with pytest.raises(ValidationError):
             lb.fading_pdf(-0.1, TABLE_FADING)
 
+    @pytest.mark.parametrize("p", [TABLE_FADING, lb.fading_params(89.0), lb.FadingParams(0.03, 0.5, 0.72),
+                                   lb.FadingParams(0.03, 2.0, 0.0)],
+                             ids=["table", "m-above-1", "m-below-1", "no-los"])
+    def test_infinite_x_is_the_limit_zero(self, p):
+        # -beta * x + z would be -inf + inf, or z = 0 * inf without line of sight.
+        assert lb.fading_pdf(math.inf, p) == 0.0
+
 
 class TestFadingSampler:
     def test_mean_matches_model(self):

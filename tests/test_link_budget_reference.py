@@ -6,6 +6,7 @@ the same exception type with the same message.
 """
 
 import math
+import warnings
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import link_budget_reference as ref
 from firesat import bessel, geo
 from firesat import link_budget as lb
-from firesat.errors import ValidationError
+from firesat.errors import NumericError, ValidationError
 from firesat.geo import GeoPoint, SatelliteConfig
 
 from conftest import CFG
@@ -186,10 +187,65 @@ def test_fspl_equals_reference(d, f):
     assert repr(lb.fspl_db(d, f)) == repr(ref.fspl_db(d, f))
 
 
+@pytest.mark.parametrize(
+    "d, radius",
+    [(177.0, 1e-200), (5e102, 1.0), (177.0, 1e-308), (0.0, 1e-308), (math.inf, 1000.0)],
+    ids=["cube-overflows", "cube-overflows-at-1e103", "u-inf", "u-nan", "d-inf"],
+)
+def test_beam_rolloff_overflow_is_a_numeric_error(d, radius):
+    # u**3 overflows, or u is inf (cos(inf) is a math domain error) or nan (inf * 0).
+    fast = outcome(lb.beam_rolloff_factor, d, radius)
+    assert fast == outcome(ref.beam_rolloff_factor, d, radius)
+    assert fast == (NumericError, f"beam rolloff overflows a float at d_km = {d} and beam_radius_km = {radius}")
+
+
+def series_length(m: float, z: float) -> int | None:
+    """How many terms the reference 1F1 series takes before it stops."""
+    term = total = 1.0
+    for k in range(ref._HYP_SERIES_CAP):
+        term *= (m + k) * z / ((k + 1) * (k + 1))
+        total += term
+        if abs(term) <= 1e-15 * abs(total):
+            return k + 1
+    return None
+
+
+def hyp1f1_outcomes(m: float, z: float):
+    """outcome() of the block series and of the reference, with any warning
+    (a numpy overflow the series let through) raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return outcome(lb._hyp1f1_m1, m, z), outcome(ref.hyp1f1_m1, m, z)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.floats(1e-3, 50.0, **finite), st.floats(0.0, 600.0, **finite))
 def test_hyp1f1_equals_reference(m, z):
-    assert outcome(lb._hyp1f1_m1, m, z) == outcome(ref.hyp1f1_m1, m, z)
+    fast, slow = hyp1f1_outcomes(m, z)
+    assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "m, z, length",
+    [
+        (4.96, 351.3, lb._HYP_BLOCK),  # stops at the last term of the first block
+        (4.96, 352.1, lb._HYP_BLOCK + 1),  # at the first term of the second
+        (4.96, 352.9, lb._HYP_BLOCK + 2),  # at the term after it
+        (4.96, 0.0, 1),
+        (0.5, 5e-324, 1),
+        (1e300, 600.0, 2),  # the second term overflows to inf
+        (1e308, 600.0, 1),  # (m + 0) * z overflows
+        (4.96, 700.0, 586),  # a term past the float range, far into the series
+        (math.nan, 1.0, None),  # no term meets the test: the cap is reached
+        (1.0, math.nan, None),
+    ],
+)
+def test_hyp1f1_block_edges_equal_reference(m, z, length):
+    assert series_length(m, z) == length
+    fast, slow = hyp1f1_outcomes(m, z)
+    assert fast == slow
+    if length is None:
+        assert fast == (NumericError, f"1F1({m}, 1, {z}) series did not converge")
 
 
 @st.composite
