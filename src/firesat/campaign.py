@@ -20,7 +20,7 @@ from .atomic import write_csv, write_json
 from .errors import NumericError, ValidationError
 # GridFrame stays reachable as campaign.GridFrame, where perfbench/tracing.py
 # wraps its biomass_avg.
-from .grid import FireEvent, GridFrame, RegionGrid
+from .grid import FireEvent, GridFrame, RegionGrid, blocks_of_runs
 from .placement import Placement
 
 @dataclass(frozen=True)
@@ -127,8 +127,6 @@ def baseline_outcomes(catalog: list[FireEvent], grid: RegionGrid) -> tuple[np.nd
     return _fire_state(grid, catalog)[4:]
 
 
-# About how many rows of a trial's draw the gather kernel takes at a time.
-_BLOCK_ROWS = 8192
 # Slack, in km, on the distance within which phase 2 looks for a nearer
 # sensor. Sensor positions and cell gaps carry absolute rounding errors near
 # 1e-13 km, far below it.
@@ -192,20 +190,13 @@ def _draw(unit: np.ndarray, segments: list[tuple[int, int, int]], seed: int, tri
 
 def _lower_nearest(nearest_sq: np.ndarray, unit: np.ndarray, side: float, pairs: _Pairs) -> None:
     """Lower each fire's nearest_sq to the squared distance of every sensor
-    of its pairs' cells, gathering a chunk of about _BLOCK_ROWS rows of the
-    trial's draw `unit` at a time."""
-    start = np.cumsum(pairs.rows) - pairs.rows
-    # A chunk holds the pairs that start in one span of _BLOCK_ROWS rows.
-    # (np.unique would do too, but its first call imports numpy.ma: 10 ms, 1 MB.)
-    cuts = np.flatnonzero(np.diff(start // _BLOCK_ROWS, prepend=-1)).tolist()
-    for a, b in zip(cuts, cuts[1:] + [len(start)]):
+    of its pairs' cells, gathering the trial's draw `unit` one block of
+    blocks_of_runs at a time."""
+    for a, b, local, rows_of_draw in blocks_of_runs(pairs.first, pairs.rows):
         rows = pairs.rows[a:b]
-        local = start[a:b] - start[a]
-        rows_of_draw = np.repeat(pairs.first[a:b] - local, rows)
-        rows_of_draw += np.arange(int(local[-1] + rows[-1]))
         # take copies the same rows as unit[rows_of_draw], about ten times faster.
         d = unit.take(rows_of_draw, axis=0)
-        del rows_of_draw  # freed before the next chunk-sized temporaries
+        del rows_of_draw  # blocks_of_runs holds no copy: freed before the temporaries below
         d -= 0.5
         d *= side
         d += np.repeat(pairs.center[a:b], rows, axis=0)
@@ -233,14 +224,18 @@ def _nearest_by_trial(grid: RegionGrid, placement: Placement, catalog: list[Fire
     """
     frame = grid.frame
     fire_xy, _, gap_sq, cells = _fire_state(grid, catalog)[:4]
-    counts = np.asarray(placement.counts, dtype=np.int64)
+    try:
+        counts = np.asarray(placement.counts, dtype=np.int64)
+    except OverflowError:
+        i, n = next((i, n) for i, n in enumerate(placement.counts) if n > np.iinfo(np.int64).max)
+        raise ValidationError(f"region {i}: sensor count {n} does not fit an int64") from None
 
     # (fire, occupied candidate) pairs; those at the fire's smallest gap go first.
     occupied = (cells >= 0) & (counts[cells] > 0)
     fire, k = np.nonzero(occupied)
     cell = cells[fire, k]
     # A trial draws only the rows of the cells some pair reads. (np.unique
-    # would find them too, but see the numpy.ma note in _lower_nearest.)
+    # would find them too, but see the numpy.ma note in grid.blocks_of_runs.)
     used = np.zeros(len(counts), dtype=bool)
     used[cell] = True
     first_row, segments = _draw_plan(counts, used)

@@ -18,9 +18,9 @@ from .geo import EARTH_RADIUS_KM, GeoPoint
 
 KM_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS_KM
 
-# (point, cell) pairs a band search takes at a time: one pass over a whole
-# catalog would build temporaries of ~60 000 pairs.
-_BAND_ROWS = 8192
+# Items a blocked pass over runs takes at a time: a catalog's band search (~60 000
+# pairs) or a trial's gather in one pass would build temporaries that large.
+_BLOCK_ROWS = 8192
 
 COLUMNS = ("lat", "lon", "biomass", "soil_moisture", "lightning", "p_human", "spread_rate")
 
@@ -37,6 +37,20 @@ def wrap_lon(lon: np.ndarray) -> np.ndarray:
     """Longitudes wrapped into [-180, 180) exactly as geo._normalize_lon wraps one."""
     lon = np.fmod(lon, 360.0)
     return np.where(lon >= 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
+
+
+def blocks_of_runs(first: np.ndarray, lengths: np.ndarray):
+    """Per block of the runs that start in one span of _BLOCK_ROWS items of
+    their concatenation, (a, b, starts, index): runs a to b - 1, each run's
+    offset in the block, and first[i] + j for j < lengths[i], run after run.
+    A zero-length run adds no index, so its start is no reduceat offset."""
+    start = np.cumsum(lengths) - lengths
+    # (np.unique would find the cuts too, but its first call imports numpy.ma: 10 ms, 1 MB.)
+    cuts = np.flatnonzero(np.diff(start // _BLOCK_ROWS, prepend=-1)).tolist()
+    for a, b in zip(cuts, cuts[1:] + [len(start)]):
+        starts = start[a:b] - start[a]
+        runs = lengths[a:b]
+        yield a, b, starts, np.repeat(first[a:b] - starts, runs) + np.arange(runs.sum())
 
 
 def _columns_xy(xy) -> tuple[np.ndarray, np.ndarray]:
@@ -176,21 +190,15 @@ class GridFrame:
         cells whose centre x lies within its half_width (a scalar or one per
         point) of its x: points ascending, each point's cells ascending.
 
-        A block holds the points whose pairs start in one span of
-        _BAND_ROWS pairs, so its arrays stay near that length.
+        Blocks are those of blocks_of_runs over each point's cells in x order.
         """
         order, xs = self._x_order
         lo = np.searchsorted(xs, x - half_width)
         width = np.maximum(np.searchsorted(xs, x + half_width, "right") - lo, 0)
-        start = np.cumsum(width) - width
-        cuts = np.flatnonzero(np.diff(start // _BAND_ROWS, prepend=-1)).tolist()
         n_cells = len(order)
-        for a, b in zip(cuts, cuts[1:] + [len(x)]):
-            w = width[a:b]
-            at = np.repeat(lo[a:b] - (start[a:b] - start[a]), w)
-            at += np.arange(len(at))
+        for a, b, _, at in blocks_of_runs(lo, width):
             # Sorting point * n_cells + cell orders each point's cells.
-            key = np.sort(np.repeat(np.arange(a, b), w) * n_cells + order[at])
+            key = np.sort(np.repeat(np.arange(a, b), width[a:b]) * n_cells + order[at])
             yield np.divmod(key, n_cells)
 
     def disks(self, xy, reach) -> tuple[np.ndarray, np.ndarray]:

@@ -209,6 +209,8 @@ def beam_rolloff_factor(d_km: float, beam_radius_km: float) -> float:
         raise ValidationError("d_km must be >= 0")
     if not beam_radius_km > 0:
         raise ValidationError("beam_radius_km must be > 0")
+    if d_km == 0.0:  # the beam centre, even where 2.07123 / r overflows to inf
+        return 1.0
     u = BEAM_APERTURE_COEFF / beam_radius_km * d_km
     if u < 1e-6:
         return 1.0

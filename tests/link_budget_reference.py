@@ -134,6 +134,8 @@ def beam_rolloff_factor(d_km: float, beam_radius_km: float) -> float:
         raise ValidationError("d_km must be >= 0")
     if beam_radius_km <= 0:
         raise ValidationError("beam_radius_km must be > 0")
+    if d_km == 0.0:
+        return 1.0
     u = BEAM_APERTURE_COEFF / beam_radius_km * d_km
     if u < 1e-6:
         return 1.0

@@ -158,13 +158,15 @@ def test_run_campaign_equals_kdtree_reference(case, trials, seed):
 
 
 @PROPERTY
-@given(campaigns(), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_nearest_by_trial_equals_kdtree_reference(case, trials, seed):
+@given(campaigns(), st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 8192]))
+def test_nearest_by_trial_equals_kdtree_reference(case, trials, seed, block):
     """Trial by trial, bit for bit, once both sides are censored at r_max:
-    the reference looks no further, and the kernel is exact only up to it."""
+    the reference looks no further, and the kernel is exact only up to it.
+    A small block size makes the gather cross blocks, and a cell's rows span them."""
     grid, placement, catalog, _ = case
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
-    fast = campaign._nearest_by_trial(grid, placement, catalog, trials, seed)
+    with mock.patch.object(grid_module, "_BLOCK_ROWS", block):
+        fast = campaign._nearest_by_trial(grid, placement, catalog, trials, seed)
     slow = nearest_kdtree(grid, placement, catalog, trials, seed)
     assert fast.shape == (trials, len(catalog)) and fast.dtype == np.float64 and fast.flags.c_contiguous
     for fast_row, slow_row in zip(fast, slow):
@@ -284,7 +286,7 @@ def test_batched_band_search_equals_point_by_point(data):
     frame = grid.frame
     xy = data.draw(st.lists(points(frame), max_size=12))
     reach = [data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))) * frame.side_km for _ in xy]
-    with mock.patch.object(grid_module, "_BAND_ROWS", data.draw(st.sampled_from([1, 3, 8192]))):
+    with mock.patch.object(grid_module, "_BLOCK_ROWS", data.draw(st.sampled_from([1, 3, 8192]))):
         gap_sq, cells = frame.disks(xy, reach)
         want_gap_sq, want_cells = disks_loop(frame, xy, reach)
         assert cells.tolist() == want_cells.tolist()
@@ -342,7 +344,7 @@ def test_batched_disk_biomass_equals_full_scan(data):
 
 def test_cli_import_leaves_out_scipy_spatial(tmp_path):
     """Neither the import nor a `plan` and a `simulate` load scipy or numpy.ma
-    (numpy.ma's first import costs about 10 ms; see campaign._lower_nearest)."""
+    (numpy.ma's first import costs about 10 ms; see grid.blocks_of_runs)."""
     src = str(Path(firesat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -486,7 +488,7 @@ def test_many_blocks_and_a_fire_with_only_empty_candidates():
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
     candidates = [intersecting_mask(frame, *frame.project(e.ignition), r_max) for e in catalog]
     assert not np.asarray(counts)[candidates[0]].any()
-    assert sum(np.asarray(counts)[c].sum() for c in candidates) > 3 * campaign._BLOCK_ROWS
+    assert sum(np.asarray(counts)[c].sum() for c in candidates) > 3 * grid_module._BLOCK_ROWS
     fast = run_campaign(grid, placement, catalog, ECON, trials=2, seed=9)
     assert fast == run_campaign_kdtree(grid, placement, catalog, ECON, trials=2, seed=9)
     middle = fast.fires[0]
@@ -611,7 +613,7 @@ def test_chunks_span_several_blocks_in_both_phases(monkeypatch):
     fast = run_campaign(grid, placement, catalog, ECON, trials=trials, seed=seed)
     monkeypatch.undo()
     assert len(gathered) == 2 * trials
-    assert min(gathered) > 2 * campaign._BLOCK_ROWS
+    assert min(gathered) > 2 * grid_module._BLOCK_ROWS
     assert fast == run_campaign_kdtree(grid, placement, catalog, ECON, trials=trials, seed=seed)
 
 
@@ -655,3 +657,18 @@ def test_far_cell_sensors_are_never_drawn():
     assert crowded.sensors_deployed == 10**12 + 10
     assert crowded.fires == empty.fires
     assert any(o.detection_rate > 0.0 for o in crowded.fires)
+
+
+@pytest.mark.parametrize("region", [0, 4], ids=["candidate-cell", "far-cell"])
+def test_count_past_int64_is_a_validation_error(region):
+    """A region's count that no int64 holds is named, whether a fire reads
+    its cell or the cell lies far from every fire."""
+    side = 10.0
+    grid = cell_grid([(0, 0), (1, 0), (0, 1), (1, 1), (40, 40)], side)
+    frame = grid.frame
+    catalog = [FireEvent(0, frame_point(frame, *(frame.centers_xy[0] + 0.2 * side)), 0, 50.0)]
+    counts = [3, 0, 5, 2, 0]
+    counts[region] = 2**63
+    with pytest.raises(ValidationError) as caught:
+        run_campaign(grid, Placement(counts, 2**64), catalog, ECON, trials=1, seed=11)
+    assert str(caught.value) == f"region {region}: sensor count {2**63} does not fit an int64"

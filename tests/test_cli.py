@@ -846,6 +846,20 @@ class TestNoTraceback:
         )
         assert not out.exists()
 
+    def test_tiny_beam_radius_at_the_beam_centre_exits_0(self, tmp_path):
+        # The Bessel argument would be inf * 0 there, but the rolloff is exactly
+        # 1: the beam gain is the sample config's g_s_max_dbi = 25 in both modes.
+        config = self.config_with(tmp_path)
+        text = config.read_text().replace("satellite.beam_radius_km = 1000",
+                                          "satellite.beam_radius_km = 1e-308")
+        assert text != config.read_text()
+        config.write_text(text)
+        out = tmp_path / "out"
+        argv = ["linkbudget", "--lat", "37", "--lon", "-122", "--config", str(config), "--out", str(out)]
+        assert run(*argv) == 0
+        payload = json.loads((out / "linkbudget.json").read_text())
+        assert [payload[mode]["beam_gain_dbi"] for mode in ("linear", "db_scaled")] == [25.0, 25.0]
+
     @pytest.mark.parametrize(
         "error",
         [
