@@ -42,17 +42,22 @@ def atomic_write(path, newline: str | None = None):
     `os.replace` renames over `path` once the block finishes. If the block
     raises, `path` keeps its old content and the temporary file is removed.
     The file is created with the permissions `open(path, "w")` would give.
+    An OSError from creating, writing or renaming the temporary file becomes
+    a ValidationError naming `path`.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", newline=newline) as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", newline=newline) as f:
+                yield f
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write file: {exc.strerror or exc}") from None
 
 
 def write_json(path, payload: dict) -> None:

@@ -1,13 +1,16 @@
 """Command-line interface: plan, linkbudget, capacity, simulate, report.
 
 Every command is deterministic given (config, seed); exit codes are 0 on
-success, 2 on validation failure, 3 on numeric failure.
+success, 2 on validation failure, 3 on numeric failure. A command prints its
+summary only once all its files are written, so a closed stdout loses the
+summary but no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from decimal import Decimal, InvalidOperation
@@ -49,6 +52,20 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _print_summary(lines: list[str]) -> None:
+    """Print a command's summary lines and flush them. If stdout is a pipe
+    whose reader has gone, the lines are dropped and fd 1 points at
+    os.devnull, so that no later flush fails either."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _placement_for(scheme: str, grid, budget: int, cfg: RunConfig) -> pl.Placement:
     if scheme == "optimized":
         return pl.optimize_greedy(grid, budget, cfg.t_hours, cfg.fire_params())
@@ -71,6 +88,7 @@ def cmd_plan(args) -> int:
     utilities = {s: system_utility(grid, p.counts, cfg.t_hours, cfg.fire_params())
                  for s, p in placements.items()}
     out = _out_dir(args)
+    lines = []
     for scheme, placement in placements.items():
         utility = utilities[scheme]
         pl.write_placement_csv(placement, out / f"placement_{scheme}.csv")
@@ -86,9 +104,9 @@ def cmd_plan(args) -> int:
             "max_per_region": max(placement.counts),
             "nonzero_regions": len(placement.counts) - placement.counts.count(0),
         }
-        print(f"{scheme}: utility={utility:.6f} deployed={placement.deployed}")
+        lines.append(f"{scheme}: utility={utility:.6f} deployed={placement.deployed}")
     write_json(out / "plan_summary.json", summary)
-    print(f"wrote plan outputs to {out}")
+    _print_summary([*lines, f"wrote plan outputs to {out}"])
     return EXIT_OK
 
 
@@ -100,18 +118,19 @@ def cmd_linkbudget(args) -> int:
     table = cfg.mcs_table()
     payload: dict = {"location": {"lat": location.lat, "lon": location.lon}}
     snr: dict = {}
+    lines = []
     for mode in _each(args.mode, lb.MODES):
         result = lb.snr_db(cfg.device(), cfg.satellite(), location, mode, table)
         key = mode.replace("-", "_")
         payload[key] = asdict(result)
         snr[key] = result.snr_db
-        print(f"{mode}: snr={result.snr_db:.4f} dB mcs={result.mcs_level}")
+        lines.append(f"{mode}: snr={result.snr_db:.4f} dB mcs={result.mcs_level}")
     if args.reference_snr_db is not None:
         payload["reference_snr_db"] = args.reference_snr_db
         payload["deviation_db"] = {k: v - args.reference_snr_db for k, v in snr.items()}
     out = _out_dir(args)
     write_json(out / "linkbudget.json", payload)
-    print(f"wrote {out / 'linkbudget.json'}")
+    _print_summary([*lines, f"wrote {out / 'linkbudget.json'}"])
     return EXIT_OK
 
 
@@ -148,12 +167,12 @@ def cmd_capacity(args) -> int:
     out = _out_dir(args)
     write_json(out / "capacity.json", payload)
     w = payload["worst_case"]
-    print(
+    _print_summary([
         f"K={k}: duration={w['report_duration_ms']:.0f} ms, "
         f"devices/carrier={w['devices_per_carrier_exception']}, "
         f"bandwidth={w['bandwidth_hz'] / 1e6:.2f} MHz, "
         f"cost={w['bandwidth_cost_usd'] / 1e6:.3f} M USD"
-    )
+    ])
     return EXIT_OK
 
 
@@ -193,18 +212,19 @@ def cmd_simulate(args) -> int:
     if sweep:
         for name, (header, rows) in _sweep_tables(runs).items():
             write_csv(out / name, header, rows)
+    lines = []
     for result, _, _ in runs:
         t = result.totals
         if sweep:
-            print(f"K={result.budget} {result.scheme}: burned={t.burned_km2:.1f} savings={t.savings_usd/1e9:.3f}B")
+            lines.append(f"K={result.budget} {result.scheme}: burned={t.burned_km2:.1f} savings={t.savings_usd/1e9:.3f}B")
         else:
             camp.write_campaign_json(result, out / f"campaign_{result.scheme}.json")
             camp.write_fires_csv(result, out / f"fires_{result.scheme}.csv")
-            print(
+            lines.append(
                 f"{result.scheme}: burned={t.burned_km2:.1f} km2 (baseline {t.baseline_burned_km2:.1f}), "
                 f"carbon={t.carbon_ton:.0f} t, savings={t.savings_usd / 1e9:.3f} B USD"
             )
-    print(f"wrote {'sweep' if sweep else 'campaign'} outputs to {out}")
+    _print_summary([*lines, f"wrote {'sweep' if sweep else 'campaign'} outputs to {out}"])
     return EXIT_OK
 
 
@@ -282,7 +302,7 @@ def cmd_report(args) -> int:
     if not report["sources"]:
         raise ValidationError(f"no prior command outputs found in {out}")
     write_json(out / "report.json", report)
-    print(f"aggregated {len(report['sources'])} outputs into {out / 'report.json'}")
+    _print_summary([f"aggregated {len(report['sources'])} outputs into {out / 'report.json'}"])
     return EXIT_OK
 
 

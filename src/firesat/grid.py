@@ -134,11 +134,6 @@ class GridFrame:
             [(lon - self.ref_lon) * self.km_per_deg_lon, (lat - self.ref_lat) * KM_PER_DEG_LAT]
         )
 
-    def project(self, p: GeoPoint) -> tuple[float, float]:
-        """One point's project_columns row."""
-        x, y = self.project_columns(np.array([p.lat]), np.array([p.lon]))[0]
-        return x, y
-
     def locate_xy(self, xy) -> np.ndarray:
         """Per finite point of the (n, 2) `xy`, the index of the cell
         containing it, or -1 where it lies outside the grid.
@@ -163,13 +158,6 @@ class GridFrame:
             inside = (np.abs(dx[k]) <= half) & (np.abs(dy[k]) <= half)
             found[point[k[inside]]] = cell[k[inside]]
         return found
-
-    def locate(self, p: GeoPoint) -> int:
-        """Index of the cell containing p, as locate_xy finds it; ValidationError when outside the grid."""
-        cell = int(self.locate_xy([self.project(p)])[0])
-        if cell < 0:
-            raise ValidationError(f"point ({p.lat}, {p.lon}) lies outside the region grid")
-        return cell
 
     def rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
         """Row/column indices of each cell, ranked south-to-north / west-to-east."""

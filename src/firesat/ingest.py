@@ -81,8 +81,9 @@ def ingest_fires(path, grid: RegionGrid) -> list[FireEvent]:
             if fid in seen:
                 raise ValidationError(f"duplicate fire id {fid}")
             seen.add(fid)
-            # locate raises the error of a point outside the grid.
-            events.append(FireEvent(fid, ignition, cell if cell >= 0 else frame.locate(ignition), area))
+            if cell < 0:
+                raise ValidationError(f"point ({ignition.lat}, {ignition.lon}) lies outside the region grid")
+            events.append(FireEvent(fid, ignition, cell, area))
         except ValidationError as exc:
             raise table.fault(row, exc) from exc
     table.raise_error()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import read_csv, read_json, write_csv, write_json
+from .atomic import read_json, write_csv, write_json
 from .errors import ValidationError
 from .fire_model import FireModelParams, ignition_and_miss
 from .grid import RegionGrid
@@ -201,19 +201,6 @@ PLACEMENT_FIELDS = ["region_id", "n_sensors"]
 
 def write_placement_csv(placement: Placement, path) -> None:
     write_csv(path, PLACEMENT_FIELDS, enumerate(placement.counts))
-
-
-def read_placement_csv(path, budget: int | None = None) -> Placement:
-    table = read_csv(path, PLACEMENT_FIELDS, (int, int))
-    ids, counts = table.columns
-    for row, rid in enumerate(ids):
-        if rid != row:
-            raise table.fault(row, "region ids must be consecutive from 0")
-    table.raise_error()
-    try:
-        return Placement(tuple(counts), sum(counts) if budget is None else budget)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_placement_json(placement: Placement, path, scheme: str = "") -> None:

@@ -16,8 +16,10 @@ point by point, as `GridFrame.disks` did before its batched band search.
 `simulate_fire` resolves one fire against given sensor positions with the
 same rule, and `FireRecord` holds its outcome. The baseline of
 `run_campaign_kdtree` comes from `biomass_avg_full` too, so no part of it
-runs the code under test. Property tests check the fast paths against
-these; nothing at runtime imports this module.
+runs the code under test. `project_point` gives one point's row of
+`GridFrame.project_columns`, the planar frame every lookup works in.
+Property tests check the fast paths against these; nothing at runtime
+imports this module.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ class FireRecord:
     carbon_ton: float
 
 
+def project_point(frame: GridFrame, p) -> tuple[float, float]:
+    """The planar (x, y) km of the GeoPoint p: its row of frame.project_columns."""
+    x, y = frame.project_columns(np.array([p.lat]), np.array([p.lon]))[0]
+    return x, y
+
+
 def gap_sq(frame: GridFrame, cx: float, cy: float) -> np.ndarray:
     """Squared distance from (cx, cy) to each cell's square, 0 inside it."""
     half = frame.side_km / 2.0
@@ -71,7 +79,7 @@ def biomass_avg_full(frame: GridFrame, cx: float, cy: float, radius: float) -> f
 
 
 def locate_full(frame: GridFrame, p) -> int:
-    x, y = frame.project(p)
+    x, y = project_point(frame, p)
     dx = frame.centers_xy[:, 0] - x
     dy = frame.centers_xy[:, 1] - y
     idx = int(np.argmin(dx * dx + dy * dy))
@@ -114,7 +122,7 @@ def disks_loop(frame: GridFrame, xy, reach) -> tuple[np.ndarray, np.ndarray]:
 
 
 def locate_kdtree(frame: GridFrame, p) -> int:
-    x, y = frame.project(p)
+    x, y = project_point(frame, p)
     _, idx = cKDTree(frame.centers_xy).query([x, y])
     cx, cy = frame.centers_xy[idx]
     half = frame.side_km / 2.0 + 1e-9
@@ -169,7 +177,7 @@ def simulate_fire(event: FireEvent, sensors: np.ndarray, grid: RegionGrid) -> Fi
     sqrt(A/pi) escapes detection and burns its cataloged area.
     """
     frame = grid.frame
-    fx, fy = frame.project(event.ignition)
+    fx, fy = project_point(frame, event.ignition)
     sensors = np.asarray(sensors, dtype=float).reshape(-1, 2)
     if len(sensors):
         nearest = float(np.min(np.hypot(sensors[:, 0] - fx, sensors[:, 1] - fy)))
@@ -181,7 +189,7 @@ def simulate_fire(event: FireEvent, sensors: np.ndarray, grid: RegionGrid) -> Fi
 
 
 def _fire_xy(grid: RegionGrid, catalog: list[FireEvent]) -> np.ndarray:
-    return np.array([grid.frame.project(e.ignition) for e in catalog]).reshape(len(catalog), 2)
+    return np.array([project_point(grid.frame, e.ignition) for e in catalog]).reshape(len(catalog), 2)
 
 
 def nearest_kdtree(grid: RegionGrid, placement: Placement, catalog: list[FireEvent],
@@ -203,7 +211,7 @@ def nearest_kdtree(grid: RegionGrid, placement: Placement, catalog: list[FireEve
 
 def run_campaign_kdtree(grid, placement, catalog, econ, trials, seed, scheme="") -> CampaignResult:
     frame = grid.frame
-    baseline = [_escaped(e, frame, frame.project(e.ignition)) for e in catalog]
+    baseline = [_escaped(e, frame, project_point(frame, e.ignition)) for e in catalog]
 
     n_fires = len(catalog)
     fire_xy = _fire_xy(grid, catalog)

@@ -21,7 +21,7 @@ from firesat.placement import Placement
 
 from conftest import ECON, grid_of, region_for
 
-from campaign_reference import scatter_sensors, simulate_fire
+from campaign_reference import project_point, scatter_sensors, simulate_fire
 
 
 def small_grid(n_side=4, spread=0.6, biomass=1.0):
@@ -58,13 +58,13 @@ class TestGridFrame:
         grid = small_grid()
         frame = grid.frame
         for idx in (0, 5, 15):
-            assert frame.locate(GeoPoint(grid.lat[idx], grid.lon[idx])) == idx
+            xy = project_point(frame, GeoPoint(grid.lat[idx], grid.lon[idx]))
+            assert frame.locate_xy([xy]).tolist() == [idx]
 
     def test_locate_rejects_outside(self):
         grid = small_grid()
         frame = grid.frame
-        with pytest.raises(ValidationError):
-            frame.locate(GeoPoint(50.0, -120.0))
+        assert frame.locate_xy([project_point(frame, GeoPoint(50.0, -120.0))]).tolist() == [-1]
 
     def test_rows_cols(self):
         grid = small_grid()
@@ -118,7 +118,7 @@ class TestSimulateFire:
         frame = grid.frame
         point = frame_point(frame, 5, 0.0, 0.0)
         event = FireEvent(0, point, 5, recorded_area_km2=50.0)
-        sensors = np.array([frame.project(point)])
+        sensors = np.array([project_point(frame, point)])
         record = simulate_fire(event, sensors, grid)
         assert record.detected
         assert record.detection_time_h == 0.0
@@ -129,7 +129,7 @@ class TestSimulateFire:
         frame = grid.frame
         point = frame_point(frame, 5)
         event = FireEvent(0, point, 5, recorded_area_km2=50.0)
-        fx, fy = frame.project(point)
+        fx, fy = project_point(frame, point)
         sensors = np.array([[fx + 2.0, fy], [fx + 4.0, fy]])
         record = simulate_fire(event, sensors, grid)
         assert record.detected
@@ -152,7 +152,7 @@ class TestSimulateFire:
         frame = grid.frame
         point = frame_point(frame, 5)
         event = FireEvent(0, point, 5, recorded_area_km2=234.5)
-        fx, fy = frame.project(point)
+        fx, fy = project_point(frame, point)
         far = math.sqrt(100.0 / math.pi) + 0.1
         record = simulate_fire(event, np.array([[fx + far, fy]]), grid)
         assert not record.detected
@@ -163,7 +163,7 @@ class TestSimulateFire:
         frame = grid.frame
         point = frame_point(frame, 5)
         event = FireEvent(0, point, 5, recorded_area_km2=90.0)
-        fx, fy = frame.project(point)
+        fx, fy = project_point(frame, point)
         record = simulate_fire(event, np.array([[fx + 1.0, fy]]), grid)
         assert record.degenerate
         assert not record.detected

@@ -32,6 +32,7 @@ from campaign_reference import (
     locate_full,
     locate_kdtree,
     nearest_kdtree,
+    project_point,
     run_campaign_kdtree,
     scatter_sensors,
 )
@@ -220,16 +221,13 @@ def test_locate_equals_kdtree_reference(data):
     grid = data.draw(grids())
     frame = grid.frame
     p = frame_point(frame, *data.draw(points(frame)))
-    x, y = frame.project(p)
+    x, y = project_point(frame, p)
     d2 = (frame.centers_xy[:, 0] - x) ** 2 + (frame.centers_xy[:, 1] - y) ** 2
     tied = np.flatnonzero(d2 == d2.min())
-    try:
-        got = frame.locate(p)
-    except ValidationError:
-        got = None
+    got = int(frame.locate_xy([(x, y)])[0])
     if len(tied) > 1:
         # At an exact tie either nearest cell may be returned, if it holds p.
-        if got is not None:
+        if got >= 0:
             assert got in tied
             cx, cy = frame.centers_xy[got]
             half = frame.side_km / 2.0 + 1e-9
@@ -238,23 +236,15 @@ def test_locate_equals_kdtree_reference(data):
     try:
         want = locate_kdtree(frame, p)
     except ValidationError:
-        want = None
+        want = -1
     assert got == want
-
-
-def outcome(fn, *args):
-    """fn(*args), or the message of the ValidationError it raises."""
-    try:
-        return fn(*args)
-    except ValidationError as err:
-        return f"ValidationError: {err}"
 
 
 @PROPERTY
 @given(st.data())
 def test_banded_lookups_equal_full_scan(data):
-    """The x-band lookup of one point, biomass_avg and locate return what a
-    scan over all cells returns, bit for bit, at points on cell edges and
+    """The x-band lookup of one point, biomass_avg and locate_xy of one point
+    return what a scan over all cells returns, bit for bit, at points on cell edges and
     corners and outside the grid, for reaches of 0 to 3 sides and reaches at
     a cell's own gap."""
     grid = data.draw(grids())
@@ -271,7 +261,7 @@ def test_banded_lookups_equal_full_scan(data):
     assert gaps.view(np.int64).tolist() == full[want].view(np.int64).tolist()
     assert frame.biomass_avg(x, y, reach) == biomass_avg_full(frame, x, y, reach)
     p = frame_point(frame, x, y)
-    assert outcome(frame.locate, p) == outcome(locate_full, frame, p)
+    assert frame.locate_xy([project_point(frame, p)]).tolist() == [located_full(frame, p)]
 
 
 @settings(PROPERTY, max_examples=200)
@@ -292,7 +282,7 @@ def test_batched_band_search_equals_point_by_point(data):
         assert cells.tolist() == want_cells.tolist()
         assert gap_sq.view(np.int64).tolist() == want_gap_sq.view(np.int64).tolist()
         ignitions = [frame_point(frame, x, y) for x, y in xy]
-        located = frame.locate_xy([frame.project(p) for p in ignitions]).tolist()
+        located = frame.locate_xy([project_point(frame, p) for p in ignitions]).tolist()
         assert located == [located_full(frame, p) for p in ignitions]
 
 
@@ -456,7 +446,7 @@ def test_stalled_fire_detected_only_by_a_sensor_on_its_ignition_point():
     else:
         pytest.fail("no sensor of trial 0 has an exactly projectable ignition point")
     on_sensor = FireEvent(0, GeoPoint(lat, lon), 0, 20.0)
-    assert frame.project(on_sensor.ignition) == (x, y)
+    assert project_point(frame, on_sensor.ignition) == (x, y)
     elsewhere = FireEvent(1, GeoPoint(0.001, -0.002), 0, 20.0)
     catalog = [on_sensor, elsewhere]
     fast = run_campaign(grid, placement, catalog, ECON, trials=trials, seed=seed)
@@ -486,7 +476,7 @@ def test_many_blocks_and_a_fire_with_only_empty_candidates():
             x, y = frame.centers_xy[corner] + rng.uniform(-0.45, 0.45, 2) * side
             catalog.append(FireEvent(len(catalog), frame_point(frame, x, y), corner, 30.0))
     r_max = math.sqrt(grid.cell_area_km2 / math.pi)
-    candidates = [intersecting_mask(frame, *frame.project(e.ignition), r_max) for e in catalog]
+    candidates = [intersecting_mask(frame, *project_point(frame, e.ignition), r_max) for e in catalog]
     assert not np.asarray(counts)[candidates[0]].any()
     assert sum(np.asarray(counts)[c].sum() for c in candidates) > 3 * grid_module._BLOCK_ROWS
     fast = run_campaign(grid, placement, catalog, ECON, trials=2, seed=9)
@@ -530,7 +520,7 @@ def nearest_cells(grid, placement, fire, seed, trials):
     """Per trial, the cell of the sensor nearest to `fire`, from the same
     positions as scatter_sensors."""
     owner = np.repeat(np.arange(len(grid)), placement.counts)
-    fx, fy = grid.frame.project(fire.ignition)
+    fx, fy = project_point(grid.frame, fire.ignition)
     found = []
     for trial in range(trials):
         xy = scatter_sensors(placement, grid, [seed, trial])
@@ -547,7 +537,7 @@ def test_neighbour_sensor_nearer_than_the_own_cells():
     frame = grid.frame
     west_edge = frame.centers_xy[1, 0] - side / 2.0
     fire = FireEvent(0, frame_point(frame, west_edge - 0.02 * side, frame.centers_xy[0, 1]), 0, 60.0)
-    assert frame.locate(fire.ignition) == 0
+    assert frame.locate_xy([project_point(frame, fire.ignition)]).tolist() == [0]
     placement = Placement((2, 400), budget=402)
     assert nearest_cells(grid, placement, fire, seed, trials) == [1] * trials
     fast = run_campaign(grid, placement, [fire], ECON, trials=trials, seed=seed)
@@ -564,8 +554,8 @@ def test_empty_own_cell_nearest_sensor_in_the_farther_neighbour():
     frame = grid.frame
     (wx, _), (ox, oy), (_, ny) = frame.centers_xy
     fire = FireEvent(0, frame_point(frame, wx + side / 2 + 0.04 * side, ny - side / 2 - 0.06 * side), 1, 60.0)
-    assert frame.locate(fire.ignition) == 1
-    gaps, cells = frame.disks([frame.project(fire.ignition)], 0.1 * side)
+    assert frame.locate_xy([project_point(frame, fire.ignition)]).tolist() == [1]
+    gaps, cells = frame.disks([project_point(frame, fire.ignition)], 0.1 * side)
     assert cells.tolist() == [[0, 1, 2]] and gaps[0, 0] < gaps[0, 2]
     placement = Placement((1, 0, 400), budget=401)
     assert nearest_cells(grid, placement, fire, seed, trials) == [2] * trials
@@ -581,7 +571,7 @@ def test_fire_on_a_corner_of_four_occupied_cells():
     grid = cell_grid([(0, 0), (1, 0), (0, 1), (1, 1)], side)
     frame = grid.frame
     corner = FireEvent(0, frame_point(frame, *frame.centers_xy.mean(axis=0)), 0, 40.0)
-    assert frame.disks([frame.project(corner.ignition)], 0.0)[1].tolist() == [[0, 1, 2, 3]]
+    assert frame.disks([project_point(frame, corner.ignition)], 0.0)[1].tolist() == [[0, 1, 2, 3]]
     placement = Placement((3, 5, 2, 4), budget=14)
     assert len(set(nearest_cells(grid, placement, corner, seed, trials))) > 1
     fast = run_campaign(grid, placement, [corner], ECON, trials=trials, seed=seed)

@@ -880,12 +880,65 @@ class TestNoTraceback:
         assert f"error: --out {out}: cannot create directory: " in err
         assert (error.strerror or str(error)) in err
 
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["plan", "--budget", "10"], "plan_summary.json"),
+            (["simulate", "--budget", "10", "--trials", "1"], "campaign_optimized.json"),
+        ],
+        ids=["plan", "simulate"],
+    )
+    def test_unwritable_output_exits_2_naming_path(self, tmp_path, capsys, argv, blocked):
+        # A directory stands where the command writes a file.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert run(*argv, "--config", CONFIG, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {out / blocked}: cannot write file: ")
+        assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
+def source_env(**overrides) -> dict:
+    """The environment with the package's source first on PYTHONPATH."""
+    src = str(Path(firesat.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **overrides)
+
+
+class TestClosedStdout:
+    """A stdout whose reader has gone costs a command its summary lines, not
+    its files or its exit status."""
+
+    COMMANDS = {
+        "plan": ["plan"],
+        "simulate": ["simulate", "--trials", "2"],
+        "linkbudget": ["linkbudget", "--lat", "37", "--lon", "-120"],
+    }
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_closed_stdout_exits_0_with_every_file(self, tmp_path, capsys, command, unbuffered):
+        argv = [*self.COMMANDS[command], "--config", CONFIG]
+        assert run(*argv, "--out", str(tmp_path / "open")) == 0
+        assert capsys.readouterr().out
+        env = source_env(PYTHONUNBUFFERED=unbuffered)  # empty: buffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "firesat.cli", *argv, "--out", str(tmp_path / "closed")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert tree_bytes(tmp_path / "closed") == tree_bytes(tmp_path / "open")
+
 
 def test_sample_dataset_regenerates_byte_identical(tmp_path):
     # Run as documented, so the fire-model parameters come from the sample config.
-    src = str(Path(firesat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-m", "firesat.sample_data", str(tmp_path)], env=env,
+    subprocess.run([sys.executable, "-m", "firesat.sample_data", str(tmp_path)], env=source_env(),
                    capture_output=True, check=True)
     for name in ("regions.csv", "fires.csv"):
         assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes()

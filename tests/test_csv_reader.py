@@ -8,6 +8,7 @@ grid bit for bit, or its error text.
 
 import os
 import re
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,6 @@ from firesat.cli import main
 from firesat.errors import ValidationError
 from firesat.ingest import REGION_FIELDS, ingest_fires, ingest_regions
 from firesat.link_budget import load_mcs_table
-from firesat.placement import read_placement_csv
 
 import ingest_reference
 from conftest import CFG, DATA_DIR, sample_config_text
@@ -48,11 +48,6 @@ class TestFieldCount:
         path = tmp_path / "regions.csv"
         path.write_text(HEADER + "0,36.0,-120.0\n")
         assert error_of(ingest_regions, path, AREA) == f"{path}:2: expected 8 fields, got 3"
-
-    def test_extra_placement_field_rejected(self, tmp_path):
-        path = tmp_path / "placement.csv"
-        path.write_text("region_id,n_sensors\n0,5,7\n")
-        assert error_of(read_placement_csv, path) == f"{path}:2: expected 2 fields, got 3"
 
     def test_extra_mcs_field_rejected(self, tmp_path):
         path = tmp_path / "mcs.csv"
@@ -157,13 +152,6 @@ class TestPrecedence:
         assert error_of(ingest_reference.ingest_regions, path, AREA) == expected
         assert error_of(ingest_regions, path, AREA) == expected
 
-    def test_placement_gap_wins_over_a_later_malformed_row(self, tmp_path):
-        path = tmp_path / "placement.csv"
-        path.write_text("region_id,n_sensors\n1,1\nx,1\n")
-        assert error_of(read_placement_csv, path) == (
-            f"{path}:2: region ids must be consecutive from 0"
-        )
-
     def test_mcs_row_check_wins_over_a_later_malformed_row(self, tmp_path):
         path = tmp_path / "mcs.csv"
         path.write_text("min_snr_db,mcs_level,ru_per_20_bytes\nnan,5,3\nx,1,1\n")
@@ -172,12 +160,13 @@ class TestPrecedence:
     @pytest.mark.parametrize(
         "reader, text, reason",
         [
-            (read_placement_csv, "region_id,n_sensors\n0,1\n1,x\n",
+            (lambda path: ingest_regions(path, AREA),
+             HEADER + GOOD + "x,36.1,-120.0,1.0,0.1,0.0,0.5,0.5\n",
              "invalid literal for int() with base 10: 'x'"),
             (load_mcs_table, "min_snr_db,mcs_level,ru_per_20_bytes\n-0.45,5,3\nx,6,2\n",
              "could not convert string to float: 'x'"),
         ],
-        ids=["placement", "mcs"],
+        ids=["regions", "mcs"],
     )
     def test_every_reader_names_a_malformed_row(self, tmp_path, reader, text, reason):
         path = tmp_path / "data.csv"
@@ -212,12 +201,10 @@ class TestPhysicalLine:
         path.write_text(HEADER + GOOD + "\r\n" + GOOD)
         assert error_of(ingest_regions, path, AREA) == f"{path}:4: duplicate region id 0"
 
-    def test_placement_gap_names_its_line(self, tmp_path):
-        path = tmp_path / "placement.csv"
-        path.write_text("region_id,n_sensors\n\n0,1\n2,1\n")
-        assert error_of(read_placement_csv, path) == (
-            f"{path}:4: region ids must be consecutive from 0"
-        )
+    def test_mcs_row_check_names_its_line(self, tmp_path):
+        path = tmp_path / "mcs.csv"
+        path.write_text("min_snr_db,mcs_level,ru_per_20_bytes\n\n-0.45,5,3\n0.45,6,0\n")
+        assert error_of(load_mcs_table, path) == f"{path}:4: ru_per_20_bytes must be >= 1, got 0"
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_lines_from_a_pipe(self):
@@ -387,10 +374,13 @@ class TestBlankRuns:
         assert len(grid) == 6
         assert grid.lon.tobytes() == ingest_reference.ingest_regions(path, AREA).lon.tobytes()
 
-    def test_placement_after_a_long_blank_run(self, tmp_path):
-        path = tmp_path / "placement.csv"
-        path.write_text("region_id,n_sensors\n0,1\n1,2\n" + self.RUN + "2,3\n3,4\n")
-        assert read_placement_csv(path).counts == (1, 2, 3, 4)
+    def test_mcs_table_after_a_long_blank_run(self, tmp_path):
+        path = tmp_path / "mcs.csv"
+        path.write_text("min_snr_db,mcs_level,ru_per_20_bytes\n-1.5,4,4\n-0.5,5,3\n" + self.RUN
+                        + "0.5,6,3\n1.5,7,2\n")
+        assert [astuple(r) for r in load_mcs_table(path).rows] == [
+            (-1.5, 4, 4), (-0.5, 5, 3), (0.5, 6, 3), (1.5, 7, 2)
+        ]
 
 
 def test_chunk_boundary_error_names_its_line(tmp_path):

@@ -114,7 +114,6 @@ def test_every_imported_name_is_used():
 
 # Public names that no command reaches yet, and why each stays.
 UNREACHED = {
-    ("placement", "read_placement_csv"): "ROADMAP item 8: `capacity --placement FILE` will read it",
     ("placement", "read_placement_json"): "ROADMAP item 8: `capacity --placement FILE` will read it",
 }
 

@@ -7,14 +7,15 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import placement_reference
 from firesat import placement
+from firesat.atomic import read_csv
 from firesat.errors import ValidationError
 from firesat.fire_model import ignition_and_miss, system_utility
 from firesat.ingest import ingest_regions
 from firesat.placement import (
+    PLACEMENT_FIELDS,
     Placement,
     biomass_uniform,
     optimize_greedy,
-    read_placement_csv,
     read_placement_json,
     write_placement_csv,
     write_placement_json,
@@ -353,9 +354,9 @@ class TestSerialization:
         placement = Placement((3, 0, 7), budget=12)
         path = tmp_path / "placement.csv"
         write_placement_csv(placement, path)
-        back = read_placement_csv(path, budget=12)
-        assert back.counts == placement.counts
-        assert back.budget == 12
+        back = read_csv(path, PLACEMENT_FIELDS, (int, int))
+        assert back.columns == ([0, 1, 2], [3, 0, 7])
+        assert back.error is None
 
     def test_json_round_trip(self, tmp_path):
         placement = Placement((1, 2), budget=3)
@@ -364,19 +365,12 @@ class TestSerialization:
         back = read_placement_json(path)
         assert back == placement
 
-    def test_csv_rejects_gapped_ids(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("region_id,n_sensors\n0,1\n2,1\n")
-        with pytest.raises(ValidationError):
-            read_placement_csv(path)
-
-    def test_csv_negative_count_is_named_before_the_budget(self, tmp_path):
-        # The budget defaults to the sum of the counts, here -1; the count
-        # itself is the fault.
-        path = tmp_path / "negative.csv"
-        path.write_text("region_id,n_sensors\n0,-1\n")
+    def test_json_negative_count_is_named_before_the_budget(self, tmp_path):
+        # The budget is negative too; the count is the first fault.
+        path = tmp_path / "negative.json"
+        path.write_text('{"counts": [-1], "budget": -1}')
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: region 0: sensor count -1 must be >= 0$"):
-            read_placement_csv(path)
+            read_placement_json(path)
 
     @pytest.mark.parametrize(
         "body, fault",
@@ -395,22 +389,18 @@ class TestSerialization:
             read_placement_json(path)
 
     @pytest.mark.parametrize(
-        "name, body",
+        "body",
         [
-            pytest.param("bad.json", b'{"budget": 3, ', id="truncated-json"),
-            pytest.param("bad.json", b"[1, 2]", id="top-level-list"),
-            pytest.param("bad.json", b'{"counts": [1, 2]}', id="missing-budget"),
-            pytest.param("bad.json", b'{"budget": 3, "counts": 7}', id="counts-not-a-list"),
-            pytest.param("bad.json", b"\xff\xfe{}", id="undecodable-json"),
-            pytest.param("bad.json", b"[" * 100_000 + b"]" * 100_000, id="deeply-nested-json"),
-            pytest.param("bad.csv", b"\xff\xferegion_id,n_sensors\n0,1\n", id="undecodable-csv"),
-            pytest.param("bad.csv", b"region,n\n0,1\n", id="wrong-csv-header"),
-            pytest.param("bad.csv", b"region_id,n_sensors\n0,-1\n", id="negative-csv-count"),
+            pytest.param(b'{"budget": 3, ', id="truncated-json"),
+            pytest.param(b"[1, 2]", id="top-level-list"),
+            pytest.param(b'{"counts": [1, 2]}', id="missing-budget"),
+            pytest.param(b'{"budget": 3, "counts": 7}', id="counts-not-a-list"),
+            pytest.param(b"\xff\xfe{}", id="undecodable-json"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deeply-nested-json"),
         ],
     )
-    def test_bad_file_is_a_validation_error_naming_it(self, tmp_path, name, body):
-        path = tmp_path / name
+    def test_bad_file_is_a_validation_error_naming_it(self, tmp_path, body):
+        path = tmp_path / "bad.json"
         path.write_bytes(body)
-        read = read_placement_json if name.endswith(".json") else read_placement_csv
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
-            read(path)
+            read_placement_json(path)
