@@ -100,6 +100,10 @@ def _fire_state(grid: RegionGrid, catalog: list[FireEvent]) -> tuple[np.ndarray,
     key = ("fire_state", tuple(catalog))
     state = grid.memo.get(key)
     if state is None:
+        for e in catalog:
+            if not (isinstance(e.region_id, (int, np.integer)) and 0 <= e.region_id < len(grid)):
+                raise ValidationError(f"fire {e.id}: region_id {e.region_id!r} is not a region "
+                                      f"of the grid, 0 to {len(grid) - 1}")
         frame = grid.frame
         fires = np.array([(e.ignition.lat, e.ignition.lon, e.recorded_area_km2) for e in catalog],
                          dtype=np.float64).reshape(len(catalog), 3)
@@ -298,6 +302,8 @@ def run_campaign(
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     if len(placement.counts) != len(grid):
         raise ValidationError("placement length does not match grid size")
     if not catalog:

@@ -1,9 +1,10 @@
 """Command-line interface: plan, linkbudget, capacity, simulate, report.
 
 Every command is deterministic given (config, seed); exit codes are 0 on
-success, 2 on validation failure, 3 on numeric failure. A command prints its
-summary only once all its files are written, so a closed stdout loses the
-summary but no file.
+success, 2 on validation failure, 3 on numeric failure. Each command returns
+its summary lines and `main` prints them, so a summary comes only after all
+its command's files are written: a closed stdout loses the summary but no
+file.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _bandwidth_cost(cfg: RunConfig, n_sensors: int) -> float:
     return cap.spectrum_cost_usd(bw, cfg.usd_per_hz)
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> list[str]:
     cfg = load_config(args.config, _overrides(args))
     grid = ingest_regions(cfg.regions_csv, cfg.cell_area_km2)
     rows, cols = (a.tolist() for a in grid.frame.rows_cols())
@@ -106,11 +107,10 @@ def cmd_plan(args) -> int:
         }
         lines.append(f"{scheme}: utility={utility:.6f} deployed={placement.deployed}")
     write_json(out / "plan_summary.json", summary)
-    _print_summary([*lines, f"wrote plan outputs to {out}"])
-    return EXIT_OK
+    return [*lines, f"wrote plan outputs to {out}"]
 
 
-def cmd_linkbudget(args) -> int:
+def cmd_linkbudget(args) -> list[str]:
     if args.reference_snr_db is not None and not math.isfinite(args.reference_snr_db):
         raise ValidationError(f"--reference-snr-db must be finite, got {args.reference_snr_db}")
     cfg = load_config(args.config, _overrides(args))
@@ -130,11 +130,10 @@ def cmd_linkbudget(args) -> int:
         payload["deviation_db"] = {k: v - args.reference_snr_db for k, v in snr.items()}
     out = _out_dir(args)
     write_json(out / "linkbudget.json", payload)
-    _print_summary([*lines, f"wrote {out / 'linkbudget.json'}"])
-    return EXIT_OK
+    return [*lines, f"wrote {out / 'linkbudget.json'}"]
 
 
-def cmd_capacity(args) -> int:
+def cmd_capacity(args) -> list[str]:
     cfg = load_config(args.config, _overrides(args))
     table = cfg.mcs_table()
     traffic = cfg.traffic()
@@ -167,13 +166,12 @@ def cmd_capacity(args) -> int:
     out = _out_dir(args)
     write_json(out / "capacity.json", payload)
     w = payload["worst_case"]
-    _print_summary([
+    return [
         f"K={k}: duration={w['report_duration_ms']:.0f} ms, "
         f"devices/carrier={w['devices_per_carrier_exception']}, "
         f"bandwidth={w['bandwidth_hz'] / 1e6:.2f} MHz, "
         f"cost={w['bandwidth_cost_usd'] / 1e6:.3f} M USD"
-    ])
-    return EXIT_OK
+    ]
 
 
 def _run_scheme_campaign(cfg: RunConfig, grid, catalog, scheme: str, budget: int, sweep: bool):
@@ -197,7 +195,7 @@ def _run_scheme_campaign(cfg: RunConfig, grid, catalog, scheme: str, budget: int
     return result, utility, case_b.money(result.totals.carbon_reduction_ton, placement.deployed)[2]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list[str]:
     sweep = args.sweep is not None
     if sweep and getattr(args, "plan.budget") is not None:
         raise ValidationError("--budget and --sweep are exclusive: --sweep names the budgets")
@@ -224,8 +222,7 @@ def cmd_simulate(args) -> int:
                 f"{result.scheme}: burned={t.burned_km2:.1f} km2 (baseline {t.baseline_burned_km2:.1f}), "
                 f"carbon={t.carbon_ton:.0f} t, savings={t.savings_usd / 1e9:.3f} B USD"
             )
-    _print_summary([*lines, f"wrote {'sweep' if sweep else 'campaign'} outputs to {out}"])
-    return EXIT_OK
+    return [*lines, f"wrote {'sweep' if sweep else 'campaign'} outputs to {out}"]
 
 
 def _parse_sweep(text: str) -> list[int]:
@@ -283,7 +280,7 @@ def _sweep_tables(runs) -> dict[str, tuple[list[str], list]]:
     }
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> list[str]:
     out = Path(args.out)
     if not out.is_dir():
         raise ValidationError(f"output directory not found: {out}")
@@ -302,8 +299,7 @@ def cmd_report(args) -> int:
     if not report["sources"]:
         raise ValidationError(f"no prior command outputs found in {out}")
     write_json(out / "report.json", report)
-    _print_summary([f"aggregated {len(report['sources'])} outputs into {out / 'report.json'}"])
-    return EXIT_OK
+    return [f"aggregated {len(report['sources'])} outputs into {out / 'report.json'}"]
 
 
 def _overrides(args) -> dict:
@@ -372,7 +368,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _print_summary(args.func(args))
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

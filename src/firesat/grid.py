@@ -95,13 +95,6 @@ class RegionGrid:
     def __len__(self) -> int:
         return len(self.lat)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RegionGrid):
-            return NotImplemented
-        return self.cell_area_km2 == other.cell_area_km2 and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in COLUMNS
-        )
-
     @cached_property
     def memo(self) -> dict:
         """Values derived from the read-only columns, kept under their

@@ -1,19 +1,17 @@
 """Scalar reference for the link chain.
 
-These are the bodies `firesat.link_budget`, `firesat.geo` and
-`firesat.bessel` evaluated on every call before the per-config constants
-were hoisted: the geocentric angle, elevation, haversine and slant range
-recomputed from the config per location, J1 and J3 from two separate
-series, the looping MCS lookup and the 1F1 series with `abs` in its test.
-Tests check the fast chain against them bit for bit; nothing at runtime
-imports this module.
+These are the bodies `firesat.link_budget` and `firesat.geo` evaluated on
+every call before the per-config constants were hoisted: the geocentric
+angle, elevation, haversine and slant range recomputed from the config per
+location, J1 and J3 from two separate series, the looping MCS lookup and
+the 1F1 series with `abs` in its test. Tests check the fast chain against
+them bit for bit; nothing at runtime imports this module.
 """
 
 from __future__ import annotations
 
 import math
 
-from firesat.bessel import _j01_asymptotic
 from firesat.errors import NumericError, UnservableLocationError, ValidationError
 from firesat.geo import EARTH_RADIUS_KM, GeoPoint, SatelliteConfig
 from firesat.link_budget import (
@@ -22,6 +20,7 @@ from firesat.link_budget import (
     DeviceConfig,
     LinkResult,
     McsTable,
+    _j01_asymptotic,
     antenna_gain_dbi,
 )
 

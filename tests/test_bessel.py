@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from firesat.bessel import j1_j3
+from firesat.link_budget import j1_j3
 
 # Frozen from scipy.special at development time.
 J1_REFERENCE = {

@@ -305,9 +305,36 @@ class TestRunCampaign:
     def test_negative_seed_is_not_out_of_memory(self):
         grid = small_grid()
         catalog = self.make_catalog(grid, grid.frame)
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValidationError, match="^seed must be an integer >= 0, got -1$"):
             run_campaign(grid, Placement((3,) * 16, 48), catalog, ECON, trials=2, seed=-1)
-        assert not isinstance(info.value, ValidationError)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7", None])
+    def test_non_integer_seed_rejected(self, seed):
+        grid = small_grid()
+        catalog = self.make_catalog(grid, grid.frame)
+        with pytest.raises(ValidationError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            run_campaign(grid, Placement((3,) * 16, 48), catalog, ECON, trials=2, seed=seed)
+
+    def test_numpy_integer_seed_runs_as_its_int(self):
+        grid = small_grid()
+        catalog = self.make_catalog(grid, grid.frame)
+        placement = Placement((3,) * 16, 48)
+        assert (run_campaign(grid, placement, catalog, ECON, trials=2, seed=np.int64(5))
+                == run_campaign(grid, placement, catalog, ECON, trials=2, seed=5))
+
+    @pytest.mark.parametrize("region_id", [-1, 2, 1.0, None])
+    def test_region_id_outside_the_grid_rejected(self, region_id):
+        # Region 1 cannot spread: read as region -1, the fire in region 0 would burn nothing.
+        grid = grid_of([dict(region_for(0, 0.5, 0.5), spread_rate=0.6, lat=36.0, lon=-120.0),
+                        dict(region_for(1, 0.5, 0.5), spread_rate=0.0, lat=36.0, lon=-119.89)], 100.0)
+        fire = FireEvent(3, GeoPoint(36.0, -120.0), region_id, recorded_area_km2=10.0)
+        with pytest.raises(ValidationError,
+                           match=rf"^fire 3: region_id {region_id!r} is not a region of the grid, 0 to 1$"):
+            run_campaign(grid, Placement((1, 1), 2), [fire], ECON, trials=2, seed=0)
+        with pytest.raises(ValidationError, match="^fire 3: region_id "):
+            baseline_outcomes([fire], grid)
+        placed = FireEvent(3, GeoPoint(36.0, -120.0), 0, recorded_area_km2=10.0)
+        assert run_campaign(grid, Placement((0, 0), 0), [placed], ECON, trials=2, seed=0).totals.burned_km2 == 10.0
 
     def test_gather_out_of_memory_is_a_validation_error(self, monkeypatch):
         class NoGather(np.ndarray):

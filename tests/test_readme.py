@@ -5,15 +5,20 @@ import re
 import shlex
 from pathlib import Path
 
+import firesat
 from firesat.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def section(heading: str) -> str:
+    """The text under the README's `## heading`, up to the next one."""
+    return README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def fenced(heading: str, language: str = "python") -> str:
     """The first ```language block under the README's `## heading`."""
-    section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(rf"```{language}\n(.*?)```", section, re.S)[1]
+    return re.search(rf"```{language}\n(.*?)```", section(heading), re.S)[1]
 
 
 def test_library_quick_start_runs(capsys):
@@ -37,3 +42,9 @@ def test_cli_block_runs(tmp_path):
         "linkbudget.json",
         "plan_summary.json",
     ]
+
+
+def test_library_layout_has_one_row_per_module():
+    rows = re.findall(r"^\| `firesat\.(\w+)` \|", section("Library layout"), re.M)
+    package = Path(firesat.__file__).parent
+    assert sorted(rows) == sorted(p.stem for p in package.glob("*.py") if p.name != "__init__.py")
